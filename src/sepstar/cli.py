@@ -28,7 +28,14 @@ from .contexts import (
     load_context,
     persistent_ports,
 )
-from .graphs import GraphError, dump_graph, encode_word, graph_from_json, load_graph
+from .graphs import (
+    GraphError,
+    _read_json,
+    dump_graph,
+    encode_word,
+    graph_from_json,
+    load_graph,
+)
 from .logic import FormulaError, language_member, parse_formula
 from .monoids import MonoidError, certify_non_star_free, load_recognizer
 from .monoids import decide_aperiodic_mod_reachability as _decide
@@ -71,11 +78,7 @@ def _source(arg: str) -> str:
 
 
 def _load_json_file(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"{path}: not valid JSON ({exc})") from None
+    data = _read_json(path, GraphError)
     if not isinstance(data, dict):
         raise GraphError(f"{path}: expected a JSON object")
     return data

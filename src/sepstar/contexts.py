@@ -12,6 +12,12 @@ references, whether they are linked by a path with no intermediate port
 vertices ("inner" path).  Reachability types compose without looking at
 the underlying graphs, which is what the recognizer machinery in
 `sepstar.monoids` exploits.
+
+A context is a vertex/edge core plus two interface tuples, so it runs
+on the graph core of `sepstar.graphs`: the same validation, adjacency
+cache, disjoint-set helper, canonical ordering engine, certificate and
+rename helpers, and JSON file reader.  Only the interface handling and
+the colour keys that encode it live here.
 """
 
 from __future__ import annotations
@@ -21,7 +27,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graphs import canonical_order
+from .graphs import (
+    _adjacency,
+    _canonical_names,
+    _certificate,
+    _check_core,
+    _DisjointSet,
+    _read_json,
+)
 
 __all__ = [
     "ContextError",
@@ -55,12 +68,6 @@ class ContextError(ValueError):
     """Raised for malformed contexts and illegal compositions."""
 
 
-def _norm_edge(u: str, v: str) -> tuple[str, str]:
-    if u == v:
-        raise ContextError(f"loop edge at {u!r}")
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Context:
     """Immutable context; build instances with :meth:`Context.build`.
@@ -77,16 +84,9 @@ class Context:
 
     @staticmethod
     def build(vertices, edges, arity: int, left: dict, right: dict) -> "Context":
-        vs = frozenset(vertices)
-        if not vs:
-            raise ContextError("contexts must have at least one vertex")
-        for v in vs:
-            if not isinstance(v, str):
-                raise ContextError(f"vertex names must be strings, got {v!r}")
-        es = frozenset(_norm_edge(u, v) for (u, v) in edges)
-        for (u, v) in es:
-            if u not in vs or v not in vs:
-                raise ContextError(f"edge ({u!r}, {v!r}) uses unknown vertices")
+        vs, es = _check_core(vertices, edges, ContextError)
+        if not isinstance(arity, int) or isinstance(arity, bool):
+            raise ContextError(f"arity must be an integer, got {arity!r}")
         if arity < 0:
             raise ContextError("arity must be nonnegative")
 
@@ -96,7 +96,7 @@ class Context:
                 i = int(i)
                 if not 1 <= i <= arity:
                     raise ContextError(f"{name} index {i} out of range 1..{arity}")
-                if v not in vs:
+                if not isinstance(v, str) or v not in vs:
                     raise ContextError(f"{name} port {i} maps to unknown vertex {v!r}")
                 out[i - 1] = v
             defined = [v for v in out if v is not None]
@@ -130,22 +130,13 @@ class Context:
         return frozenset(v for v in self.left + self.right if v is not None)
 
     def neighbors(self, v: str) -> frozenset[str]:
-        return _ctx_adjacency(self)[v]
+        return _adjacency(self)[v]
 
     def __repr__(self) -> str:
         return (
             f"Context(n={len(self.vertices)}, m={len(self.edges)}, "
             f"left={self.left_map()}, right={self.right_map()})"
         )
-
-
-@lru_cache(maxsize=None)
-def _ctx_adjacency(w: Context) -> dict[str, frozenset[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in w.vertices}
-    for (u, v) in w.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return {v: frozenset(ns) for v, ns in adj.items()}
 
 
 def persistent_ports(w: Context) -> frozenset[int]:
@@ -177,43 +168,16 @@ def compose(u: Context, v: Context) -> Context:
     """
     if u.arity != v.arity:
         raise ContextError(f"compose needs equal arities, got {u.arity}, {v.arity}")
-    k = u.arity
-    parent: dict[tuple[str, str], tuple[str, str]] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    nodes = [("u", x) for x in u.vertices] + [("v", y) for y in v.vertices]
-    for nd in nodes:
-        parent[nd] = nd
-    for i in range(k):
-        a, b = u.right[i], v.left[i]
+    glued = _DisjointSet([("u", x) for x in u.vertices] + [("v", y) for y in v.vertices])
+    for a, b in zip(u.right, v.left):
         if a is not None and b is not None:
-            parent[find(("u", a))] = find(("v", b))
-
-    classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for nd in nodes:
-        classes.setdefault(find(nd), []).append(nd)
-    name_of: dict[tuple[str, str], str] = {}
-    for idx, root in enumerate(sorted(classes, key=lambda r: min(classes[r]))):
-        for nd in classes[root]:
-            name_of[nd] = f"z{idx}"
-
-    edges = set()
-    for (x, y) in u.edges:
-        edges.add(_norm_edge(name_of[("u", x)], name_of[("u", y)]))
-    for (x, y) in v.edges:
-        edges.add(_norm_edge(name_of[("v", x)], name_of[("v", y)]))
-    left = {
-        i + 1: name_of[("u", x)] for i, x in enumerate(u.left) if x is not None
-    }
-    right = {
-        i + 1: name_of[("v", y)] for i, y in enumerate(v.right) if y is not None
-    }
-    return Context.build(set(name_of.values()), edges, k, left, right)
+            glued.union(("u", a), ("v", b))
+    name_of = {nd: f"z{idx}" for idx, cls in enumerate(glued.classes()) for nd in cls}
+    edges = [(name_of[("u", x)], name_of[("u", y)]) for (x, y) in u.edges]
+    edges += [(name_of[("v", x)], name_of[("v", y)]) for (x, y) in v.edges]
+    left = {i: name_of[("u", x)] for i, x in u.left_map().items()}
+    right = {i: name_of[("v", y)] for i, y in v.right_map().items()}
+    return Context.build(set(name_of.values()), edges, u.arity, left, right)
 
 
 def compose_all(contexts) -> Context:
@@ -233,30 +197,16 @@ def compose_all(contexts) -> Context:
 
 def inner_components(w: Context) -> tuple[frozenset[tuple[str, str]], ...]:
     """Partition the edges: two edges are together iff they are linked
-    by shared non-port vertices (ports do not merge components)."""
+    by shared non-port vertices (ports do not merge components).
+    Components are ordered by their smallest edge."""
     ports = w.port_vertices()
-    edges = sorted(w.edges)
-    parent = {e: e for e in edges}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
+    linked = _DisjointSet(w.edges)
     touching: dict[str, tuple[str, str]] = {}
-    for e in edges:
+    for e in w.edges:
         for x in e:
-            if x in ports:
-                continue
-            if x in touching:
-                parent[find(e)] = find(touching[x])
-            else:
-                touching[x] = e
-    groups: dict[tuple[str, str], set[tuple[str, str]]] = {}
-    for e in edges:
-        groups.setdefault(find(e), set()).add(e)
-    return tuple(frozenset(groups[r]) for r in sorted(groups))
+            if x not in ports:
+                linked.union(e, touching.setdefault(x, e))
+    return tuple(frozenset(c) for c in linked.classes())
 
 
 def bridges(w: Context) -> tuple[frozenset[tuple[str, str]], ...]:
@@ -309,66 +259,43 @@ class ReachType:
     reach: frozenset[tuple[PortRef, PortRef]]
 
     def __post_init__(self):
-        assert self.persistent <= self.left_defined & self.right_defined
+        if not self.persistent <= self.left_defined & self.right_defined:
+            raise ContextError("persistent indices must be defined on both sides")
         for (p, q) in self.reach:
             for side, i in (p, q):
                 defined = self.left_defined if side == "L" else self.right_defined
-                assert i in defined, f"reach pair uses undefined reference {(side, i)}"
+                if i not in defined:
+                    raise ContextError(f"reach pair uses undefined reference {(side, i)}")
 
 
 def reaches(rt: ReachType, p: PortRef, q: PortRef) -> bool:
     return p == q or _norm_pair(p, q) in rt.reach
 
 
-def _refs(rt: ReachType) -> list[PortRef]:
-    return [("L", i) for i in sorted(rt.left_defined)] + [
-        ("R", j) for j in sorted(rt.right_defined)
-    ]
-
-
 def beta(w: Context) -> ReachType:
     """The reachability type of a concrete context."""
     ports = w.port_vertices()
-    inner = sorted(w.vertices - ports)
-    parent = {v: v for v in inner}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    inner = _DisjointSet(w.vertices - ports)
     for (x, y) in w.edges:
         if x not in ports and y not in ports:
-            parent[find(x)] = find(y)
+            inner.union(x, y)
+    adj = _adjacency(w)
+    # the inner components each port vertex touches
+    comp_sets = {
+        p: frozenset(inner.find(x) for x in adj[p] if x not in ports) for p in ports
+    }
 
-    adj = _ctx_adjacency(w)
-    comp_sets: dict[str, frozenset[str]] = {}
-    for p in ports:
-        comp_sets[p] = frozenset(find(x) for x in adj[p] if x not in ports)
-
-    def vertex_of(ref: PortRef) -> str:
-        side, i = ref
-        v = w.left[i - 1] if side == "L" else w.right[i - 1]
-        assert v is not None
-        return v
-
-    left_def = frozenset(i + 1 for i, v in enumerate(w.left) if v is not None)
-    right_def = frozenset(j + 1 for j, v in enumerate(w.right) if v is not None)
-    refs = [("L", i) for i in sorted(left_def)] + [("R", j) for j in sorted(right_def)]
+    left, right = w.left_map(), w.right_map()
+    refs = [(("L", i), v) for i, v in left.items()]
+    refs += [(("R", j), v) for j, v in right.items()]
     pairs = set()
-    for a in range(len(refs)):
-        for b in range(a, len(refs)):
-            p, q = refs[a], refs[b]
-            vp, vq = vertex_of(p), vertex_of(q)
-            linked = (
-                vp == vq
-                or vq in adj[vp]
-                or bool(comp_sets[vp] & comp_sets[vq])
-            )
-            if linked:
+    for a, (p, vp) in enumerate(refs):
+        for q, vq in refs[a:]:
+            if vp == vq or vq in adj[vp] or comp_sets[vp] & comp_sets[vq]:
                 pairs.add(_norm_pair(p, q))
-    return ReachType(w.arity, left_def, right_def, persistent_ports(w), frozenset(pairs))
+    return ReachType(
+        w.arity, frozenset(left), frozenset(right), persistent_ports(w), frozenset(pairs)
+    )
 
 
 def beta_compose(r1: ReachType, r2: ReachType) -> ReachType:
@@ -390,17 +317,8 @@ def beta_compose(r1: ReachType, r2: ReachType) -> ReachType:
         + [("v", "L", i) for i in sorted(r2.left_defined)]
         + [("v", "R", i) for i in sorted(r2.right_defined)]
     )
-    parent = {nd: nd for nd in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
+    classes = _DisjointSet(nodes)
+    find, union = classes.find, classes.union
     for i in r1.persistent:
         union(("u", "L", i), ("u", "R", i))
     for i in r2.persistent:
@@ -481,31 +399,17 @@ def _ctx_color_keys(w: Context) -> dict[str, str]:
 def context_cert(w: Context) -> bytes:
     """Equal for two contexts iff they are isomorphic (interfaces
     preserved index by index)."""
-    vertices = sorted(w.vertices)
-    order = canonical_order(vertices, _ctx_adjacency(w), _ctx_color_keys(w))
-    n = len(order)
-    keys = _ctx_color_keys(w)
-    pos = {v: i for i, v in enumerate(order)}
-    bits = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = (order[i], order[j]) if order[i] < order[j] else (order[j], order[i])
-            bits.append("1" if e in w.edges else "0")
-    head = f"c;{n};{w.arity};" + "|".join(keys[v] for v in order)
-    assert len(pos) == n
-    return (head + "#" + "".join(bits)).encode()
+    return _certificate("c", w, _ctx_color_keys(w))
 
 
 def canonical_rename_context(w: Context) -> Context:
-    vertices = sorted(w.vertices)
-    order = canonical_order(vertices, _ctx_adjacency(w), _ctx_color_keys(w))
-    ren = {v: f"v{i}" for i, v in enumerate(order)}
+    ren = _canonical_names(w, _ctx_color_keys(w))
     return Context.build(
         ren.values(),
         [(ren[x], ren[y]) for (x, y) in w.edges],
         w.arity,
-        {i + 1: ren[v] for i, v in enumerate(w.left) if v is not None},
-        {i + 1: ren[v] for i, v in enumerate(w.right) if v is not None},
+        {i: ren[v] for i, v in w.left_map().items()},
+        {i: ren[v] for i, v in w.right_map().items()},
     )
 
 
@@ -671,8 +575,10 @@ def context_from_json(data) -> Context:
             raise ContextError(f"bad edge entry: {e!r}")
 
     def intkeys(m, name):
+        if not isinstance(m, dict):
+            raise ContextError(f"{name} must be an object from port indices to vertices")
         out = {}
-        for key, v in (m or {}).items():
+        for key, v in m.items():
             try:
                 out[int(key)] = v
             except (TypeError, ValueError):
@@ -683,8 +589,8 @@ def context_from_json(data) -> Context:
         data["vertices"],
         [tuple(e) for e in edges],
         data["arity"],
-        intkeys(data.get("left"), "left"),
-        intkeys(data.get("right"), "right"),
+        intkeys(data.get("left", {}), "left"),
+        intkeys(data.get("right", {}), "right"),
     )
 
 
@@ -693,9 +599,4 @@ def dump_context(w: Context) -> str:
 
 
 def load_context(path: str) -> Context:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ContextError(f"{path}: not valid JSON ({exc})") from None
-    return context_from_json(data)
+    return context_from_json(_read_json(path, ContextError))

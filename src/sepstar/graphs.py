@@ -12,6 +12,13 @@ Isomorphism respects ports positionally and labels exactly.  The
 canonical form is computed by colour refinement plus an
 individualisation search, which is exact (not just a heuristic) and
 fast at the sizes this library works with.
+
+This module is also the graph core that contexts
+(`sepstar.contexts`) and path decompositions (`sepstar.pathdecomp`)
+reuse: vertex/edge validation, the adjacency cache, the disjoint-set
+helper, the canonical ordering engine with its certificate and rename
+helpers, and the JSON file reader all live here and take any object
+with ``vertices``, ``edges`` and ``arity``.
 """
 
 from __future__ import annotations
@@ -47,10 +54,77 @@ class GraphError(ValueError):
     """Raised for malformed graphs or illegal graph operations."""
 
 
-def _norm_edge(u: str, v: str) -> tuple[str, str]:
-    if u == v:
-        raise GraphError(f"loop edge at {u!r}")
-    return (u, v) if u < v else (v, u)
+# ---------------------------------------------------------------------------
+# the shared core
+
+
+def _check_core(vertices, edges, error):
+    """Validate a vertex/edge core and normalise edges to sorted pairs,
+    raising the caller's exception class ``error``."""
+    try:
+        vs = frozenset(vertices)
+    except TypeError:
+        raise error("vertex names must be strings") from None
+    if not vs:
+        raise error("at least one vertex is required")
+    for v in vs:
+        if not isinstance(v, str):
+            raise error(f"vertex names must be strings, got {v!r}")
+    es = set()
+    for (u, v) in edges:
+        if not (isinstance(u, str) and isinstance(v, str) and u in vs and v in vs):
+            raise error(f"edge ({u!r}, {v!r}) uses unknown vertices")
+        if u == v:
+            raise error(f"loop edge at {u!r}")
+        es.add((u, v) if u < v else (v, u))
+    return vs, frozenset(es)
+
+
+@lru_cache(maxsize=None)
+def _adjacency(g) -> dict[str, frozenset[str]]:
+    """Neighbour sets of a port graph or context, cached per object."""
+    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
+    for (u, v) in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return {v: frozenset(ns) for v, ns in adj.items()}
+
+
+class _DisjointSet:
+    """Union-find over hashable items, with path halving."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the classes of a and b; False if they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        self.parent[ra] = rb
+        return ra != rb
+
+    def classes(self) -> list[list]:
+        """Members of each class in insertion order, classes ordered by
+        their smallest member."""
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return sorted(out.values(), key=min)
+
+
+def _read_json(path: str, error):
+    """Parse a JSON file, raising ``error`` when the text is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: not valid JSON ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -75,22 +149,13 @@ class PortGraph:
         ports=(),
         labels=None,
     ) -> "PortGraph":
-        vs = frozenset(vertices)
-        if not vs:
-            raise GraphError("graphs must have at least one vertex")
-        for v in vs:
-            if not isinstance(v, str):
-                raise GraphError(f"vertex names must be strings, got {v!r}")
-        es = frozenset(_norm_edge(u, v) for (u, v) in edges)
-        for (u, v) in es:
-            if u not in vs or v not in vs:
-                raise GraphError(f"edge ({u!r}, {v!r}) uses unknown vertices")
+        vs, es = _check_core(vertices, edges, GraphError)
         pt = tuple(ports)
+        for p in pt:
+            if not isinstance(p, str) or p not in vs:
+                raise GraphError(f"port {p!r} is not a vertex")
         if len(set(pt)) != len(pt):
             raise GraphError("ports must be pairwise distinct")
-        for p in pt:
-            if p not in vs:
-                raise GraphError(f"port {p!r} is not a vertex")
         lab = dict(labels or {})
         for v, c in lab.items():
             if v not in vs:
@@ -123,15 +188,6 @@ class PortGraph:
             f"PortGraph(n={len(self.vertices)}, m={len(self.edges)}, "
             f"ports={self.ports})"
         )
-
-
-@lru_cache(maxsize=None)
-def _adjacency(g: PortGraph) -> dict[str, frozenset[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for (u, v) in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return {v: frozenset(ns) for v, ns in adj.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +278,8 @@ def fuse(g: PortGraph, h: PortGraph) -> PortGraph:
             raise GraphError(f"label clash on fused port {v!r}")
     glab.update(hlab)
     verts = set(gmap.values()) | set(hmap.values())
-    edges = {_norm_edge(gmap[u], gmap[v]) for (u, v) in g.edges}
-    edges |= {_norm_edge(hmap[u], hmap[v]) for (u, v) in h.edges}
+    edges = [(gmap[u], gmap[v]) for (u, v) in g.edges]
+    edges += [(hmap[u], hmap[v]) for (u, v) in h.edges]
     ports = tuple(f"p{i + 1}" for i in range(k))
     return PortGraph.build(verts, edges, ports, glab)
 
@@ -292,24 +348,14 @@ def ports_only(g: PortGraph) -> PortGraph | None:
 
 
 def nonport_classes(g: PortGraph) -> tuple[frozenset[str], ...]:
-    """Group non-port vertices: two are together iff connected in g minus ports."""
+    """Group non-port vertices: two are together iff connected in g minus
+    ports.  Classes are ordered by their smallest vertex name."""
     pset = set(g.ports)
-    rest = sorted(g.vertices - pset)
-    parent = {v: v for v in rest}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    classes = _DisjointSet(g.vertices - pset)
     for (u, v) in g.edges:
         if u not in pset and v not in pset:
-            parent[find(u)] = find(v)
-    groups: dict[str, set[str]] = {}
-    for v in rest:
-        groups.setdefault(find(v), set()).add(v)
-    return tuple(frozenset(groups[r]) for r in sorted(groups))
+            classes.union(u, v)
+    return tuple(frozenset(c) for c in classes.classes())
 
 
 def prime_factors(g: PortGraph) -> tuple[PortGraph, ...]:
@@ -355,18 +401,18 @@ def _refine_colors(n: int, adj: list[int], colors: list[int]) -> list[int]:
 
 
 def _encode(n: int, adj: list[int], keys: list[str], perm: list[int]) -> bytes:
-    pos = {v: i for i, v in enumerate(perm)}
     bits = []
     for i in range(n):
         for j in range(i + 1, n):
             bits.append("1" if adj[perm[i]] >> perm[j] & 1 else "0")
     payload = "|".join(keys[v] for v in perm) + "#" + "".join(bits)
-    assert len(pos) == n
     return payload.encode()
 
 
-def _search_canonical(n: int, adj: list[int], keys: list[str]) -> list[int]:
-    """Return the vertex ordering whose encoding is minimal."""
+def _search_canonical(
+    n: int, adj: list[int], keys: list[str]
+) -> tuple[bytes, list[int]]:
+    """The minimal encoding and a vertex ordering that attains it."""
     base = {k: i for i, k in enumerate(sorted(set(keys)))}
     init = [base[k] for k in keys]
 
@@ -385,12 +431,12 @@ def _search_canonical(n: int, adj: list[int], keys: list[str]) -> list[int]:
             enc = _encode(n, adj, keys, perm)
             if best is None or enc < best[0]:
                 best = (enc, perm)
-        assert best is not None
-        return best[1]
+        return best
 
-    best: list[bytes | list[int] | None] = [None, None]
+    best: tuple[bytes, list[int]] | None = None
 
     def rec(colors: list[int]) -> None:
+        nonlocal best
         colors = _refine_colors(n, adj, colors)
         groups: dict[int, list[int]] = {}
         for v in range(n):
@@ -403,8 +449,8 @@ def _search_canonical(n: int, adj: list[int], keys: list[str]) -> list[int]:
         if target is None:
             perm = sorted(range(n), key=lambda v: colors[v])
             enc = _encode(n, adj, keys, perm)
-            if best[0] is None or enc < best[0]:
-                best[0], best[1] = enc, perm
+            if best is None or enc < best[0]:
+                best = (enc, perm)
             return
         # candidates up to swap automorphisms visible right now
         chosen: list[int] = []
@@ -422,14 +468,16 @@ def _search_canonical(n: int, adj: list[int], keys: list[str]) -> list[int]:
             rec(child)
 
     rec(init)
-    assert best[1] is not None
-    return best[1]  # type: ignore[return-value]
+    return best  # type: ignore[return-value]
 
 
 def canonical_order(
     vertices: list[str], adj_sets: dict[str, frozenset[str]], keys: dict[str, str]
-) -> list[str]:
-    """Canonical vertex order for an arbitrary coloured graph.
+) -> tuple[list[str], bytes]:
+    """Canonical vertex order for an arbitrary coloured graph, with its
+    encoding: the keys in that order, ``#``, then the upper triangle of
+    the adjacency matrix.  The encoding is minimal over all orders, so
+    two coloured graphs get equal encodings iff they are isomorphic.
 
     ``keys`` assigns each vertex a colour string; orderings may only
     mix vertices with equal keys.  Shared by graphs and contexts.
@@ -440,9 +488,20 @@ def canonical_order(
     for v in vertices:
         for w in adj_sets[v]:
             adj[idx[v]] |= 1 << idx[w]
-    key_list = [keys[v] for v in vertices]
-    perm = _search_canonical(n, adj, key_list)
-    return [vertices[i] for i in perm]
+    enc, perm = _search_canonical(n, adj, [keys[v] for v in vertices])
+    return [vertices[i] for i in perm], enc
+
+
+def _certificate(tag: str, g, keys: dict[str, str]) -> bytes:
+    """Certificate of a port graph or context coloured by ``keys``."""
+    _, enc = canonical_order(sorted(g.vertices), _adjacency(g), keys)
+    return f"{tag};{len(g.vertices)};{g.arity};".encode() + enc
+
+
+def _canonical_names(g, keys: dict[str, str]) -> dict[str, str]:
+    """Rename vertices to v0..v{n-1} in canonical order."""
+    order, _ = canonical_order(sorted(g.vertices), _adjacency(g), keys)
+    return {v: f"v{i}" for i, v in enumerate(order)}
 
 
 def _graph_color_keys(g: PortGraph) -> dict[str, str]:
@@ -458,24 +517,12 @@ def _graph_color_keys(g: PortGraph) -> dict[str, str]:
 @lru_cache(maxsize=None)
 def canonical_cert(g: PortGraph) -> bytes:
     """A bytestring equal for two graphs iff they are isomorphic."""
-    vertices = sorted(g.vertices)
-    order = canonical_order(vertices, _adjacency(g), _graph_color_keys(g))
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    bits = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bits.append("1" if g.has_edge(order[i], order[j]) else "0")
-    keys = _graph_color_keys(g)
-    head = f"g;{n};{g.arity};" + "|".join(keys[v] for v in order)
-    return (head + "#" + "".join(bits)).encode()
+    return _certificate("g", g, _graph_color_keys(g))
 
 
 def canonical_rename(g: PortGraph) -> PortGraph:
     """Isomorphic copy with vertices named v0..v{n-1} in canonical order."""
-    vertices = sorted(g.vertices)
-    order = canonical_order(vertices, _adjacency(g), _graph_color_keys(g))
-    ren = {v: f"v{i}" for i, v in enumerate(order)}
+    ren = _canonical_names(g, _graph_color_keys(g))
     return PortGraph.build(
         ren.values(),
         [(ren[u], ren[v]) for (u, v) in g.edges],
@@ -527,11 +574,14 @@ def graph_from_json(data) -> PortGraph:
     for e in edges:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise GraphError(f"bad edge entry: {e!r}")
+    labels = data.get("labels", {})
+    if not isinstance(labels, dict):
+        raise GraphError(f"graph labels must be an object, got {labels!r}")
     return PortGraph.build(
         data["vertices"],
         [tuple(e) for e in edges],
         data.get("ports", ()),
-        data.get("labels"),
+        labels,
     )
 
 
@@ -540,12 +590,7 @@ def dump_graph(g: PortGraph) -> str:
 
 
 def load_graph(path: str) -> PortGraph:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"{path}: not valid JSON ({exc})") from None
-    return graph_from_json(data)
+    return graph_from_json(_read_json(path, GraphError))
 
 
 # ---------------------------------------------------------------------------

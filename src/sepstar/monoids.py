@@ -31,6 +31,7 @@ from .contexts import (
     enumerate_generators,
     reaches,
 )
+from .graphs import _read_json
 
 __all__ = [
     "MonoidError",
@@ -782,9 +783,4 @@ def dump_recognizer(rec: Recognizer) -> str:
 
 
 def load_recognizer(path: str) -> Recognizer:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MonoidError(f"{path}: not valid JSON ({exc})") from None
-    return recognizer_from_json(data)
+    return recognizer_from_json(_read_json(path, MonoidError))

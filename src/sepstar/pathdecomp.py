@@ -18,6 +18,7 @@ enough to be alphabet letters or strictly more persistent
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .contexts import (
     Context,
@@ -27,7 +28,7 @@ from .contexts import (
     isomorphic_contexts,
     persistent_ports,
 )
-from .graphs import PortGraph
+from .graphs import PortGraph, _adjacency, _DisjointSet
 
 __all__ = [
     "DecompositionError",
@@ -111,9 +112,47 @@ def validate_decomposition(bags, vertices, edges, first=frozenset(), last=frozen
 # `last`, which have to survive into the final bag.  Introducing x on
 # top of S costs a bag of size |active(S)| + 1, and the best order
 # gives the pathwidth.
+#
+# Subsets of the free vertices are indexed by bitmasks over positions
+# in `free`; vertex sets (S, adjacency rows, the port masks) are
+# bitmasks over positions in the sorted vertex list.
 
 
-def _pathwidth_table(vertices, edges, first, last):
+def _subset_mask(m, free, lmask):
+    """The vertex set of free-subset m, on top of the left ports."""
+    smask = lmask
+    while m:
+        t = (m & -m).bit_length() - 1
+        m &= m - 1
+        smask |= 1 << free[t]
+    return smask
+
+
+def _active_mask(smask, adj, rmask):
+    """The vertices of smask that must stay in the bag: right ports and
+    vertices with a neighbour outside smask."""
+    out = smask & rmask
+    bits = smask & ~rmask
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        if adj[low.bit_length() - 1] & ~smask:
+            out |= low
+    return out
+
+
+class _Table(NamedTuple):
+    verts: list[str]  # sorted vertex names
+    index: dict[str, int]
+    adj: list[int]  # adjacency row per vertex
+    lmask: int
+    rmask: int
+    free: list[int]  # the vertices outside `first`
+    g: list[int]  # per free-subset: smallest largest bag over its orders
+    parent: list[int]  # per free-subset: the free position introduced last
+
+
+def _pathwidth_table(vertices, edges, first, last) -> _Table:
     verts = sorted(vertices)
     index = {v: i for i, v in enumerate(verts)}
     first = frozenset(first)
@@ -133,16 +172,6 @@ def _pathwidth_table(vertices, edges, first, last):
             f"exact search handles at most {_EXACT_LIMIT} non-port vertices"
         )
 
-    def active_size(smask):
-        count = 0
-        bits = smask
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if rmask >> i & 1 or adj[i] & ~smask:
-                count += 1
-        return count
-
     size = 1 << len(free)
     g = [0] * size
     parent = [-1] * size
@@ -155,60 +184,59 @@ def _pathwidth_table(vertices, edges, first, last):
         range(len(free)), key=lambda t: (not rmask >> free[t] & 1, t)
     )
     for m in range(1, size):
-        smask = lmask
-        bits = m
-        while bits:
-            t = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            smask |= 1 << free[t]
+        smask = _subset_mask(m, free, lmask)
         best = None
         best_t = -1
         for t in scan:
             if not m >> t & 1:
                 continue
             prev = smask & ~(1 << free[t])
-            cost = max(g[m & ~(1 << t)], active_size(prev) + 1)
+            cost = max(g[m & ~(1 << t)], _active_mask(prev, adj, rmask).bit_count() + 1)
             if best is None or cost < best:
                 best = cost
                 best_t = t
         g[m] = best
         parent[m] = best_t
-    return verts, index, adj, lmask, rmask, free, g, parent
+    return _Table(verts, index, adj, lmask, rmask, free, g, parent)
 
 
-def pathwidth(vertices, edges, first=frozenset(), last=frozenset()) -> int:
-    _, _, _, _, _, free, g, _ = _pathwidth_table(vertices, edges, first, last)
-    return g[(1 << len(free)) - 1] - 1
-
-
-def optimal_decomposition(vertices, edges, first=frozenset(), last=frozenset()):
-    """A decomposition of minimum width, validated before returning."""
-    verts, index, adj, lmask, rmask, free, g, parent = _pathwidth_table(
-        vertices, edges, first, last
-    )
+def _decomposition(table, parent, vertices, edges, first, last):
+    """Walk `parent` back from the full subset to an introduction order
+    and turn it into bags, checked against the table's width."""
+    verts, _, adj, lmask, rmask, free, g, _ = table
     order = []
-    m = (1 << len(free)) - 1
+    m = len(g) - 1
     while m:
         t = parent[m]
         order.append(free[t])
         m &= ~(1 << t)
-    order.reverse()
     bags = [frozenset(first)]
     smask = lmask
-    for i in order:
-        bag = {verts[i]}
-        bits = smask
-        while bits:
-            j = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if rmask >> j & 1 or adj[j] & ~smask:
-                bag.add(verts[j])
-        bags.append(frozenset(bag))
+    for i in reversed(order):
+        members = _active_mask(smask, adj, rmask) | 1 << i
+        bags.append(frozenset(v for j, v in enumerate(verts) if members >> j & 1))
         smask |= 1 << i
     bags = normalize(bags)
     validate_decomposition(bags, vertices, edges, first, last)
-    assert width(bags) == g[(1 << len(free)) - 1] - 1
+    if width(bags) != g[-1] - 1:
+        raise DecompositionError(
+            f"rebuilt bags have width {width(bags)}, the search found {g[-1] - 1}"
+        )
     return bags
+
+
+def pathwidth(vertices, edges, first=frozenset(), last=frozenset()) -> int:
+    return _pathwidth_table(vertices, edges, first, last).g[-1] - 1
+
+
+def optimal_decomposition(vertices, edges, first=frozenset(), last=frozenset()):
+    """A decomposition of minimum width, validated before returning."""
+    table = _pathwidth_table(vertices, edges, first, last)
+    return _decomposition(table, table.parent, vertices, edges, first, last)
+
+
+def _interfaces(w: Context):
+    return frozenset(w.left_map().values()), frozenset(w.right_map().values())
 
 
 def graph_pathwidth(g: PortGraph) -> int:
@@ -216,69 +244,36 @@ def graph_pathwidth(g: PortGraph) -> int:
 
 
 def context_pathwidth(w: Context) -> int:
-    return pathwidth(
-        w.vertices,
-        w.edges,
-        frozenset(w.left_map().values()),
-        frozenset(w.right_map().values()),
-    )
+    return pathwidth(w.vertices, w.edges, *_interfaces(w))
 
 
 def context_decomposition(w: Context):
-    return optimal_decomposition(
-        w.vertices,
-        w.edges,
-        frozenset(w.left_map().values()),
-        frozenset(w.right_map().values()),
-    )
+    return optimal_decomposition(w.vertices, w.edges, *_interfaces(w))
 
 
-def _low_overlap_decomposition(w: Context):
+def _low_overlap_decomposition(w: Context, table):
     """A minimum-width decomposition of a context that, among the
     optimal introduction orders, keeps each left port co-alive with the
     right port sharing its slot for as few steps as possible.
 
     Factor searches prefer such orders: a context can only be cut at a
     point where no slot is claimed from both sides at once, so the
-    shorter those overlaps, the more cut points survive."""
+    shorter those overlaps, the more cut points survive.
+
+    ``table`` is the context's own `_pathwidth_table`."""
     left_map = w.left_map()
     right_map = w.right_map()
-    first = frozenset(left_map.values())
-    last = frozenset(right_map.values())
-    verts, index, adj, lmask, rmask, free, g, _ = _pathwidth_table(
-        w.vertices, w.edges, first, last
-    )
-    full = (1 << len(free)) - 1
-    limit = g[full]
+    _, index, adj, lmask, rmask, free, g, _ = table
+    limit = g[-1]
     pair_masks = [
         (1 << index[left_map[p]], 1 << index[right_map[p]])
         for p in left_map
         if p in right_map and left_map[p] != right_map[p]
     ]
 
-    def active_mask(smask):
-        out = 0
-        bits = smask
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if rmask >> i & 1 or adj[i] & ~smask:
-                out |= 1 << i
-        return out
-
-    size = 1 << len(free)
-    amask = [0] * size
-    step = [0] * size
-    for m in range(size):
-        smask = lmask
-        bits = m
-        while bits:
-            t = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            smask |= 1 << free[t]
-        a = active_mask(smask)
-        amask[m] = a
-        step[m] = sum(1 for mu, mv in pair_masks if a & mu and a & mv)
+    size = len(g)
+    amask = [_active_mask(_subset_mask(m, free, lmask), adj, rmask) for m in range(size)]
+    step = [sum(1 for mu, mv in pair_masks if a & mu and a & mv) for a in amask]
 
     INF = float("inf")
     h = [INF] * size
@@ -301,30 +296,7 @@ def _low_overlap_decomposition(w: Context):
                 best_t = t
         h[m] = best + step[m] if best_t >= 0 else INF
         parent[m] = best_t
-
-    order = []
-    m = full
-    while m:
-        t = parent[m]
-        order.append(free[t])
-        m &= ~(1 << t)
-    order.reverse()
-    bags = [frozenset(first)]
-    smask = lmask
-    for i in order:
-        bag = {verts[i]}
-        bits = smask
-        while bits:
-            j = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if rmask >> j & 1 or adj[j] & ~smask:
-                bag.add(verts[j])
-        bags.append(frozenset(bag))
-        smask |= 1 << i
-    bags = normalize(bags)
-    validate_decomposition(bags, w.vertices, w.edges, first, last)
-    assert width(bags) == limit - 1
-    return bags
+    return _decomposition(table, parent, w.vertices, w.edges, *_interfaces(w))
 
 
 def _brute_pathwidth(vertices, edges, first=frozenset(), last=frozenset()) -> int:
@@ -357,24 +329,11 @@ def _brute_pathwidth(vertices, edges, first=frozenset(), last=frozenset()) -> in
 def is_caterpillar_forest(g: PortGraph) -> bool:
     """Acyclic, and removing the leaves of each component leaves a
     path.  Equivalent to pathwidth at most 1."""
-    adj = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    # forest check via union-find
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
+    # an edge inside one component closes a cycle
+    forest = _DisjointSet(g.vertices)
+    if not all(forest.union(u, v) for u, v in g.edges):
+        return False
+    adj = _adjacency(g)
     spine = {v for v in g.vertices if len(adj[v]) >= 2}
     return all(len(adj[v] & spine) <= 2 for v in spine)
 
@@ -609,8 +568,10 @@ def dealternate(instructions, kind, first=frozenset()):
         nxt = next(pin_iter)
         if nxt is not None:
             out.append(nxt[2])
-    assert len(out) == len(instructions)
-    assert instruction_width(first, out) <= instruction_width(first, instructions)
+    if len(out) != len(instructions):
+        raise DecompositionError("reordering lost or duplicated instructions")
+    if instruction_width(first, out) > instruction_width(first, instructions):
+        raise DecompositionError("reordering widened the instruction sequence")
     return out
 
 
@@ -801,24 +762,29 @@ def two_bridge_decompose(w: Context):
         )
     if len(w.vertices) <= k + 1:
         return [w]
-    if context_pathwidth(w) > k:
+    left_set, right_set = _interfaces(w)
+    table = _pathwidth_table(w.vertices, w.edges, left_set, right_set)
+    if table.g[-1] - 1 > k:
         raise DecompositionError(
             "pathwidth exceeds the arity; not in the width-limited monoid"
         )
-    left_set = frozenset(w.left_map().values())
-    right_set = frozenset(w.right_map().values())
     ports = w.port_vertices()
     diag: list[str] = []
 
-    mirror = Context.build(
-        w.vertices, w.edges, k, w.right_map(), w.left_map()
+    # each direction's table yields its low-overlap and its optimal
+    # decomposition; only one table is alive at a time
+    low = _low_overlap_decomposition(w, table)
+    optimal = _decomposition(
+        table, table.parent, w.vertices, w.edges, left_set, right_set
     )
-    decomps = [
-        _low_overlap_decomposition(w),
-        list(reversed(_low_overlap_decomposition(mirror))),
-        context_decomposition(w),
-        list(reversed(context_decomposition(mirror))),
-    ]
+    del table
+    mirror = Context.build(w.vertices, w.edges, k, w.right_map(), w.left_map())
+    table = _pathwidth_table(w.vertices, w.edges, right_set, left_set)
+    mirror_low = _low_overlap_decomposition(mirror, table)
+    mirror_optimal = _decomposition(
+        table, table.parent, w.vertices, w.edges, right_set, left_set
+    )
+    decomps = [low, mirror_low[::-1], optimal, mirror_optimal[::-1]]
 
     sequences = []
     seen = set()

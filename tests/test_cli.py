@@ -67,6 +67,60 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main([]) == 2
 
 
+def test_non_string_names_exit_2(tmp_path, capsys):
+    cases = [
+        {"vertices": ["a"], "edges": [["a", 1]]},
+        {"vertices": ["a", ["b"]]},
+        {"vertices": ["a", "b"], "edges": [["a", ["b"]]]},
+        {"vertices": ["a", "b"], "ports": [["a"]]},
+        {"arity": 1, "vertices": ["a", "b"], "left": {"1": ["a"]}, "right": {}},
+    ]
+    for data in cases:
+        bad = graph_file(tmp_path, "bad.json", data)
+        code, _, err = run(capsys, ["pathwidth", bad])
+        assert code == 2 and err.startswith("error:"), data
+
+
+def test_unreadable_json_exits_2(tmp_path, capsys):
+    deep = write(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    for path in (deep, str(binary)):
+        code, _, err = run(capsys, ["pathwidth", path])
+        assert code == 2 and "not valid JSON" in err
+
+
+def test_labels_must_be_an_object(tmp_path, capsys):
+    bad = graph_file(
+        tmp_path, "bad.json", {"vertices": ["a", "b"], "edges": [["a", "b"]], "labels": ["a"]}
+    )
+    code, _, err = run(capsys, ["eval-formula", bad, CONNECTED])
+    assert code == 2 and "labels" in err
+
+
+def test_interfaces_must_be_objects(tmp_path, capsys):
+    bad = graph_file(
+        tmp_path,
+        "bad.json",
+        {"arity": 1, "vertices": ["a", "b"], "edges": [["a", "b"]],
+         "left": {"1": "a"}, "right": ["b"]},
+    )
+    code, _, err = run(capsys, ["beta", bad])
+    assert code == 2 and "right" in err
+
+
+def test_arity_must_be_an_integer(tmp_path, capsys):
+    for arity in ("2", True):
+        bad = graph_file(
+            tmp_path,
+            "bad.json",
+            {"arity": arity, "vertices": ["a", "b"], "edges": [],
+             "left": {"1": "a"}, "right": {"1": "b"}},
+        )
+        code, _, err = run(capsys, ["beta", bad])
+        assert code == 2 and "arity" in err
+
+
 def test_eval_expr(tmp_path, capsys):
     tri = graph_file(tmp_path, "tri.json", TRIANGLE)
     code, out, _ = run(capsys, ["eval-expr", tri, "!finite@0{}"])

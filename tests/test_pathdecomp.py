@@ -422,6 +422,25 @@ def test_two_bridge_parallel_wires():
     assert all(len(f.vertices) <= 3 for f in factors)
 
 
+def test_two_bridge_builds_one_table_per_direction(monkeypatch):
+    from sepstar import pathdecomp
+
+    built = []
+    table = pathdecomp._pathwidth_table
+
+    def counting(vertices, edges, first, last):
+        built.append((frozenset(first), frozenset(last)))
+        return table(vertices, edges, first, last)
+
+    monkeypatch.setattr(pathdecomp, "_pathwidth_table", counting)
+    w = parallel_wires_context()
+    _check_factorisation(w, two_bridge_decompose(w))
+    assert built == [
+        (frozenset("ab"), frozenset("cd")),
+        (frozenset("cd"), frozenset("ab")),
+    ]
+
+
 def test_two_bridge_hub_at_larger_arity():
     h = hub_context()
     h3 = Context.build(h.vertices, h.edges, 3, h.left_map(), h.right_map())
