@@ -3,7 +3,8 @@
 Exit codes separate the three ways a run can end: 0 for a computed
 affirmative (or purely informational) result, 1 for a computed negative
 verdict (formula false, non-membership, violation found, no
-certificate, no factorisation), 2 for input errors.  Formula and
+certificate, no factorisation), 2 for input errors, input nested too
+deeply included.  Formula and
 expression arguments may be given as a file path or as literal text.
 All output is deterministic; ``--json`` switches every subcommand to a
 machine-readable form.
@@ -424,6 +425,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # one catch in place of depth guards in the recursive parsers
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -33,6 +33,7 @@ from .graphs import (
     _certificate,
     _check_core,
     _DisjointSet,
+    _json_lists,
     _read_json,
 )
 
@@ -569,10 +570,7 @@ def context_from_json(data) -> Context:
     for field in ("vertices", "arity"):
         if field not in data:
             raise ContextError(f"context JSON needs a {field!r} field")
-    edges = data.get("edges", [])
-    for e in edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise ContextError(f"bad edge entry: {e!r}")
+    vertices, edges = _json_lists(data, ("vertices", "edges"), ContextError)
 
     def intkeys(m, name):
         if not isinstance(m, dict):
@@ -586,7 +584,7 @@ def context_from_json(data) -> Context:
         return out
 
     return Context.build(
-        data["vertices"],
+        vertices,
         [tuple(e) for e in edges],
         data["arity"],
         intkeys(data.get("left", {}), "left"),

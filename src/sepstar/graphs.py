@@ -562,6 +562,21 @@ def graph_to_json(g: PortGraph) -> dict:
     return out
 
 
+def _json_lists(data: dict, names, error) -> list[list]:
+    """The named fields of a graph or context object, each of which must
+    be a list (an absent one reads as empty); edge entries must be pairs."""
+    out = []
+    for name in names:
+        value = data.get(name, [])
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{name!r} must be a list, got {value!r}")
+        out.append(value)
+    for e in data.get("edges", []):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+            raise error(f"bad edge entry: {e!r}")
+    return out
+
+
 def graph_from_json(data) -> PortGraph:
     if not isinstance(data, dict):
         raise GraphError("graph JSON must be an object")
@@ -570,19 +585,13 @@ def graph_from_json(data) -> PortGraph:
         raise GraphError(f"unknown graph fields: {sorted(extra)}")
     if "vertices" not in data:
         raise GraphError("graph JSON needs a 'vertices' field")
-    edges = data.get("edges", [])
-    for e in edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise GraphError(f"bad edge entry: {e!r}")
+    vertices, edges, ports = _json_lists(
+        data, ("vertices", "edges", "ports"), GraphError
+    )
     labels = data.get("labels", {})
     if not isinstance(labels, dict):
         raise GraphError(f"graph labels must be an object, got {labels!r}")
-    return PortGraph.build(
-        data["vertices"],
-        [tuple(e) for e in edges],
-        data.get("ports", ()),
-        labels,
-    )
+    return PortGraph.build(vertices, [tuple(e) for e in edges], ports, labels)
 
 
 def dump_graph(g: PortGraph) -> str:

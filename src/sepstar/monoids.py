@@ -11,6 +11,11 @@ group - the pattern that separates genuinely periodic behaviour from
 behaviour that only looks periodic because the interface wiring
 changes.
 
+Every monoid here is built by ``_closure``, one breadth-first search
+from some generators under right multiplication, and its multiplication
+table is read off the right Cayley graph that search records (Froidure
+& Pin, 1997); the decision procedure runs the same search over pairs.
+
 `certify_non_star_free` complements the decision procedure on the
 semantic side: it pumps a concrete context with idempotent
 reachability type and watches an oracle alternate.
@@ -25,8 +30,8 @@ from .contexts import (
     Context,
     beta,
     beta_compose,
+    build_from_word,
     compose,
-    compose_all,
     context_cert,
     enumerate_generators,
     reaches,
@@ -87,6 +92,10 @@ class FiniteMonoid:
 
     @staticmethod
     def build(table, identity: int, zero: int | None = None) -> "FiniteMonoid":
+        if not isinstance(table, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in table
+        ):
+            raise MonoidError("table must be a list of rows")
         m = FiniteMonoid(tuple(tuple(row) for row in table), identity, zero)
         validate_monoid(m)
         return m
@@ -107,20 +116,25 @@ class FiniteMonoid:
         return acc
 
 
+def _is_element(x, n: int) -> bool:
+    """True for an integer (not a bool) in range(n)."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+
+
 def validate_monoid(m: FiniteMonoid) -> None:
     n = len(m.table)
     if n == 0:
         raise MonoidError("monoids are nonempty")
     for row in m.table:
-        if len(row) != n or any(not (0 <= x < n) for x in row):
+        if len(row) != n or not all(_is_element(x, n) for x in row):
             raise MonoidError("table is not a square over element indices")
-    if not 0 <= m.identity < n:
+    if not _is_element(m.identity, n):
         raise MonoidError("identity index out of range")
     for a in range(n):
         if m.table[m.identity][a] != a or m.table[a][m.identity] != a:
             raise MonoidError(f"element {m.identity} is not neutral")
     if m.zero is not None:
-        if not 0 <= m.zero < n:
+        if not _is_element(m.zero, n):
             raise MonoidError("zero index out of range")
         for a in range(n):
             if m.table[m.zero][a] != m.zero or m.table[a][m.zero] != m.zero:
@@ -227,6 +241,54 @@ def green_classes(m: FiniteMonoid) -> GreenData:
 # construction helpers
 
 
+def _closure(seeds, gens, mul, right=None):
+    """Breadth-first closure of ``seeds`` under right multiplication by
+    ``gens``, a list of (name, element) pairs.  Lazily yields ``(element,
+    parent, name)`` the first time each element is reached, parents
+    before children; seeds come first, with name None.  If ``right`` is
+    a list, row i of the right Cayley graph is appended to it once the
+    i-th element has met every generator: the yield positions of its
+    products with the generators, in order."""
+    index: dict = {}
+    queue: list = []
+    for s in seeds:
+        if s not in index:
+            index[s] = len(queue)
+            queue.append(s)
+            yield s, None, None
+    for a in queue:
+        row = []
+        for name, g in gens:
+            b = mul(a, g)
+            if b not in index:
+                index[b] = len(queue)
+                queue.append(b)
+                yield b, a, name
+            row.append(index[b])
+        if right is not None:
+            right.append(row)
+
+
+def _cayley_monoid(identity, gens, mul):
+    """The monoid generated by the elements ``gens`` around ``identity``,
+    with its multiplication table read off the right Cayley graph: for
+    b = p*g, a*b = (a*p)*g, so ``mul`` runs only inside the closure.
+
+    Returns (position, monoid): ``position`` numbers the elements with
+    the identity as 0 and the rest in breadth-first order."""
+    position: dict = {}
+    steps = []  # (parent position, generator position) per non-identity element
+    right: list[list[int]] = []
+    for x, parent, j in _closure([identity], list(enumerate(gens)), mul, right):
+        position[x] = len(position)
+        if j is not None:
+            steps.append((position[parent], j))
+    columns = [list(range(len(position)))]
+    for p, j in steps:
+        columns.append([right[a][j] for a in columns[p]])
+    return position, FiniteMonoid(tuple(zip(*columns)), 0)
+
+
 def transition_monoid(n_states: int, letters: dict[str, tuple[int, ...]]):
     """Monoid of state transformations generated by the letters.
 
@@ -236,49 +298,24 @@ def transition_monoid(n_states: int, letters: dict[str, tuple[int, ...]]):
     for name, f in letters.items():
         if len(f) != n_states or any(not 0 <= q < n_states for q in f):
             raise MonoidError(f"letter {name!r} is not a transformation")
-    ident = tuple(range(n_states))
-    elems: dict[tuple[int, ...], int] = {ident: 0}
-    order = [ident]
-    frontier = [ident]
     gens = {name: tuple(f) for name, f in letters.items()}
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens.values():
-                fg = tuple(g[f[q]] for q in range(n_states))
-                if fg not in elems:
-                    elems[fg] = len(order)
-                    order.append(fg)
-                    nxt.append(fg)
-        frontier = nxt
-    table = []
-    for f in order:
-        row = []
-        for g in order:
-            fg = tuple(g[f[q]] for q in range(n_states))
-            row.append(elems[fg])
-        table.append(tuple(row))
-    monoid = FiniteMonoid(tuple(table), 0)
-    gen_map = {name: elems[f] for name, f in gens.items()}
-    return monoid, gen_map
+    position, monoid = _cayley_monoid(
+        tuple(range(n_states)),
+        list(gens.values()),
+        lambda f, g: tuple(g[q] for q in f),
+    )
+    return monoid, {name: position[f] for name, f in gens.items()}
 
 
 def generated_submonoid(m: FiniteMonoid, generators: dict[str, int]):
     """Elements reachable from the generators, each with the shortest
     word producing it (ties broken lexicographically by generator
     name).  The identity is included with the empty word."""
-    items = sorted(generators.items())
-    words: dict[int, tuple[str, ...]] = {m.identity: ()}
-    frontier = [m.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for name, g in items:
-                b = m.table[a][g]
-                if b not in words:
-                    words[b] = words[a] + (name,)
-                    nxt.append(b)
-        frontier = nxt
+    words: dict[int, tuple[str, ...]] = {}
+    for b, a, name in _closure(
+        [m.identity], sorted(generators.items()), lambda a, g: m.table[a][g]
+    ):
+        words[b] = () if name is None else words[a] + (name,)
     return words
 
 
@@ -302,18 +339,19 @@ class Recognizer:
 
     @staticmethod
     def build(monoid, arity, gen_map: dict, accepting) -> "Recognizer":
-        acc = frozenset(accepting)
-        for a in acc:
-            if not 0 <= a < monoid.size:
-                raise MonoidError(f"accepting element {a} out of range")
+        for a in accepting:
+            if not _is_element(a, monoid.size):
+                raise MonoidError(f"accepting element {a!r} out of range")
         gm = {}
         for gid, el in gen_map.items():
-            if not 0 <= el < monoid.size:
+            if not _is_element(el, monoid.size):
                 raise MonoidError(f"generator {gid!r} maps out of range")
-            gm[str(gid)] = int(el)
+            gm[str(gid)] = el
+        if not isinstance(arity, int) or isinstance(arity, bool):
+            raise MonoidError(f"arity must be an integer, got {arity!r}")
         if arity < 1:
             raise MonoidError("recognizers need arity at least 1")
-        return Recognizer(monoid, arity, tuple(sorted(gm.items())), acc)
+        return Recognizer(monoid, arity, tuple(sorted(gm.items())), frozenset(accepting))
 
     def gen_dict(self) -> dict[str, int]:
         return dict(self.gen_map)
@@ -366,11 +404,13 @@ def syntactic_quotient(rec: Recognizer) -> Recognizer:
     # the syntactic congruence is compatible with the product
     for a in range(n):
         for b in range(n):
-            assert cls[m.table[a][b]] == table[cls[a]][cls[b]]
+            if cls[m.table[a][b]] != table[cls[a]][cls[b]]:
+                raise MonoidError(f"quotient breaks the product at ({a},{b})")
     quotient = FiniteMonoid(table, cls[m.identity])
     accepting = frozenset(cls[a] for a in rec.accepting)
     for a in range(n):
-        assert (cls[a] in accepting) == (a in rec.accepting)
+        if (cls[a] in accepting) != (a in rec.accepting):
+            raise MonoidError(f"quotient merges element {a} across acceptance")
     gen_map = {gid: cls[el] for gid, el in rec.gen_map}
     return Recognizer.build(quotient, rec.arity, gen_map, accepting)
 
@@ -379,42 +419,25 @@ def syntactic_quotient(rec: Recognizer) -> Recognizer:
 
 
 def reach_type_recognizer(k: int) -> Recognizer:
-    """The reachability-type recognizer: elements are the composable
-    closure of generator types plus an adjoined identity (no concrete
-    context acts neutrally on all others, so the closure itself has no
-    unit).  Accepting: types linking left 1 to right 1."""
+    """The reachability-type recognizer: elements are the closure of the
+    generator types under composition plus an adjoined identity, element
+    0 (no concrete context acts neutrally on all others, so the closure
+    itself has no unit).  Built by ``_closure`` from the distinct letter
+    types, with the table read off the right Cayley graph, so
+    ``beta_compose`` runs once per (element, generator type).
+    Accepting: types linking left 1 to right 1."""
     alphabet = enumerate_generators(k)
-    types: dict = {}
-    for w in alphabet.contexts:
-        rt = beta(w)
-        if rt not in types:
-            types[rt] = len(types)
-    frontier = list(types)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(types):
-                for c in (beta_compose(a, b), beta_compose(b, a)):
-                    if c not in types:
-                        types[c] = len(types)
-                        nxt.append(c)
-        frontier = nxt
-    order = sorted(types, key=types.get)
-    index = {rt: i + 1 for i, rt in enumerate(order)}  # 0 is the identity
-    size = len(order) + 1
-    table = [[0] * size for _ in range(size)]
-    for i in range(size):
-        table[0][i] = i
-        table[i][0] = i
-    for a in order:
-        for b in order:
-            table[index[a]][index[b]] = index[beta_compose(a, b)]
-    monoid = FiniteMonoid(tuple(tuple(r) for r in table), 0)
-    gen_map = {
-        gid: index[beta(w)] for gid, w in zip(alphabet.ids, alphabet.contexts)
-    }
+    letter_types = [beta(w) for w in alphabet.contexts]
+    # None stands for the adjoined identity
+    position, monoid = _cayley_monoid(
+        None,
+        list(dict.fromkeys(letter_types)),
+        lambda a, g: g if a is None else beta_compose(a, g),
+    )
+    gen_map = {gid: position[rt] for gid, rt in zip(alphabet.ids, letter_types)}
+    linked = ("L", 1), ("R", 1)
     accepting = frozenset(
-        index[rt] for rt in order if reaches(rt, ("L", 1), ("R", 1))
+        i for rt, i in position.items() if rt is not None and reaches(rt, *linked)
     )
     return Recognizer.build(monoid, k, gen_map, accepting)
 
@@ -473,55 +496,35 @@ def decide_aperiodic_mod_reachability(rec: Recognizer) -> Verdict:
             else f"recognizer does not map generators {missing}"
         )
     m = rec.monoid
+    # one letter per (image, type) pair, the first by generator index
     letters: dict[tuple, str] = {}
     for gid, w in zip(alphabet.ids, alphabet.contexts):
-        key = (gm[gid], beta(w))
-        if key not in letters:
-            letters[key] = gid
-    letter_list = sorted(letters.items(), key=lambda kv: int(kv[1][1:]))
+        letters.setdefault((gm[gid], beta(w)), gid)
+
+    def mul(pair, letter):
+        return m.mul(pair[0], letter[0]), beta_compose(pair[1], letter[1])
 
     words: dict[tuple, tuple[str, ...]] = {}
-    queue: list[tuple] = []
-    for (el, rt), gid in letter_list:
-        pair = (el, rt)
-        if pair not in words:
-            words[pair] = (gid,)
-            queue.append(pair)
-
-    def violates(pair) -> bool:
+    gens = [(gid, key) for key, gid in letters.items()]
+    for pair, parent, gid in _closure(letters, gens, mul):
+        words[pair] = (letters[pair],) if gid is None else words[parent] + (gid,)
         el, rt = pair
-        return beta_compose(rt, rt) == rt and not is_aperiodic_element(m, el)
-
-    qi = 0
-    for pair in list(queue):
-        if violates(pair):
-            return _violation_verdict(rec, words[pair], pair, len(words))
-    while qi < len(queue):
-        pair = queue[qi]
-        qi += 1
-        el, rt = pair
-        base = words[pair]
-        for (gel, grt), gid in letter_list:
-            nxt = (m.mul(el, gel), beta_compose(rt, grt))
-            if nxt in words:
-                continue
-            words[nxt] = base + (gid,)
-            if violates(nxt):
-                return _violation_verdict(rec, words[nxt], nxt, len(words))
-            queue.append(nxt)
+        if beta_compose(rt, rt) == rt and not is_aperiodic_element(m, el):
+            # every letter pair counts as explored before the first is tested
+            explored = max(len(words), len(letters))
+            return _violation_verdict(rec, words[pair], pair, explored)
     return Verdict(True, rec.arity, None, None, len(words))
 
 
 def _violation_verdict(rec, word, pair, explored) -> Verdict:
     el, rt = pair
     # re-verify the witness against the concrete semantics
-    ctx = compose_all(
-        [enumerate_generators(rec.arity).by_id(g) for g in word]
-    )
-    assert beta(ctx) == rt, "witness type mismatch"
-    assert recognizer_image(rec, word) == el, "witness image mismatch"
-    assert beta_compose(rt, rt) == rt
-    assert not is_aperiodic_element(rec.monoid, el)
+    if beta(build_from_word(rec.arity, word)) != rt:
+        raise MonoidError("witness type mismatch")
+    if recognizer_image(rec, word) != el:
+        raise MonoidError("witness image mismatch")
+    if beta_compose(rt, rt) != rt or is_aperiodic_element(rec.monoid, el):
+        raise MonoidError("witness is not a violation")
     return Verdict(False, rec.arity, tuple(word), el, explored)
 
 
@@ -770,6 +773,10 @@ def recognizer_from_json(data) -> Recognizer:
     for fieldname in ("monoid", "arity", "gen_map", "accepting"):
         if fieldname not in data:
             raise MonoidError(f"recognizer JSON needs a {fieldname!r} field")
+    if not isinstance(data["gen_map"], dict):
+        raise MonoidError("gen_map must be an object from generator ids to elements")
+    if not isinstance(data["accepting"], list):
+        raise MonoidError("accepting must be a list of elements")
     return Recognizer.build(
         monoid_from_json(data["monoid"]),
         data["arity"],

@@ -434,35 +434,10 @@ class _ExprParser:
     def json_graph(self) -> PortGraph:
         if self.peek() != "{":
             raise self.error("expected a JSON graph object")
-        depth = 0
-        start = self.pos
-        i = self.pos
-        in_str = False
-        while i < len(self.text):
-            ch = self.text[i]
-            if in_str:
-                if ch == "\\":
-                    i += 1
-                elif ch == '"':
-                    in_str = False
-            elif ch == '"':
-                in_str = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    i += 1
-                    break
-            i += 1
-        if depth != 0:
-            raise self.error("unbalanced JSON graph literal")
-        raw = self.text[start:i]
-        self.pos = i
         try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise self.error(f"bad JSON graph: {exc}")
+            data, self.pos = json.JSONDecoder().raw_decode(self.text, self.pos)
+        except (ValueError, RecursionError) as exc:
+            raise self.error(f"bad JSON graph: {exc}") from None
         try:
             return graph_from_json(data)
         except GraphError as exc:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sepstar.cli import main
 from sepstar.contexts import (
     Context,
@@ -121,6 +123,25 @@ def test_arity_must_be_an_integer(tmp_path, capsys):
         assert code == 2 and "arity" in err
 
 
+GRAPH = {"vertices": ["a", "b"], "edges": [["a", "b"]], "ports": ["a"]}
+CONTEXT = {"arity": 1, "vertices": ["a", "b"], "edges": [["a", "b"]],
+           "left": {"1": "a"}, "right": {"1": "b"}}
+
+
+@pytest.mark.parametrize("base, field, value", [
+    (GRAPH, "ports", 5),
+    (GRAPH, "edges", 7),
+    (GRAPH, "vertices", "ab"),
+    (CONTEXT, "edges", 7),
+    (CONTEXT, "vertices", "ab"),
+], ids=["graph-ports", "graph-edges", "graph-vertices", "context-edges",
+        "context-vertices"])
+def test_graph_fields_must_be_lists(tmp_path, capsys, base, field, value):
+    bad = graph_file(tmp_path, "bad.json", {**base, field: value})
+    code, _, err = run(capsys, ["pathwidth", bad])
+    assert code == 2 and field in err
+
+
 def test_eval_expr(tmp_path, capsys):
     tri = graph_file(tmp_path, "tri.json", TRIANGLE)
     code, out, _ = run(capsys, ["eval-expr", tri, "!finite@0{}"])
@@ -130,6 +151,16 @@ def test_eval_expr(tmp_path, capsys):
     # arity must match the number of ports on the graph
     code, _, err = run(capsys, ["eval-expr", tri, "!finite@2{}"])
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("command, innermost", [
+    ("eval-formula", "(exists x. x = x)"),
+    ("eval-expr", "finite@0{}"),
+], ids=["eval-formula", "eval-expr"])
+def test_deep_nesting_exits_2(tmp_path, capsys, command, innermost):
+    tri = graph_file(tmp_path, "tri.json", TRIANGLE)
+    code, _, err = run(capsys, [command, tri, "!" * 3000 + innermost])
+    assert code == 2 and "nested too deeply" in err
 
 
 def test_compile_output_feeds_eval_expr(tmp_path, capsys):
@@ -222,6 +253,26 @@ def test_decide_exit_codes(tmp_path, capsys):
     assert data["witness"] == ["g5"]
     code, _, err = run(capsys, ["decide", "--recognizer", bad, "--arity", "3"])
     assert code == 2 and "arity" in err
+
+
+PARITY = json.loads(dump_recognizer(parity_recognizer(1, ["g5"])))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arity", "1"),
+    ("gen_map", [["g0", 0]]),
+    ("accepting", 1),
+    ("accepting", ["1"]),
+    ("monoid", {**PARITY["monoid"], "table": [["0", "1"], ["1", "0"]]}),
+    ("monoid", {**PARITY["monoid"], "table": ["01", "10"]}),
+    ("monoid", {**PARITY["monoid"], "identity": "0"}),
+    ("monoid", {**PARITY["monoid"], "zero": "1"}),
+], ids=["arity", "gen_map", "accepting", "accepting-entry", "table-entries",
+        "table-rows", "identity", "zero"])
+def test_recognizer_files_reject_bad_types(tmp_path, capsys, field, value):
+    bad = write(tmp_path, "bad.json", json.dumps({**PARITY, field: value}))
+    code, _, err = run(capsys, ["decide", "--recognizer", bad])
+    assert code == 2 and err.startswith("error:")
 
 
 def test_certify_found_and_not_found(tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import sepstar.monoids as monoids
 from sepstar.contexts import (
     Context,
     beta,
@@ -17,12 +18,14 @@ from sepstar.contexts import (
     hub_context,
     identity_context,
     isomorphic_contexts,
+    reaches,
 )
 from sepstar.monoids import (
     Certificate,
     FiniteMonoid,
     MonoidError,
     Recognizer,
+    Verdict,
     audit_well_defined,
     certify_non_star_free,
     classify_infix_classes,
@@ -241,6 +244,9 @@ def test_recognizer_build_validation():
         Recognizer.build(Z2, 1, {"g0": 5}, {1})
     with pytest.raises(MonoidError):
         Recognizer.build(Z2, 0, {"g0": 1}, {1})
+    for arity in ("1", True):
+        with pytest.raises(MonoidError):
+            Recognizer.build(Z2, arity, {"g0": 1}, {1})
 
 
 def test_parity_recognizer_counts_marked_letters():
@@ -274,6 +280,54 @@ def test_reach_type_recognizer_accepts_linked_words():
     assert recognizer_accepts(rec, [wire])
     assert recognizer_accepts(rec, [wire, wire, wire])
     assert not recognizer_accepts(rec, [left_only, right_only])
+
+
+@pytest.mark.parametrize("k, size", [(1, 7), (2, 127)])
+def test_reach_type_recognizer_matches_all_pairs_reference(k, size):
+    # reference: compose every pair of types, as a construction without
+    # the Cayley graph would; element numbers beyond the generators are
+    # free, so each element is named by its type
+    rec = reach_type_recognizer(k)
+    m = rec.monoid
+    assert m.size == size and m.identity == 0
+    gm = rec.gen_dict()
+    alphabet = enumerate_generators(k)
+    letter_type = {gid: beta(w) for gid, w in zip(alphabet.ids, alphabet.contexts)}
+    type_of = {}
+    for el, word in generated_submonoid(m, gm).items():
+        if el != 0:
+            rt = letter_type[word[0]]
+            for gid in word[1:]:
+                rt = beta_compose(rt, letter_type[gid])
+            type_of[el] = rt
+    assert sorted(type_of) == list(range(1, size))
+    element_of = {rt: el for el, rt in type_of.items()}
+    assert len(element_of) == size - 1
+    for gid, rt in letter_type.items():
+        assert gm[gid] == element_of[rt]
+    for a in range(size):
+        assert m.table[0][a] == a and m.table[a][0] == a
+    for a, ra in type_of.items():
+        row = m.table[a]
+        for b, rb in type_of.items():
+            assert row[b] == element_of[beta_compose(ra, rb)]
+    linked = {el for el, rt in type_of.items() if reaches(rt, ("L", 1), ("R", 1))}
+    assert rec.accepting == linked
+
+
+def test_reach_type_recognizer_composes_once_per_element_and_generator(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return beta_compose(a, b)
+
+    monkeypatch.setattr(monoids, "beta_compose", counting)
+    rec = reach_type_recognizer(2)
+    assert rec.monoid.size == 127
+    # 126 non-identity elements times 77 distinct generator types;
+    # composing every pair instead took 44,892 calls
+    assert len(calls) <= 126 * 77
 
 
 def test_syntactic_quotient_collapses_irrelevant_structure():
@@ -316,6 +370,26 @@ def test_decide_violation_on_parity():
     g0 = enumerate_generators(1).by_id("g0")
     rt = beta(g0)
     assert beta_compose(rt, rt) == rt
+
+
+# Verdicts recorded before the four closures were merged into one; the
+# odd sets mark letters whose types are idempotent (a one-letter
+# witness) or not (a two-letter one), or none at all.
+PARITY_VERDICTS = [
+    ((), True, None, None, 126),
+    (("g0",), False, ("g0",), 1, 78),
+    (("g101", "g38"), False, ("g38",), 1, 79),
+    (("g149", "g24", "g93"), False, ("g24",), 1, 80),
+    (("g181", "g193"), False, ("g0", "g181"), 1, 78),
+    (("g105",), False, ("g0", "g105"), 1, 79),
+    (("g102",), False, ("g0", "g102"), 1, 79),
+]
+
+
+@pytest.mark.parametrize("odd, aperiodic, witness, element, explored", PARITY_VERDICTS)
+def test_decide_parity_verdicts_are_pinned(odd, aperiodic, witness, element, explored):
+    verdict = decide_aperiodic_mod_reachability(parity_recognizer(2, odd))
+    assert verdict == Verdict(aperiodic, 2, witness, element, explored)
 
 
 def test_decide_requires_total_gen_map():

@@ -236,6 +236,21 @@ def test_expr_parse_errors():
             parse_expr(bad)
 
 
+def test_inline_graph_names_may_hold_syntax_characters():
+    # JSON literals end where the decoder says, not at the first brace
+    g = PortGraph.build(["a}", 'b;"', "c\\}"], [("a}", 'b;"'), ('b;"', "c\\}")], ["a}"])
+    h = PortGraph.build(["{;", "x"], [], ["x"])
+    e = Not(finite(1, [g, h]))
+    text = render_expr(e)
+    assert parse_expr(text) == e
+    for bad in [
+        'finite@1{{"vertices":["a}"],"ports":["a}"]',  # truncated
+        "finite@1{" + '{"vertices":' + "[" * 100000 + "]" * 100000 + "}}",  # deep
+    ]:
+        with pytest.raises(ExprError):
+            parse_expr(bad)
+
+
 def test_expr_precedence():
     e = parse_expr("!finite@0{} (+) finite@0{} & finite@0{} | finite@0{}")
     assert isinstance(e, Or)
