@@ -1,13 +1,14 @@
 """Command-line front end over the documented JSON file formats.
 
-Exit codes separate the three ways a run can end: 0 for a computed
+Exit codes separate the ways a run can end: 0 for a computed
 affirmative (or purely informational) result, 1 for a computed negative
 verdict (formula false, non-membership, violation found, no
 certificate, no factorisation), 2 for input errors, input nested too
-deeply included.  Formula and
-expression arguments may be given as a file path or as literal text.
-All output is deterministic; ``--json`` switches every subcommand to a
-machine-readable form.
+deeply included, and 3 for an internal error, a bug in sepstar rather
+than an answer, reported as ``internal error: <type>: <message>``.
+Formula and expression arguments may be given as a file path or as
+literal text.  All output is deterministic; ``--json`` switches every
+subcommand to a machine-readable form.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from .pathdecomp import (
     instruction_width,
     normalize,
     optimal_decomposition,
-    pathwidth,
     to_instructions,
     two_bridge_decompose,
     validate_decomposition,
+    width,
 )
 from .starfree import ExprError, compile_formula, member, parse_expr, render_expr
 
@@ -83,6 +84,13 @@ def _load_json_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise GraphError(f"{path}: expected a JSON object")
     return data
+
+
+def _names(value, what: str) -> list[str]:
+    """A JSON list of vertex names, as bag and split files hold them."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DecompositionError(f"{what} must be a list of vertex names: {value!r}")
+    return value
 
 
 def _emit(args, lines, payload) -> None:
@@ -166,13 +174,12 @@ def _cmd_bridges(args) -> int:
 def _cmd_pathwidth(args) -> int:
     data = _load_json_file(args.input)
     if "left" in data or "right" in data:
-        w = context_from_json(data)
-        value = context_pathwidth(w)
-        bags = context_decomposition(w)
+        bags = context_decomposition(context_from_json(data))
     else:
         g = graph_from_json(data)
-        value = pathwidth(g.vertices, g.edges)
         bags = optimal_decomposition(g.vertices, g.edges)
+    # the decomposition is checked against the search's width
+    value = width(bags)
     payload = {"pathwidth": value, "bags": [sorted(b) for b in bags]}
     _emit(args, [str(value)], payload)
     return 0
@@ -271,11 +278,13 @@ def _cmd_dealternate(args) -> int:
     data = _load_json_file(args.decomposition)
     if "bags" not in data:
         raise DecompositionError(f"{args.decomposition}: missing 'bags' field")
-    bags = [frozenset(b) for b in data["bags"]]
+    if not isinstance(data["bags"], list):
+        raise DecompositionError(f"{args.decomposition}: 'bags' must be a list")
+    bags = [frozenset(_names(b, f"{args.decomposition}: a bag")) for b in data["bags"]]
     validate_decomposition(bags, w.vertices, w.edges, left, right)
     split = _load_json_file(args.split)
-    xs = set(split.get("x", ()))
-    ys = set(split.get("y", ()))
+    xs = set(_names(split.get("x", []), f"{args.split}: 'x'"))
+    ys = set(_names(split.get("y", []), f"{args.split}: 'y'"))
     nonports = set(w.vertices) - w.port_vertices()
     if xs & ys:
         raise DecompositionError(f"split classes overlap: {sorted(xs & ys)}")
@@ -430,6 +439,10 @@ def main(argv=None) -> int:
         # one catch in place of depth guards in the recursive parsers
         print("error: input nested too deeply", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # never 1, which would read as a computed negative verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -412,7 +412,9 @@ def _encode(n: int, adj: list[int], keys: list[str], perm: list[int]) -> bytes:
 def _search_canonical(
     n: int, adj: list[int], keys: list[str]
 ) -> tuple[bytes, list[int]]:
-    """The minimal encoding and a vertex ordering that attains it."""
+    """The canonical encoding and a vertex ordering that attains it:
+    the minimum over all orders up to five vertices, over the leaves
+    of the refinement search above that."""
     base = {k: i for i, k in enumerate(sorted(set(keys)))}
     init = [base[k] for k in keys]
 
@@ -476,8 +478,11 @@ def canonical_order(
 ) -> tuple[list[str], bytes]:
     """Canonical vertex order for an arbitrary coloured graph, with its
     encoding: the keys in that order, ``#``, then the upper triangle of
-    the adjacency matrix.  The encoding is minimal over all orders, so
-    two coloured graphs get equal encodings iff they are isomorphic.
+    the adjacency matrix.  Up to five vertices the encoding is minimal
+    over all orders; above that it is the minimum over the leaves of
+    the colour-refinement search, which need not be the global minimum
+    but is still isomorphism-invariant, so two coloured graphs get
+    equal encodings iff they are isomorphic.
 
     ``keys`` assigns each vertex a colour string; orderings may only
     mix vertices with equal keys.  Shared by graphs and contexts.

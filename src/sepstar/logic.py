@@ -267,7 +267,10 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:
+        raise FormulaError("formula nested too deeply") from None
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input")

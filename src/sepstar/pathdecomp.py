@@ -109,23 +109,24 @@ def validate_decomposition(bags, vertices, edges, first=frozenset(), last=frozen
 # Order the vertices outside `first` by introduction time.  After
 # introducing a prefix S, the vertices that must stay in the current
 # bag are those of S with a neighbour outside S, plus the members of
-# `last`, which have to survive into the final bag.  Introducing x on
-# top of S costs a bag of size |active(S)| + 1, and the best order
-# gives the pathwidth.
+# `last`, which have to survive into the final bag.  Introducing the
+# next vertex on top of S needs a bag of |active(S)| + 1, whichever
+# vertex it is, so one number per prefix carries the whole recurrence:
 #
-# Subsets of the free vertices are indexed by bitmasks over positions
-# in `free`; vertex sets (S, adjacency rows, the port masks) are
-# bitmasks over positions in the sorted vertex list.
-
-
-def _subset_mask(m, free, lmask):
-    """The vertex set of free-subset m, on top of the left ports."""
-    smask = lmask
-    while m:
-        t = (m & -m).bit_length() - 1
-        m &= m - 1
-        smask |= 1 << free[t]
-    return smask
+#     cost[S] = max(g[S], |active(S)| + 1)
+#     g[S]    = min over t in S of cost[S - t]
+#
+# where g[S] is the smallest largest bag over the orders of S (g of
+# the empty prefix is |first|) and cost[S] counts the bag that comes
+# after S too.  The pathwidth is g of the full set minus one.
+#
+# Vertices are numbered with the free ones first, right ports before
+# the others and each group by name, and the left ports above them.  A
+# subset of the free vertices is then its own vertex mask, and on ties
+# the lowest bit wins: the last vertex introduced is a right port when
+# possible, since right ports stay alive to the end anyway and pulling
+# them in early only lengthens the stretches where both interfaces are
+# pinned alive together.
 
 
 def _active_mask(smask, adj, rmask):
@@ -142,74 +143,61 @@ def _active_mask(smask, adj, rmask):
 
 
 class _Table(NamedTuple):
-    verts: list[str]  # sorted vertex names
+    verts: list[str]  # free vertices (right ports first), then left ports
     index: dict[str, int]
     adj: list[int]  # adjacency row per vertex
     lmask: int
     rmask: int
-    free: list[int]  # the vertices outside `first`
-    g: list[int]  # per free-subset: smallest largest bag over its orders
-    parent: list[int]  # per free-subset: the free position introduced last
+    free: list[str]  # the vertices outside `first`, verts[:len(free)]
+    limit: int  # smallest largest bag over all orders: the width plus one
+    cost: list[int]  # per free-subset: cost[m] of the comment above
+    parent: list[int]  # per free-subset: the vertex introduced last
 
 
 def _pathwidth_table(vertices, edges, first, last) -> _Table:
-    verts = sorted(vertices)
-    index = {v: i for i, v in enumerate(verts)}
     first = frozenset(first)
     last = frozenset(last)
+    verts = sorted(vertices, key=lambda v: (v in first, v not in last, v))
     if not first <= set(verts) or not last <= set(verts):
         raise DecompositionError("port sets must be subsets of the vertices")
-    n = len(verts)
-    adj = [0] * n
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
     for u, v in edges:
         adj[index[u]] |= 1 << index[v]
         adj[index[v]] |= 1 << index[u]
     lmask = sum(1 << index[v] for v in first)
     rmask = sum(1 << index[v] for v in last)
-    free = [i for i in range(n) if not lmask >> i & 1]
+    free = verts[: len(verts) - len(first)]
     if len(free) > _EXACT_LIMIT:
         raise DecompositionError(
             f"exact search handles at most {_EXACT_LIMIT} non-port vertices"
         )
 
     size = 1 << len(free)
-    g = [0] * size
+    cost = [0] * size
     parent = [-1] * size
-    g[0] = len(first)
-    # when transitions tie, prefer a right port as the last vertex
-    # introduced: right ports stay alive to the end anyway, so pulling
-    # them in early only lengthens the stretches where both interfaces
-    # are pinned alive together
-    scan = sorted(
-        range(len(free)), key=lambda t: (not rmask >> free[t] & 1, t)
-    )
-    for m in range(1, size):
-        smask = _subset_mask(m, free, lmask)
-        best = None
-        best_t = -1
-        for t in scan:
-            if not m >> t & 1:
-                continue
-            prev = smask & ~(1 << free[t])
-            cost = max(g[m & ~(1 << t)], _active_mask(prev, adj, rmask).bit_count() + 1)
-            if best is None or cost < best:
-                best = cost
-                best_t = t
-        g[m] = best
-        parent[m] = best_t
-    return _Table(verts, index, adj, lmask, rmask, free, g, parent)
+    g = len(first)  # of the empty prefix
+    for m in range(size):
+        if m:
+            g = None
+            for t in range(len(free)):
+                if m >> t & 1 and (g is None or cost[m ^ 1 << t] < g):
+                    g = cost[m ^ 1 << t]
+                    parent[m] = t
+        cost[m] = max(g, _active_mask(m | lmask, adj, rmask).bit_count() + 1)
+    # g is now that of the full set
+    return _Table(verts, index, adj, lmask, rmask, free, g, cost, parent)
 
 
 def _decomposition(table, parent, vertices, edges, first, last):
     """Walk `parent` back from the full subset to an introduction order
     and turn it into bags, checked against the table's width."""
-    verts, _, adj, lmask, rmask, free, g, _ = table
+    verts, _, adj, lmask, rmask, _, limit, cost, _ = table
     order = []
-    m = len(g) - 1
+    m = len(cost) - 1
     while m:
-        t = parent[m]
-        order.append(free[t])
-        m &= ~(1 << t)
+        order.append(parent[m])
+        m ^= 1 << parent[m]
     bags = [frozenset(first)]
     smask = lmask
     for i in reversed(order):
@@ -218,15 +206,15 @@ def _decomposition(table, parent, vertices, edges, first, last):
         smask |= 1 << i
     bags = normalize(bags)
     validate_decomposition(bags, vertices, edges, first, last)
-    if width(bags) != g[-1] - 1:
+    if width(bags) != limit - 1:
         raise DecompositionError(
-            f"rebuilt bags have width {width(bags)}, the search found {g[-1] - 1}"
+            f"rebuilt bags have width {width(bags)}, the search found {limit - 1}"
         )
     return bags
 
 
 def pathwidth(vertices, edges, first=frozenset(), last=frozenset()) -> int:
-    return _pathwidth_table(vertices, edges, first, last).g[-1] - 1
+    return _pathwidth_table(vertices, edges, first, last).limit - 1
 
 
 def optimal_decomposition(vertices, edges, first=frozenset(), last=frozenset()):
@@ -263,39 +251,30 @@ def _low_overlap_decomposition(w: Context, table):
     ``table`` is the context's own `_pathwidth_table`."""
     left_map = w.left_map()
     right_map = w.right_map()
-    _, index, adj, lmask, rmask, free, g, _ = table
-    limit = g[-1]
+    _, index, adj, lmask, rmask, free, limit, cost, _ = table
     pair_masks = [
         (1 << index[left_map[p]], 1 << index[right_map[p]])
         for p in left_map
         if p in right_map and left_map[p] != right_map[p]
     ]
 
-    size = len(g)
-    amask = [_active_mask(_subset_mask(m, free, lmask), adj, rmask) for m in range(size)]
-    step = [sum(1 for mu, mv in pair_masks if a & mu and a & mv) for a in amask]
+    def step(m):
+        a = _active_mask(m | lmask, adj, rmask)
+        return sum(1 for mu, mv in pair_masks if a & mu and a & mv)
 
-    INF = float("inf")
-    h = [INF] * size
-    parent = [-1] * size
-    h[0] = step[0]
-    scan = sorted(
-        range(len(free)), key=lambda t: (not rmask >> free[t] & 1, t)
-    )
-    for m in range(1, size):
-        best = INF
-        best_t = -1
-        for t in scan:
-            if not m >> t & 1:
-                continue
-            prev = m & ~(1 << t)
-            if h[prev] == INF or amask[prev].bit_count() + 1 > limit:
-                continue
-            if h[prev] < best:
-                best = h[prev]
-                best_t = t
-        h[m] = best + step[m] if best_t >= 0 else INF
-        parent[m] = best_t
+    # a prefix lies on an order of width at most limit exactly when its
+    # cost is at most limit; h[m] sums the overlaps along the best one
+    h = [step(0)] + [0] * (len(cost) - 1)
+    parent = [-1] * len(cost)
+    for m in range(1, len(cost)):
+        for t in range(len(free)):
+            prev = m ^ 1 << t
+            if m >> t & 1 and cost[prev] <= limit:
+                if parent[m] < 0 or h[prev] < h[m]:
+                    h[m] = h[prev]
+                    parent[m] = t
+        if parent[m] >= 0:
+            h[m] += step(m)
     return _decomposition(table, parent, w.vertices, w.edges, *_interfaces(w))
 
 
@@ -519,7 +498,7 @@ def _gap_min_blocks(i0, j0, i1, j1, cost, bound):
                 blocks -= delta
                 break
         else:
-            raise AssertionError("block reconstruction lost the table trail")
+            raise DecompositionError("block reconstruction lost the table trail")
     path.reverse()
     return finals[best_last], path
 
@@ -539,7 +518,7 @@ def dealternate(instructions, kind, first=frozenset()):
     )
     for (i0, j0, _), (i1, j1, _) in zip(waypoints, waypoints[1:]):
         if i1 < i0 or j1 < j0:
-            raise AssertionError("pinned points out of order")
+            raise DecompositionError("pinned points out of order")
 
     best = 0
     for (i0, j0, net0), (i1, j1, _) in zip(waypoints, waypoints[1:]):
@@ -764,7 +743,7 @@ def two_bridge_decompose(w: Context):
         return [w]
     left_set, right_set = _interfaces(w)
     table = _pathwidth_table(w.vertices, w.edges, left_set, right_set)
-    if table.g[-1] - 1 > k:
+    if table.limit - 1 > k:
         raise DecompositionError(
             "pathwidth exceeds the arity; not in the width-limited monoid"
         )

@@ -446,10 +446,13 @@ class _ExprParser:
 
 def parse_expr(text: str) -> Expr:
     p = _ExprParser(text)
-    e = p.expr()
-    if p.peek() != "":
-        raise p.error("trailing input")
-    expr_arity(e)  # validate
+    try:
+        e = p.expr()
+        if p.peek() != "":
+            raise p.error("trailing input")
+        expr_arity(e)  # validate
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None
     return e
 
 

@@ -213,6 +213,25 @@ def test_pathwidth_on_graph_and_context(tmp_path, capsys):
     assert all(len(bag) <= 3 for bag in data["bags"])
 
 
+def test_pathwidth_builds_one_table(tmp_path, capsys, monkeypatch):
+    from sepstar import pathdecomp
+
+    built = []
+    table = pathdecomp._pathwidth_table
+
+    def counting(*args):
+        built.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(pathdecomp, "_pathwidth_table", counting)
+    tri = graph_file(tmp_path, "tri.json", TRIANGLE)
+    cross = write(tmp_path, "cross.json", dump_context(crossing_context()))
+    for path, expected in ((tri, "2\n"), (cross, "2\n")):
+        built.clear()
+        code, out, _ = run(capsys, ["pathwidth", path])
+        assert (code, out, len(built)) == (0, expected, 1)
+
+
 def test_generators_listing(capsys):
     code, out, _ = run(capsys, ["generators", "--arity", "1"])
     assert code == 0
@@ -337,6 +356,50 @@ def test_dealternate_rejects_bad_splits(tmp_path, capsys):
     split = write(tmp_path, "split.json", json.dumps({"x": ["x1"], "y": ["y1"]}))
     code, _, err = run(capsys, ["dealternate", dec2, ctx2, "--split", split])
     assert code == 2 and "crosses the split" in err
+
+
+GOOD_BAGS = {"bags": [["a", "x", "b"], ["a", "y", "b"]]}
+GOOD_SPLIT = {"x": ["x"], "y": ["y"]}
+
+
+@pytest.mark.parametrize("bags, split", [
+    ({"bags": [1, 2]}, GOOD_SPLIT),
+    ({"bags": ["axb", "ayb"]}, GOOD_SPLIT),
+    ({"bags": "axb"}, GOOD_SPLIT),
+    (GOOD_BAGS, {"x": 5, "y": ["y"]}),
+    (GOOD_BAGS, {"x": "x", "y": "y"}),
+], ids=["int-bags", "string-bags", "string-bag-list", "int-class", "string-classes"])
+def test_dealternate_rejects_malformed_files(tmp_path, capsys, bags, split):
+    # one-letter names, so strings read as character sets would pass
+    w = Context.build(
+        ["a", "b", "x", "y"],
+        [("a", "x"), ("x", "b"), ("a", "y"), ("y", "b")],
+        1,
+        {1: "a"},
+        {1: "b"},
+    )
+    ctx = write(tmp_path, "w.json", dump_context(w))
+    dec = graph_file(tmp_path, "dec.json", bags)
+    spl = graph_file(tmp_path, "split.json", split)
+    code, _, err = run(capsys, ["dealternate", dec, ctx, "--split", spl])
+    assert code == 2 and "must be a list" in err
+    # the well-formed files go through
+    dec = graph_file(tmp_path, "dec.json", GOOD_BAGS)
+    spl = graph_file(tmp_path, "split.json", GOOD_SPLIT)
+    assert run(capsys, ["dealternate", dec, ctx, "--split", spl])[0] == 0
+
+
+def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch):
+    from sepstar import cli
+
+    def broken(args):
+        raise RuntimeError("table out of step")
+
+    monkeypatch.setattr(cli, "_cmd_beta", broken)
+    cross = write(tmp_path, "cross.json", dump_context(crossing_context()))
+    code, out, err = run(capsys, ["beta", cross])
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: table out of step\n"
 
 
 def parallel_wires_file(tmp_path):

@@ -73,6 +73,11 @@ def test_parse_errors():
             parse_formula(bad)
 
 
+def test_deep_formula_raises_formula_error():
+    with pytest.raises(FormulaError, match="nested too deeply"):
+        parse_formula("!" * 3000 + "(exists x. x = x)")
+
+
 def test_render_round_trip():
     texts = [
         "E(x,y)",

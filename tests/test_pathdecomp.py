@@ -169,6 +169,25 @@ def test_context_pathwidth_matches_brute():
         assert width(bags) == got
 
 
+def test_subset_dp_computes_each_active_set_once(monkeypatch):
+    from sepstar import pathdecomp
+
+    calls = []
+    active = pathdecomp._active_mask
+
+    def counting(smask, adj, rmask):
+        calls.append(smask)
+        return active(smask, adj, rmask)
+
+    monkeypatch.setattr(pathdecomp, "_active_mask", counting)
+    rng = random.Random(417)
+    verts = [f"v{i}" for i in range(10)]
+    edges = [p for p in combinations(verts, 2) if rng.random() < 0.3]
+    table = pathdecomp._pathwidth_table(verts, edges, {"v0", "v1"}, {"v2"})
+    assert len(table.free) == 8
+    assert len(calls) == len(set(calls)) == 1 << 8
+
+
 def test_context_pathwidth_anchors():
     for k in (1, 2, 3):
         assert context_pathwidth(identity_context(k)) == k - 1

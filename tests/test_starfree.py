@@ -311,3 +311,8 @@ def test_compile_connectivity_sentence():
     e = compile_formula(f, 0)
     for g in graph_pool(4, 0):
         assert member(g, e) == language_member(g, f)
+
+
+def test_deep_expression_raises_expr_error():
+    with pytest.raises(ExprError, match="nested too deeply"):
+        parse_expr("!" * 3000 + "finite@0{}")
