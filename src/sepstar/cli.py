@@ -43,9 +43,9 @@ from .monoids import MonoidError, certify_non_star_free, load_recognizer
 from .monoids import decide_aperiodic_mod_reachability as _decide
 from .pathdecomp import (
     DecompositionError,
+    OutOfScopeError,
     blocks_of,
     context_decomposition,
-    context_pathwidth,
     dealternate,
     from_instructions,
     instruction_width,
@@ -327,12 +327,10 @@ def _cmd_two_bridge(args) -> int:
             f"context has arity {w.arity}; factorisation works inside the "
             f"width-{w.arity} algebra, not width {args.width}"
         )
-    if len(bridges(w)) < 2:
-        raise ContextError(f"needs at least two bridges, found {len(bridges(w))}")
-    if context_pathwidth(w) > w.arity:
-        raise ContextError("pathwidth exceeds the arity")
     try:
         factors = two_bridge_decompose(w)
+    except OutOfScopeError:
+        raise  # an input error (exit 2), not a search that failed
     except DecompositionError as exc:
         _emit(args, [f"no factorisation: {exc}"], {"factors": None, "error": str(exc)})
         return 1

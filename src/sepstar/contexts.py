@@ -15,9 +15,10 @@ the underlying graphs, which is what the recognizer machinery in
 
 A context is a vertex/edge core plus two interface tuples, so it runs
 on the graph core of `sepstar.graphs`: the same validation, adjacency
-cache, disjoint-set helper, canonical ordering engine, certificate and
-rename helpers, and JSON file reader.  Only the interface handling and
-the colour keys that encode it live here.
+cache, disjoint-set helper, canonical ordering engine, certificate
+encoding and decoding, and JSON file reader.  Only the interface
+handling and the colour keys that encode it live here; a context's
+canonical rename is read back from its certificate.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from .graphs import (
     _adjacency,
-    _canonical_names,
     _certificate,
     _check_core,
+    _decode_certificate,
     _DisjointSet,
     _json_lists,
     _read_json,
@@ -69,6 +70,11 @@ class ContextError(ValueError):
     """Raised for malformed contexts and illegal compositions."""
 
 
+# interfaces are arity-long tuples; the bound keeps a few bytes of
+# input from asking for gigabytes
+_MAX_ARITY = 1024
+
+
 @dataclass(frozen=True)
 class Context:
     """Immutable context; build instances with :meth:`Context.build`.
@@ -88,8 +94,8 @@ class Context:
         vs, es = _check_core(vertices, edges, ContextError)
         if not isinstance(arity, int) or isinstance(arity, bool):
             raise ContextError(f"arity must be an integer, got {arity!r}")
-        if arity < 0:
-            raise ContextError("arity must be nonnegative")
+        if not 0 <= arity <= _MAX_ARITY:
+            raise ContextError(f"arity must lie in 0..{_MAX_ARITY}, got {arity}")
 
         def side(m: dict, name: str) -> tuple[str | None, ...]:
             out: list[str | None] = [None] * arity
@@ -403,15 +409,25 @@ def context_cert(w: Context) -> bytes:
     return _certificate("c", w, _ctx_color_keys(w))
 
 
+def _context_from_cert(cert: bytes) -> Context:
+    """The context a certificate describes, its vertices named v0, v1,
+    ... in canonical order, each with the ports its colour key names."""
+    arity, keys, edges = _decode_certificate(cert)
+    names = [f"v{i}" for i in range(len(keys))]
+    left, right = {}, {}
+    for v, key in zip(names, keys):
+        i, j = map(int, key[1:].split("R"))  # as `_ctx_color_keys` wrote them
+        if i:
+            left[i] = v
+        if j:
+            right[j] = v
+    edges = [(names[a], names[b]) for a, b in edges]
+    return Context.build(names, edges, arity, left, right)
+
+
 def canonical_rename_context(w: Context) -> Context:
-    ren = _canonical_names(w, _ctx_color_keys(w))
-    return Context.build(
-        ren.values(),
-        [(ren[x], ren[y]) for (x, y) in w.edges],
-        w.arity,
-        {i: ren[v] for i, v in w.left_map().items()},
-        {i: ren[v] for i, v in w.right_map().items()},
-    )
+    """Isomorphic copy with vertices named v0..v{n-1} in canonical order."""
+    return _context_from_cert(context_cert(w))
 
 
 def isomorphic_contexts(u: Context, v: Context) -> bool:
@@ -449,18 +465,43 @@ class GeneratorAlphabet:
         return len(self.contexts)
 
 
-def _partial_injections(indices: list[int], verts: list[str]):
-    """All injective partial maps from `indices` into `verts`."""
-    if not indices:
-        yield {}
-        return
-    first, rest = indices[0], indices[1:]
-    for sub in _partial_injections(rest, verts):
-        yield dict(sub)
-        used = set(sub.values())
-        for v in verts:
-            if v not in used:
-                yield {first: v, **sub}
+def _orbits(items, group, act):
+    """One representative per orbit of the permutation ``group`` on
+    ``items``, each with its stabiliser: the first member of an orbit to
+    come up is its representative, and every image of it is marked seen."""
+    seen = set()
+    for x in items:
+        if x not in seen:
+            images = [act(p, x) for p in group]
+            seen.update(images)
+            yield x, [p for p, y in zip(group, images) if y == x]
+
+
+def _edge_image(p, edges):
+    return frozenset((p[a], p[b]) if p[a] < p[b] else (p[b], p[a]) for a, b in edges)
+
+
+def _interface_image(p, sides):
+    return tuple(tuple(None if v is None else p[v] for v in side) for side in sides)
+
+
+def _interface_pairs(k: int, n: int) -> list:
+    """All (left, right) pairs of partial injections from port slots
+    0..k-1 into vertices 0..n-1, None marking an undefined slot, in
+    which no vertex is left port i and right port j for i != j."""
+    sides = []
+    for side in product([None, *range(n)], repeat=k):
+        defined = [v for v in side if v is not None]
+        if len(set(defined)) == len(defined):
+            sides.append(side)
+    return [
+        (left, right)
+        for left in sides
+        for right in sides
+        if all(
+            v is None or v not in right or right[i] == v for i, v in enumerate(left)
+        )
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -470,34 +511,43 @@ def enumerate_generators(k: int) -> GeneratorAlphabet:
     Every context of pathwidth at most k factors into these (at most
     k+1 vertices each); conversely any product of them has pathwidth at
     most k.
+
+    The alphabet is generated orbit by orbit, so only one context per
+    isomorphism class is ever canonicalised.  For each n <= k+1 the edge
+    sets on vertices 0..n-1 are split into orbits under all n!
+    relabellings, and each orbit's representative keeps its automorphism
+    group.  For each such graph, the conflict-free pairs of partial
+    injective interfaces (no vertex is left port i and right port j for
+    i != j) are split into orbits under that group.  Two contexts on the
+    same vertex count are isomorphic exactly when their graphs are and
+    an automorphism carries one pair of interfaces onto the other, so
+    these orbits are the isomorphism classes.  Each representative is
+    certified once and replaced by the canonical context its certificate
+    describes; letters are ordered by vertex count, then certificate.
     """
-    if k < 1:
-        raise ContextError("generator alphabets need arity at least 1")
-    seen: dict[bytes, Context] = {}
-    idx_range = list(range(1, k + 1))
+    if not 1 <= k <= _MAX_ARITY:
+        raise ContextError(f"generator alphabets need arity in 1..{_MAX_ARITY}")
+    certs = []
     for n in range(1, k + 2):
-        verts = [f"v{i}" for i in range(n)]
-        pairs = list(combinations(verts, 2))
-        for bits in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            for left in _partial_injections(idx_range, verts):
-                for right in _partial_injections(idx_range, verts):
-                    ok = True
-                    for i, x in left.items():
-                        for j, y in right.items():
-                            if x == y and i != j:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
-                    w = Context.build(verts, edges, k, left, right)
-                    cert = context_cert(w)
-                    if cert not in seen:
-                        seen[cert] = canonical_rename_context(w)
-    ordered = sorted(seen.values(), key=lambda w: (len(w.vertices), context_cert(w)))
-    return GeneratorAlphabet(k, tuple(ordered))
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(combinations(range(n), 2))
+        edge_sets = (
+            frozenset(e for i, e in enumerate(pairs) if bits >> i & 1)
+            for bits in range(1 << len(pairs))
+        )
+        interfaces = _interface_pairs(k, n)
+
+        def ports(side):
+            return {i + 1: names[v] for i, v in enumerate(side) if v is not None}
+
+        group = list(permutations(range(n)))
+        for edges, automorphisms in _orbits(edge_sets, group, _edge_image):
+            es = [(names[a], names[b]) for a, b in edges]
+            for (lt, rt), _ in _orbits(interfaces, automorphisms, _interface_image):
+                w = Context.build(names, es, k, ports(lt), ports(rt))
+                certs.append((n, context_cert(w)))
+    certs.sort()
+    return GeneratorAlphabet(k, tuple(_context_from_cert(c) for _, c in certs))
 
 
 def build_from_word(k: int, word) -> Context:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 __all__ = [
     "GraphError",
@@ -501,6 +501,16 @@ def _certificate(tag: str, g, keys: dict[str, str]) -> bytes:
     """Certificate of a port graph or context coloured by ``keys``."""
     _, enc = canonical_order(sorted(g.vertices), _adjacency(g), keys)
     return f"{tag};{len(g.vertices)};{g.arity};".encode() + enc
+
+
+def _decode_certificate(cert: bytes) -> tuple[int, list[str], list[tuple[int, int]]]:
+    """Undo `_certificate` for keys free of ``|`` and ``#``: the arity,
+    the colour keys in canonical order, and the edges as pairs of
+    positions in that order."""
+    _, n, arity, encoding = cert.decode().split(";", 3)
+    keys, bits = encoding.split("#")
+    pairs = combinations(range(int(n)), 2)
+    return int(arity), keys.split("|"), [e for e, b in zip(pairs, bits) if b == "1"]
 
 
 def _canonical_names(g, keys: dict[str, str]) -> dict[str, str]:

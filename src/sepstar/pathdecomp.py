@@ -32,6 +32,7 @@ from .graphs import PortGraph, _adjacency, _DisjointSet
 
 __all__ = [
     "DecompositionError",
+    "OutOfScopeError",
     "width",
     "normalize",
     "validate_decomposition",
@@ -55,6 +56,13 @@ _EXACT_LIMIT = 18
 
 class DecompositionError(ValueError):
     """Raised for malformed decompositions and failed factorisations."""
+
+
+class OutOfScopeError(DecompositionError):
+    """Raised when an input lies outside what a search handles (too
+    many free vertices for the exact search; for `two_bridge_decompose`,
+    fewer than two bridges or pathwidth above the arity), as opposed to
+    a search that ran and failed."""
 
 
 def width(bags) -> int:
@@ -169,7 +177,7 @@ def _pathwidth_table(vertices, edges, first, last) -> _Table:
     rmask = sum(1 << index[v] for v in last)
     free = verts[: len(verts) - len(first)]
     if len(free) > _EXACT_LIMIT:
-        raise DecompositionError(
+        raise OutOfScopeError(
             f"exact search handles at most {_EXACT_LIMIT} non-port vertices"
         )
 
@@ -731,20 +739,19 @@ def two_bridge_decompose(w: Context):
     """Factor a context with at least two bridges into contexts that
     are each either small enough to be a single letter (at most
     arity+1 vertices) or have strictly more persistent ports than the
-    input.  Raises DecompositionError with accumulated diagnostics
-    when no attempted strategy works."""
+    input.  Raises OutOfScopeError when the context has fewer than two
+    bridges or pathwidth above its arity, and DecompositionError with
+    accumulated diagnostics when no attempted strategy works."""
     k = w.arity
     brs = bridges(w)
     if len(brs) < 2:
-        raise DecompositionError(
-            f"needs at least two bridges, found {len(brs)}"
-        )
+        raise OutOfScopeError(f"needs at least two bridges, found {len(brs)}")
     if len(w.vertices) <= k + 1:
         return [w]
     left_set, right_set = _interfaces(w)
     table = _pathwidth_table(w.vertices, w.edges, left_set, right_set)
     if table.limit - 1 > k:
-        raise DecompositionError(
+        raise OutOfScopeError(
             "pathwidth exceeds the arity; not in the width-limited monoid"
         )
     ports = w.port_vertices()

@@ -121,3 +121,52 @@ def random_context(rng, k: int, max_n: int):
             return Context.build(verts, edges, k, left, right)
         except ContextError:
             continue  # injectivity or compatibility failed; redraw
+
+
+def _partial_injections(indices: list[int], verts: list[str]):
+    """All injective partial maps from `indices` into `verts`."""
+    if not indices:
+        yield {}
+        return
+    first, rest = indices[0], indices[1:]
+    for sub in _partial_injections(rest, verts):
+        yield dict(sub)
+        used = set(sub.values())
+        for v in verts:
+            if v not in used:
+                yield {first: v, **sub}
+
+
+def brute_generators(k: int):
+    """The width-k generator alphabet by brute force: every labelled
+    context on at most k+1 vertices is certified, and the first of each
+    certificate is kept, canonically renamed, ordered by vertex count
+    and then certificate."""
+    from sepstar.contexts import (
+        Context,
+        GeneratorAlphabet,
+        canonical_rename_context,
+        context_cert,
+    )
+
+    seen = {}
+    idx_range = list(range(1, k + 1))
+    for n in range(1, k + 2):
+        verts = [f"v{i}" for i in range(n)]
+        pairs = list(combinations(verts, 2))
+        for bits in range(1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+            for left in _partial_injections(idx_range, verts):
+                for right in _partial_injections(idx_range, verts):
+                    if any(
+                        x == y and i != j
+                        for i, x in left.items()
+                        for j, y in right.items()
+                    ):
+                        continue
+                    w = Context.build(verts, edges, k, left, right)
+                    cert = context_cert(w)
+                    if cert not in seen:
+                        seen[cert] = canonical_rename_context(w)
+    ordered = sorted(seen.values(), key=lambda w: (len(w.vertices), context_cert(w)))
+    return GeneratorAlphabet(k, tuple(ordered))

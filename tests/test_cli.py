@@ -123,6 +123,17 @@ def test_arity_must_be_an_integer(tmp_path, capsys):
         assert code == 2 and "arity" in err
 
 
+def test_arity_is_bounded(tmp_path, capsys):
+    # interfaces are arity-long tuples, so a huge arity is refused
+    # before anything is allocated
+    for arity in (1025, 10**12):
+        bad = graph_file(tmp_path, "bad.json", {"arity": arity, "vertices": ["a"]})
+        code, _, err = run(capsys, ["beta", bad])
+        assert code == 2 and "arity must lie in 0..1024" in err
+    code, _, err = run(capsys, ["generators", "--arity", "5000"])
+    assert code == 2 and "arity in 1..1024" in err
+
+
 GRAPH = {"vertices": ["a", "b"], "edges": [["a", "b"]], "ports": ["a"]}
 CONTEXT = {"arity": 1, "vertices": ["a", "b"], "edges": [["a", "b"]],
            "left": {"1": "a"}, "right": {"1": "b"}}
@@ -439,6 +450,36 @@ def test_two_bridge_negative_and_errors(tmp_path, capsys):
     wiref = write(tmp_path, "wire.json", dump_context(wire))
     code, _, err = run(capsys, ["two-bridge", wiref])
     assert code == 2 and "bridges" in err
+
+
+def test_two_bridge_builds_one_table_per_direction(tmp_path, capsys, monkeypatch):
+    from sepstar import pathdecomp
+
+    built = []
+    table = pathdecomp._pathwidth_table
+
+    def counting(*args):
+        built.append(1)
+        return table(*args)
+
+    monkeypatch.setattr(pathdecomp, "_pathwidth_table", counting)
+    wires = parallel_wires_file(tmp_path)
+    code, out, _ = run(capsys, ["two-bridge", wires])
+    assert code == 0 and out.splitlines()[0].endswith("factors")
+    assert len(built) == 2
+
+
+def test_two_bridge_beyond_the_exact_search_exits_2(tmp_path, capsys):
+    # two ten-edge wires: 18 inner vertices plus two right ports are
+    # free in the first direction, over the exact search's limit
+    top = ["a"] + [f"t{i}" for i in range(9)] + ["c"]
+    bottom = ["b"] + [f"u{i}" for i in range(9)] + ["d"]
+    edges = list(zip(top, top[1:])) + list(zip(bottom, bottom[1:]))
+    w = Context.build(top + bottom, edges, 2, {1: "a", 2: "b"}, {1: "c", 2: "d"})
+    path = write(tmp_path, "long.json", dump_context(w))
+    code, out, err = run(capsys, ["two-bridge", path])
+    assert (code, out) == (2, "")
+    assert "exact search" in err
 
 
 def test_json_output_is_deterministic(tmp_path, capsys):
