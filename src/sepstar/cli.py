@@ -31,7 +31,10 @@ from .contexts import (
     persistent_ports,
 )
 from .graphs import (
+    BAGS_SHAPE,
+    SPLIT_SHAPE,
     GraphError,
+    _conform,
     _read_json,
     dump_graph,
     encode_word,
@@ -68,6 +71,7 @@ _INPUT_ERRORS = (
     MonoidError,
     DecompositionError,
     OSError,
+    UnicodeDecodeError,  # a formula or expression file that is not UTF-8
 )
 
 
@@ -77,20 +81,6 @@ def _source(arg: str) -> str:
         with open(arg) as fh:
             return fh.read()
     return arg
-
-
-def _load_json_file(path: str) -> dict:
-    data = _read_json(path, GraphError)
-    if not isinstance(data, dict):
-        raise GraphError(f"{path}: expected a JSON object")
-    return data
-
-
-def _names(value, what: str) -> list[str]:
-    """A JSON list of vertex names, as bag and split files hold them."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise DecompositionError(f"{what} must be a list of vertex names: {value!r}")
-    return value
 
 
 def _emit(args, lines, payload) -> None:
@@ -172,8 +162,9 @@ def _cmd_bridges(args) -> int:
 
 
 def _cmd_pathwidth(args) -> int:
-    data = _load_json_file(args.input)
-    if "left" in data or "right" in data:
+    data = _read_json(args.input, GraphError)
+    # contexts require an arity and graphs have none
+    if isinstance(data, dict) and "arity" in data:
         bags = context_decomposition(context_from_json(data))
     else:
         g = graph_from_json(data)
@@ -275,16 +266,14 @@ def _cmd_dealternate(args) -> int:
     w = load_context(args.context)
     left = frozenset(w.left_map().values())
     right = frozenset(w.right_map().values())
-    data = _load_json_file(args.decomposition)
-    if "bags" not in data:
-        raise DecompositionError(f"{args.decomposition}: missing 'bags' field")
-    if not isinstance(data["bags"], list):
-        raise DecompositionError(f"{args.decomposition}: 'bags' must be a list")
-    bags = [frozenset(_names(b, f"{args.decomposition}: a bag")) for b in data["bags"]]
+    data = _read_json(args.decomposition, DecompositionError)
+    _conform(data, BAGS_SHAPE, DecompositionError, "decomposition")
+    bags = [frozenset(b) for b in data["bags"]]
     validate_decomposition(bags, w.vertices, w.edges, left, right)
-    split = _load_json_file(args.split)
-    xs = set(_names(split.get("x", []), f"{args.split}: 'x'"))
-    ys = set(_names(split.get("y", []), f"{args.split}: 'y'"))
+    split = _read_json(args.split, DecompositionError)
+    _conform(split, SPLIT_SHAPE, DecompositionError, "split")
+    xs = set(split.get("x", ()))
+    ys = set(split.get("y", ()))
     nonports = set(w.vertices) - w.port_vertices()
     if xs & ys:
         raise DecompositionError(f"split classes overlap: {sorted(xs & ys)}")

@@ -29,12 +29,13 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .graphs import (
+    CONTEXT_SHAPE,
     _adjacency,
     _certificate,
     _check_core,
+    _conform,
     _decode_certificate,
     _DisjointSet,
-    _json_lists,
     _read_json,
 )
 
@@ -99,8 +100,11 @@ class Context:
 
         def side(m: dict, name: str) -> tuple[str | None, ...]:
             out: list[str | None] = [None] * arity
-            for i, v in m.items():
-                i = int(i)
+            for key, v in m.items():
+                try:
+                    i = int(key)
+                except (TypeError, ValueError):
+                    raise ContextError(f"bad {name} index {key!r}") from None
                 if not 1 <= i <= arity:
                     raise ContextError(f"{name} index {i} out of range 1..{arity}")
                 if not isinstance(v, str) or v not in vs:
@@ -612,33 +616,13 @@ def context_to_json(w: Context) -> dict:
 
 
 def context_from_json(data) -> Context:
-    if not isinstance(data, dict):
-        raise ContextError("context JSON must be an object")
-    extra = set(data) - {"vertices", "edges", "arity", "left", "right"}
-    if extra:
-        raise ContextError(f"unknown context fields: {sorted(extra)}")
-    for field in ("vertices", "arity"):
-        if field not in data:
-            raise ContextError(f"context JSON needs a {field!r} field")
-    vertices, edges = _json_lists(data, ("vertices", "edges"), ContextError)
-
-    def intkeys(m, name):
-        if not isinstance(m, dict):
-            raise ContextError(f"{name} must be an object from port indices to vertices")
-        out = {}
-        for key, v in m.items():
-            try:
-                out[int(key)] = v
-            except (TypeError, ValueError):
-                raise ContextError(f"bad {name} index {key!r}") from None
-        return out
-
+    _conform(data, CONTEXT_SHAPE, ContextError, "context")
     return Context.build(
-        vertices,
-        [tuple(e) for e in edges],
+        data["vertices"],
+        data.get("edges", ()),
         data["arity"],
-        intkeys(data.get("left", {}), "left"),
-        intkeys(data.get("right", {}), "right"),
+        data.get("left", {}),
+        data.get("right", {}),
     )
 
 

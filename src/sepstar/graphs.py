@@ -24,6 +24,7 @@ with ``vertices``, ``edges`` and ``arity``.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -125,6 +126,78 @@ def _read_json(path: str, error):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+# The file formats, declared once.  A shape reads like the data it
+# describes: a type (``int`` excludes booleans, ``object`` admits any
+# value and leaves it to ``build``), ``[shape]`` for a list,
+# ``(shape, ...)`` for a list of fixed length, ``{str: shape}`` for an
+# object with free keys, and ``{"name": shape}`` for a record whose
+# names ending in ``?`` are optional and which admits no other name.
+# The ``build`` methods behind the loaders still check what a shape
+# cannot say: that names are known vertices, indices lie in range, and
+# so on.
+GRAPH_SHAPE = {
+    "vertices": [str],
+    "edges?": [(str, str)],
+    "ports?": [str],
+    "labels?": {str: str},
+}
+CONTEXT_SHAPE = {
+    "vertices": [str],
+    "edges?": [(str, str)],
+    "arity": int,
+    "left?": {str: str},
+    "right?": {str: str},
+}
+# a null zero means "no zero"; a declared size must equal the table's
+MONOID_SHAPE = {"table": [[int]], "identity": int, "zero?": object, "size?": object}
+RECOGNIZER_SHAPE = {
+    "monoid": MONOID_SHAPE,
+    "arity": int,
+    "gen_map": {str: int},
+    "accepting": [int],
+}
+# `sepstar pathwidth --json` output doubles as a decomposition file
+BAGS_SHAPE = {"bags": [[str]], "pathwidth?": int}
+SPLIT_SHAPE = {"x?": [str], "y?": [str]}
+
+_NOUNS = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _conform(value, shape, error, where: str) -> None:
+    """Check parsed JSON against a shape, raising ``error`` at the first
+    mismatch with its path from ``where``, as in ``graph.edges[3]``."""
+    if isinstance(shape, type):
+        if not isinstance(value, (list, tuple) if shape is list else shape) or (
+            shape is int and isinstance(value, bool)
+        ):
+            raise error(f"{where} must be {_NOUNS[shape]}, got {reprlib.repr(value)}")
+        # JSON can spell a lone surrogate, but no output can print one
+        if shape is str and any("\ud800" <= c <= "\udfff" for c in value):
+            raise error(f"{where} is not valid Unicode, got {value!r}")
+    elif isinstance(shape, dict) and str in shape:
+        _conform(value, dict, error, where)
+        for key, item in value.items():
+            _conform(item, shape[str], error, f"{where}[{key!r}]")
+    elif isinstance(shape, dict):
+        _conform(value, dict, error, where)
+        names = {name.rstrip("?"): name for name in shape}
+        extra = sorted(set(value) - set(names))
+        if extra:
+            raise error(f"{where} has unknown fields {extra}")
+        for name, key in names.items():
+            if name in value:
+                _conform(value[name], shape[key], error, f"{where}.{name}")
+            elif name == key:
+                raise error(f"{where} needs a {name!r} field")
+    else:
+        _conform(value, list, error, where)
+        subs = shape * len(value) if isinstance(shape, list) else shape
+        if len(value) != len(subs):
+            raise error(f"{where} must be a list of {len(subs)}, got {reprlib.repr(value)}")
+        for i, (item, sub) in enumerate(zip(value, subs)):
+            _conform(item, sub, error, f"{where}[{i}]")
 
 
 @dataclass(frozen=True)
@@ -559,11 +632,9 @@ def isomorphic(g: PortGraph, h: PortGraph) -> bool:
 # ---------------------------------------------------------------------------
 # serialisation
 
-# Graph files are JSON objects:
-#   {"vertices": [...], "edges": [[u, v], ...], "ports": [...],
-#    "labels": {vertex: label, ...}}
-# dump_graph writes a canonical text form (sorted keys, sorted lists),
-# so dump(load(dump(g))) == dump(g) byte for byte.
+# Graph files are JSON objects of GRAPH_SHAPE.  dump_graph writes a
+# canonical text form (sorted keys, sorted lists), so
+# dump(load(dump(g))) == dump(g) byte for byte.
 
 
 def graph_to_json(g: PortGraph) -> dict:
@@ -577,36 +648,14 @@ def graph_to_json(g: PortGraph) -> dict:
     return out
 
 
-def _json_lists(data: dict, names, error) -> list[list]:
-    """The named fields of a graph or context object, each of which must
-    be a list (an absent one reads as empty); edge entries must be pairs."""
-    out = []
-    for name in names:
-        value = data.get(name, [])
-        if not isinstance(value, (list, tuple)):
-            raise error(f"{name!r} must be a list, got {value!r}")
-        out.append(value)
-    for e in data.get("edges", []):
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise error(f"bad edge entry: {e!r}")
-    return out
-
-
 def graph_from_json(data) -> PortGraph:
-    if not isinstance(data, dict):
-        raise GraphError("graph JSON must be an object")
-    extra = set(data) - {"vertices", "edges", "ports", "labels"}
-    if extra:
-        raise GraphError(f"unknown graph fields: {sorted(extra)}")
-    if "vertices" not in data:
-        raise GraphError("graph JSON needs a 'vertices' field")
-    vertices, edges, ports = _json_lists(
-        data, ("vertices", "edges", "ports"), GraphError
+    _conform(data, GRAPH_SHAPE, GraphError, "graph")
+    return PortGraph.build(
+        data["vertices"],
+        data.get("edges", ()),
+        data.get("ports", ()),
+        data.get("labels"),
     )
-    labels = data.get("labels", {})
-    if not isinstance(labels, dict):
-        raise GraphError(f"graph labels must be an object, got {labels!r}")
-    return PortGraph.build(vertices, [tuple(e) for e in edges], ports, labels)
 
 
 def dump_graph(g: PortGraph) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .graphs import PortGraph, separator_holds
 
@@ -140,7 +140,77 @@ def quantifier_rank(f: Formula) -> int:
 
 # ---------------------------------------------------------------------------
 # concrete syntax
-#
+
+
+def _nesting_guard(error, what: str):
+    """Decorator: running out of stack inside the function becomes
+    ``error("<what> nested too deeply")``.  Parsers and evaluators
+    recurse once per nesting level, so input thousands of operators
+    deep is bad input, not a crash."""
+
+    def guard(fn):
+        @wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except RecursionError:
+                raise error(f"{what} nested too deeply") from None
+
+        return guarded
+
+    return guard
+
+
+class _Scanner:
+    """A cursor over the text of one grammar, skipping whitespace
+    before every token.  Subclasses name their ``error_class`` and
+    ``what`` and define ``top``, the rule for the whole text."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, msg: str) -> ValueError:
+        return self.error_class(f"{msg} (at offset {self.pos})")
+
+    def peek(self, n: int = 1) -> str:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos : self.pos + n]
+
+    def take(self, tok: str) -> None:
+        if self.peek(len(tok)) != tok:
+            raise self.error(f"expected {tok!r}")
+        self.pos += len(tok)
+
+    def match(self, regex: str, what: str) -> str:
+        self.peek()
+        m = re.compile(regex).match(self.text, self.pos)
+        if not m:
+            raise self.error(f"expected {what}")
+        self.pos = m.end()
+        return m.group()
+
+    def chain(self, operand, tok: str, node):
+        """``operand (tok operand)*``, folded to the left by ``node``."""
+        lhs = operand()
+        while self.peek(len(tok)) == tok:
+            self.take(tok)
+            lhs = node(lhs, operand())
+        return lhs
+
+    def listing(self, regex: str, what: str) -> tuple[str, ...]:
+        """``regex (',' regex)*``, as the tuple of the matched texts."""
+        return self.chain(lambda: (self.match(regex, what),), ",", tuple.__add__)
+
+    def parse(self):
+        """The whole text as one ``top``; trailing input is an error."""
+        node = _nesting_guard(self.error_class, self.what)(self.top)()
+        if self.peek():
+            raise self.error("trailing input")
+        return node
+
+
 #   formula  := or
 #   or       := and ('|' and)*
 #   and      := unary ('&' unary)*
@@ -154,127 +224,65 @@ def quantifier_rank(f: Formula) -> int:
 #
 # Quantifier bodies extend as far right as possible.
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 
-    def error(self, msg: str) -> FormulaError:
-        return FormulaError(f"{msg} (at offset {self.pos} in {self.text!r})")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+class _Parser(_Scanner):
+    error_class = FormulaError
+    what = "formula"
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def word(self) -> str:
-        self.skip_ws()
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", self.text[self.pos:])
-        if not m:
-            raise self.error("expected an identifier")
-        self.pos += m.end()
-        return m.group()
-
-    def formula(self) -> Formula:
-        lhs = self.conjunction()
-        while self.peek() == "|":
-            self.take("|")
-            lhs = Or(lhs, self.conjunction())
-        return lhs
+    def top(self) -> Formula:
+        return self.chain(self.conjunction, "|", Or)
 
     def conjunction(self) -> Formula:
-        lhs = self.unary()
-        while self.peek() == "&":
-            self.take("&")
-            lhs = And(lhs, self.unary())
-        return lhs
+        return self.chain(self.unary, "&", And)
 
     def unary(self) -> Formula:
-        c = self.peek()
-        if c == "!":
+        if self.peek() == "!":
             self.take("!")
             return Not(self.unary())
-        if c == "(":
+        if self.peek() == "(":
             self.take("(")
-            f = self.formula()
+            f = self.top()
             self.take(")")
             return f
-        save = self.pos
-        w = self.word()
-        if w in ("exists", "forall"):
-            var = self.word()
-            if var in ("exists", "forall"):
-                raise self.error(f"{var!r} is reserved")
-            self.take(".")
-            body = self.formula()
-            return Exists(var, body) if w == "exists" else Forall(var, body)
-        self.pos = save
-        return self.atom()
+        w = self.match(_NAME, "a name")
+        if w not in ("exists", "forall"):
+            return self.atom(w)
+        var = self.match(_NAME, "a name")
+        if var in ("exists", "forall"):
+            raise self.error(f"{var!r} is reserved")
+        self.take(".")
+        return (Exists if w == "exists" else Forall)(var, self.top())
 
-    def atom(self) -> Formula:
-        save = self.pos
-        w = self.word()
-        if w == "E" and self.peek() == "(":
-            self.take("(")
-            x = self.word()
-            self.take(",")
-            y = self.word()
-            self.take(")")
-            return Edge(x, y)
+    def atom(self, w: str) -> Formula:
         if w == "lab" and self.peek() == ":":
             self.take(":")
-            label = self.word()
+            label = self.match(_NAME, "a label")
             self.take("(")
-            x = self.word()
+            x = self.match(_NAME, "a name")
             self.take(")")
             return Label(x, label)
-        m = re.fullmatch(r"S([0-9]+)", w)
+        m = re.fullmatch(r"E|S([0-9]+)", w)
         if m and self.peek() == "(":
-            n = int(m.group(1))
             self.take("(")
-            x = self.word()
-            self.take(",")
-            y = self.word()
-            zs: tuple[str, ...] = ()
-            if self.peek() == "|":
+            xy = self.listing(_NAME, "a name")
+            zs = ()
+            if m.group(1) and self.peek() == "|":
                 self.take("|")
-                parts = [self.word()]
-                while self.peek() == ",":
-                    self.take(",")
-                    parts.append(self.word())
-                zs = tuple(parts)
+                zs = self.listing(_NAME, "a name")
             self.take(")")
-            if len(zs) != n:
-                raise self.error(f"S{n} expects {n} cut vertices, got {len(zs)}")
-            return Sep(x, y, zs)
-        # fall back to equality: VAR = VAR
-        self.pos = save
-        x = self.word()
-        if self.peek() != "=":
-            raise self.error("expected an atom")
+            if len(xy) != 2:
+                raise self.error(f"{w} takes two vertices, got {len(xy)}")
+            if m.group(1) and len(zs) != int(m.group(1)):
+                raise self.error(f"{w} expects {m.group(1)} cut vertices, got {len(zs)}")
+            return Sep(*xy, zs) if m.group(1) else Edge(*xy)
         self.take("=")
-        y = self.word()
-        return Eq(x, y)
+        return Eq(w, self.match(_NAME, "a name"))
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    try:
-        f = p.formula()
-    except RecursionError:
-        raise FormulaError("formula nested too deeply") from None
-    p.skip_ws()
-    if p.pos != len(text):
-        raise p.error("trailing input")
-    return f
+    return _Parser(text).parse()
 
 
 def render_formula(f: Formula) -> str:
@@ -318,6 +326,7 @@ def render_formula(f: Formula) -> str:
 # evaluation
 
 
+@_nesting_guard(FormulaError, "formula")
 def eval_formula(g: PortGraph, f: Formula, valuation=None) -> bool:
     """Evaluate f over g; `valuation` must cover the free variables."""
     env = dict(valuation or {})
@@ -353,12 +362,14 @@ def _eval(g: PortGraph, f: Formula, env: dict[str, str]) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+@_nesting_guard(FormulaError, "formula")
 def sentence_holds(g: PortGraph, f: Formula) -> bool:
     if free_vars(f):
         raise FormulaError("not a sentence; free variables present")
     return _eval(g, f, {})
 
 
+@_nesting_guard(FormulaError, "formula")
 def language_member(g: PortGraph, f: Formula) -> bool:
     """Membership of g in the language of f, with free variable x{i}
     interpreted as port i of g."""

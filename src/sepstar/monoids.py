@@ -36,7 +36,7 @@ from .contexts import (
     enumerate_generators,
     reaches,
 )
-from .graphs import _read_json
+from .graphs import MONOID_SHAPE, RECOGNIZER_SHAPE, _conform, _read_json
 
 __all__ = [
     "MonoidError",
@@ -693,10 +693,15 @@ def certify_non_star_free(
     power is the same and any alternation is invisible to reachability
     types.  Returns None when the observed values stabilise or the
     alternation starts too late to be convincing (threshold must leave
-    at least four alternating steps)."""
+    at least four alternating steps, so ``max_power`` must be at least
+    5)."""
     if oracle not in _ORACLES:
         raise MonoidError(
             f"unknown oracle {oracle!r}; available: {sorted(_ORACLES)}"
+        )
+    if max_power < 5:
+        raise MonoidError(
+            f"max_power must be at least 5, got {max_power}"
         )
     fn = _ORACLES[oracle]
     rt = beta(w)
@@ -739,18 +744,9 @@ def monoid_to_json(m: FiniteMonoid) -> dict:
 
 
 def monoid_from_json(data) -> FiniteMonoid:
-    if not isinstance(data, dict):
-        raise MonoidError("monoid JSON must be an object")
-    extra = set(data) - {"size", "identity", "table", "zero"}
-    if extra:
-        raise MonoidError(f"unknown monoid fields: {sorted(extra)}")
-    try:
-        table = data["table"]
-        identity = data["identity"]
-    except KeyError as exc:
-        raise MonoidError(f"monoid JSON needs field {exc}") from None
-    m = FiniteMonoid.build(table, identity, data.get("zero"))
-    if "size" in data and data["size"] != m.size:
+    _conform(data, MONOID_SHAPE, MonoidError, "monoid")
+    m = FiniteMonoid.build(data["table"], data["identity"], data.get("zero"))
+    if data.get("size", m.size) != m.size:
         raise MonoidError("declared size does not match the table")
     return m
 
@@ -765,18 +761,7 @@ def recognizer_to_json(rec: Recognizer) -> dict:
 
 
 def recognizer_from_json(data) -> Recognizer:
-    if not isinstance(data, dict):
-        raise MonoidError("recognizer JSON must be an object")
-    extra = set(data) - {"monoid", "arity", "gen_map", "accepting"}
-    if extra:
-        raise MonoidError(f"unknown recognizer fields: {sorted(extra)}")
-    for fieldname in ("monoid", "arity", "gen_map", "accepting"):
-        if fieldname not in data:
-            raise MonoidError(f"recognizer JSON needs a {fieldname!r} field")
-    if not isinstance(data["gen_map"], dict):
-        raise MonoidError("gen_map must be an object from generator ids to elements")
-    if not isinstance(data["accepting"], list):
-        raise MonoidError("accepting must be a list of elements")
+    _conform(data, RECOGNIZER_SHAPE, MonoidError, "recognizer")
     return Recognizer.build(
         monoid_from_json(data["monoid"]),
         data["arity"],

@@ -52,6 +52,8 @@ from .logic import (
     Not as FNot,
     Or as FOr,
     Sep,
+    _nesting_guard,
+    _Scanner,
     free_vars,
 )
 
@@ -276,6 +278,7 @@ def fusion_splits(g: PortGraph):
             yield h1, h2
 
 
+@_nesting_guard(ExprError, "expression")
 def member(g: PortGraph, e: Expr) -> bool:
     """Decide whether g belongs to the language of e."""
     if g.labels:
@@ -340,87 +343,50 @@ def _member(g: PortGraph, e: Expr) -> bool:
 #            | '(' expr ')'
 
 
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+class _ExprParser(_Scanner):
+    error_class = ExprError
+    what = "expression"
 
-    def error(self, msg: str) -> ExprError:
-        return ExprError(f"{msg} (at offset {self.pos})")
-
-    def peek(self, n: int = 1) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos : self.pos + n]
-
-    def take(self, tok: str) -> None:
-        if self.peek(len(tok)) != tok:
-            raise self.error(f"expected {tok!r}")
-        self.pos += len(tok)
-
-    def number(self) -> int:
-        self.peek()
-        m = re.match(r"[0-9]+", self.text[self.pos:])
-        if not m:
-            raise self.error("expected a number")
-        self.pos += m.end()
-        return int(m.group())
+    def top(self) -> Expr:
+        e = self.expr()
+        expr_arity(e)  # validate
+        return e
 
     def expr(self) -> Expr:
-        lhs = self.conj()
-        while self.peek() == "|":
-            self.take("|")
-            lhs = Or(lhs, self.conj())
-        return lhs
+        return self.chain(self.conj, "|", Or)
 
     def conj(self) -> Expr:
-        lhs = self.fusion()
-        while self.peek() == "&":
-            self.take("&")
-            lhs = And(lhs, self.fusion())
-        return lhs
+        return self.chain(self.fusion, "&", And)
 
     def fusion(self) -> Expr:
-        lhs = self.unary()
-        while self.peek(3) == "(+)":
-            self.take("(+)")
-            lhs = Fuse(lhs, self.unary())
-        return lhs
+        return self.chain(self.unary, "(+)", Fuse)
 
     def unary(self) -> Expr:
-        c = self.peek()
-        if c == "!":
+        if self.peek() == "!":
             self.take("!")
             return Not(self.unary())
-        if c == "(" and self.peek(3) != "(+)":
+        if self.peek() == "(" and self.peek(3) != "(+)":
             self.take("(")
             e = self.expr()
             self.take(")")
             return e
-        if self.peek(7) == "forget(":
-            self.take("forget(")
-            e = self.expr()
-            self.take(")")
-            return Forget(e)
-        if self.peek(4) == "add(":
-            self.take("add(")
-            e = self.expr()
-            self.take(")")
-            return Add(e)
+        for head, node in (("forget(", Forget), ("add(", Add)):
+            if self.peek(len(head)) == head:
+                self.take(head)
+                e = self.expr()
+                self.take(")")
+                return node(e)
         if self.peek(5) == "perm[":
             self.take("perm[")
-            nums = [self.number()]
-            while self.peek() == ",":
-                self.take(",")
-                nums.append(self.number())
+            perm = tuple(map(int, self.listing(r"[0-9]+", "a number")))
             self.take("]")
             self.take("(")
             e = self.expr()
             self.take(")")
-            return Permute(tuple(nums), e)
+            return Permute(perm, e)
         if self.peek(7) == "finite@":
             self.take("finite@")
-            arity = self.number()
+            arity = int(self.match(r"[0-9]+", "a number"))
             self.take("{")
             members = []
             while self.peek() != "}":
@@ -445,15 +411,7 @@ class _ExprParser:
 
 
 def parse_expr(text: str) -> Expr:
-    p = _ExprParser(text)
-    try:
-        e = p.expr()
-        if p.peek() != "":
-            raise p.error("trailing input")
-        expr_arity(e)  # validate
-    except RecursionError:
-        raise ExprError("expression nested too deeply") from None
-    return e
+    return _ExprParser(text).parse()
 
 
 def render_expr(e: Expr) -> str:
@@ -666,6 +624,7 @@ def _compile(f: Formula, k: int) -> Expr:
     raise TypeError(f"not a formula: {f!r}")
 
 
+@_nesting_guard(ExprError, "formula")
 def compile_formula(f: Formula, arity: int) -> Expr:
     """Equivalent star-free expression for f at the given arity.
 

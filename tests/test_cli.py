@@ -224,6 +224,16 @@ def test_pathwidth_on_graph_and_context(tmp_path, capsys):
     assert all(len(bag) <= 3 for bag in data["bags"])
 
 
+def test_pathwidth_reads_contexts_without_interfaces(tmp_path, capsys):
+    # contexts are told from graphs by their arity, which only they have
+    edge = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+    graph = graph_file(tmp_path, "graph.json", edge)
+    context = graph_file(tmp_path, "context.json", {**edge, "arity": 1})
+    expected = run(capsys, ["pathwidth", graph])
+    assert expected[:2] == (0, "1\n")
+    assert run(capsys, ["pathwidth", context]) == expected
+
+
 def test_pathwidth_builds_one_table(tmp_path, capsys, monkeypatch):
     from sepstar import pathdecomp
 
@@ -322,6 +332,19 @@ def test_certify_found_and_not_found(tmp_path, capsys):
     assert code == 1 and "no certificate" in out
 
 
+@pytest.mark.parametrize("power", ["-3", "0", "4"])
+def test_certify_needs_five_powers(tmp_path, capsys, power):
+    # a certificate leaves four alternating steps after its threshold,
+    # so fewer than five powers can never give one
+    hub = write(tmp_path, "hub.json", dump_context(hub_context()))
+    code, out, err = run(
+        capsys,
+        ["certify", "--oracle", "two-disjoint", "--context", hub, "--max-power", power],
+    )
+    assert (code, out) == (2, "")
+    assert "max_power must be at least 5" in err
+
+
 def dealternate_fixture(tmp_path):
     w = Context.build(
         ["a", "b", "x1", "y1"],
@@ -371,6 +394,14 @@ def test_dealternate_rejects_bad_splits(tmp_path, capsys):
 
 GOOD_BAGS = {"bags": [["a", "x", "b"], ["a", "y", "b"]]}
 GOOD_SPLIT = {"x": ["x"], "y": ["y"]}
+# one-letter names, so strings read as character sets would pass
+ONE_LETTER = Context.build(
+    ["a", "b", "x", "y"],
+    [("a", "x"), ("x", "b"), ("a", "y"), ("y", "b")],
+    1,
+    {1: "a"},
+    {1: "b"},
+)
 
 
 @pytest.mark.parametrize("bags, split", [
@@ -381,15 +412,7 @@ GOOD_SPLIT = {"x": ["x"], "y": ["y"]}
     (GOOD_BAGS, {"x": "x", "y": "y"}),
 ], ids=["int-bags", "string-bags", "string-bag-list", "int-class", "string-classes"])
 def test_dealternate_rejects_malformed_files(tmp_path, capsys, bags, split):
-    # one-letter names, so strings read as character sets would pass
-    w = Context.build(
-        ["a", "b", "x", "y"],
-        [("a", "x"), ("x", "b"), ("a", "y"), ("y", "b")],
-        1,
-        {1: "a"},
-        {1: "b"},
-    )
-    ctx = write(tmp_path, "w.json", dump_context(w))
+    ctx = write(tmp_path, "w.json", dump_context(ONE_LETTER))
     dec = graph_file(tmp_path, "dec.json", bags)
     spl = graph_file(tmp_path, "split.json", split)
     code, _, err = run(capsys, ["dealternate", dec, ctx, "--split", spl])
@@ -398,6 +421,46 @@ def test_dealternate_rejects_malformed_files(tmp_path, capsys, bags, split):
     dec = graph_file(tmp_path, "dec.json", GOOD_BAGS)
     spl = graph_file(tmp_path, "split.json", GOOD_SPLIT)
     assert run(capsys, ["dealternate", dec, ctx, "--split", spl])[0] == 0
+
+
+@pytest.mark.parametrize("bags, split", [
+    ({**GOOD_BAGS, "width": 2}, GOOD_SPLIT),
+    (GOOD_BAGS, {**GOOD_SPLIT, "z": []}),
+], ids=["decomposition", "split"])
+def test_dealternate_rejects_unknown_fields(tmp_path, capsys, bags, split):
+    ctx = write(tmp_path, "w.json", dump_context(ONE_LETTER))
+    dec = graph_file(tmp_path, "dec.json", bags)
+    spl = graph_file(tmp_path, "split.json", split)
+    code, _, err = run(capsys, ["dealternate", dec, ctx, "--split", spl])
+    assert code == 2 and "unknown fields" in err
+
+
+def test_pathwidth_json_is_a_decomposition_file(tmp_path, capsys):
+    ctx, _ = dealternate_fixture(tmp_path)
+    code, out, _ = run(capsys, ["pathwidth", "--json", ctx])
+    assert code == 0 and set(json.loads(out)) == {"bags", "pathwidth"}
+    dec = write(tmp_path, "pathwidth.json", out)
+    split = write(tmp_path, "split.json", json.dumps({"x": ["x1"], "y": ["y1"]}))
+    code, out, _ = run(capsys, ["dealternate", dec, ctx, "--split", split])
+    assert code == 0 and out.startswith("width: 2\n")
+
+
+def test_names_must_encode(tmp_path, capsys):
+    # JSON can spell a lone surrogate, which no output can print
+    w = {"arity": 1, "vertices": ["a", "b", "\ud800"],
+         "edges": [["a", "\ud800"], ["\ud800", "b"]],
+         "left": {"1": "a"}, "right": {"1": "b"}}
+    bad = graph_file(tmp_path, "bad.json", w)
+    code, out, err = run(capsys, ["bridges", bad])
+    assert (code, out) == (2, "") and "not valid Unicode" in err
+
+
+def test_text_files_must_be_utf8(tmp_path, capsys):
+    tri = graph_file(tmp_path, "tri.json", TRIANGLE)
+    latin1 = tmp_path / "phi.txt"  # a formula file saved as Latin-1
+    latin1.write_bytes("exists x. lab:\xe9(x)".encode("latin-1"))
+    code, out, err = run(capsys, ["eval-formula", tri, str(latin1)])
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch):

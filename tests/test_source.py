@@ -28,3 +28,43 @@ def test_no_assert_statements():
             if _flagged(node):
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and not found, found
+
+
+def _json_readers(tree):
+    """The enclosing function or method of each json.load, json.loads
+    and JSONDecoder reference."""
+    readers = {"load", "loads", "JSONDecoder"}
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in readers
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "json"
+            and readers & {alias.name for alias in node.names}
+        ):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_json_is_parsed_in_two_places():
+    # every file and inline literal is parsed at one boundary and then
+    # checked against its declared shape
+    places = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        places |= {(path.name, where) for where in _json_readers(tree)}
+    assert places == {
+        ("graphs.py", "_read_json"),
+        ("starfree.py", "_ExprParser.json_graph"),
+    }

@@ -7,7 +7,16 @@ import random
 import pytest
 
 from sepstar.graphs import PortGraph, add_port, forget, fuse, permute
-from sepstar.logic import language_member, parse_formula
+from sepstar.logic import (
+    Eq,
+    Exists,
+    FormulaError,
+    eval_formula,
+    language_member,
+    parse_formula,
+    sentence_holds,
+)
+from sepstar.logic import Not as FNot
 from sepstar.starfree import (
     Add,
     And,
@@ -316,3 +325,27 @@ def test_compile_connectivity_sentence():
 def test_deep_expression_raises_expr_error():
     with pytest.raises(ExprError, match="nested too deeply"):
         parse_expr("!" * 3000 + "finite@0{}")
+
+
+def _nested(node, innermost, depth=3000):
+    for _ in range(depth):
+        innermost = node(innermost)
+    return innermost
+
+
+DEEP_FORMULA = _nested(FNot, Exists("x", Eq("x", "x")))
+DEEP_EXPR = _nested(Not, finite(0))
+DOT = PortGraph.build(["a"])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: eval_formula(DOT, DEEP_FORMULA), FormulaError),
+    (lambda: sentence_holds(DOT, DEEP_FORMULA), FormulaError),
+    (lambda: language_member(DOT, DEEP_FORMULA), FormulaError),
+    (lambda: compile_formula(DEEP_FORMULA, 0), ExprError),
+    (lambda: member(DOT, DEEP_EXPR), ExprError),
+], ids=["eval_formula", "sentence_holds", "language_member", "compile_formula", "member"])
+def test_deep_trees_raise_the_library_error(call, error):
+    # trees built in code never meet the parser's guard
+    with pytest.raises(error, match="nested too deeply"):
+        call()
