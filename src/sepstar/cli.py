@@ -422,10 +422,6 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        # one catch in place of depth guards in the recursive parsers
-        print("error: input nested too deeply", file=sys.stderr)
-        return 2
     except Exception as exc:
         # never 1, which would read as a computed negative verdict
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

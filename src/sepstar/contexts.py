@@ -11,7 +11,10 @@ The reachability type of a context records, for every pair of interface
 references, whether they are linked by a path with no intermediate port
 vertices ("inner" path).  Reachability types compose without looking at
 the underlying graphs, which is what the recognizer machinery in
-`sepstar.monoids` exploits.
+`sepstar.monoids` exploits.  The linkage type is the finer abstraction
+behind the disjoint-paths oracle: every linear forest over the port
+vertices whose edges are inner paths with disjoint interiors.  It
+composes the same way, by gluing.
 
 A context is a vertex/edge core plus two interface tuples, so it runs
 on the graph core of `sepstar.graphs`: the same validation, adjacency
@@ -52,6 +55,9 @@ __all__ = [
     "beta",
     "beta_compose",
     "reaches",
+    "LinkageType",
+    "linkage_type",
+    "linkage_compose",
     "context_cert",
     "canonical_rename_context",
     "isomorphic_contexts",
@@ -309,26 +315,29 @@ def beta(w: Context) -> ReachType:
     )
 
 
-def beta_compose(r1: ReachType, r2: ReachType) -> ReachType:
-    """Compose two reachability types; matches beta of the composition.
+def _glued_refs(r1, r2) -> dict[tuple, tuple[str, int]]:
+    """Merge the interface references of two types composed r1 . r2
+    into classes, the way `compose` glues vertices: persistence links a
+    type's own two references, gluing links right of the first to left
+    of the second.
 
-    Interface references of the two operands are merged into classes
-    (persistence links a context's own two references, gluing links
-    right of the first to left of the second).  A class is a port of
-    the composite iff it contains a left reference of the first operand
-    or a right reference of the second.  Composite reachability is
-    graph search over classes in which only non-port classes may be
-    crossed.
+    Maps each reference ("u" or "v", "L" or "R", i) to the name of its
+    class.  A class is a port of the composite iff it contains a left
+    reference of the first operand or a right reference of the second;
+    it is then named by its reference in the composite, ("L", i) before
+    ("R", j).  Every other class is named ("~", n).
     """
     if r1.arity != r2.arity:
-        raise ContextError("reach types must have equal arity")
-    nodes = (
-        [("u", "L", i) for i in sorted(r1.left_defined)]
+        raise ContextError("types must have equal arity")
+    firsts = [("u", "L", i) for i in sorted(r1.left_defined)]
+    lasts = [("v", "R", i) for i in sorted(r2.right_defined)]
+    refs = (
+        firsts
         + [("u", "R", i) for i in sorted(r1.right_defined)]
         + [("v", "L", i) for i in sorted(r2.left_defined)]
-        + [("v", "R", i) for i in sorted(r2.right_defined)]
+        + lasts
     )
-    classes = _DisjointSet(nodes)
+    classes = _DisjointSet(refs)
     find, union = classes.find, classes.union
     for i in r1.persistent:
         union(("u", "L", i), ("u", "R", i))
@@ -336,31 +345,35 @@ def beta_compose(r1: ReachType, r2: ReachType) -> ReachType:
         union(("v", "L", i), ("v", "R", i))
     for i in r1.right_defined & r2.left_defined:
         union(("u", "R", i), ("v", "L", i))
+    names: dict = {}
+    for nd in firsts + lasts:
+        names.setdefault(find(nd), nd[1:])
+    for nd in refs:
+        names.setdefault(find(nd), ("~", len(names)))
+    return {nd: names[find(nd)] for nd in refs}
 
-    edges: dict[tuple, set[tuple]] = {find(nd): set() for nd in nodes}
+
+def beta_compose(r1: ReachType, r2: ReachType) -> ReachType:
+    """Compose two reachability types; matches beta of the composition.
+
+    Interface references of the two operands are merged into classes
+    by `_glued_refs`.  Composite reachability is graph search over
+    classes in which only non-port classes may be crossed.
+    """
+    name = _glued_refs(r1, r2)
+    edges: dict[tuple, set[tuple]] = {c: set() for c in name.values()}
     for side, rt in (("u", r1), ("v", r2)):
         for (p, q) in rt.reach:
-            a, b = find((side, *p)), find((side, *q))
+            a, b = name[(side, *p)], name[(side, *q)]
             edges[a].add(b)
             edges[b].add(a)
-
-    is_port: dict[tuple, bool] = {r: False for r in edges}
-    for nd in nodes:
-        if nd[0] == "u" and nd[1] == "L":
-            is_port[find(nd)] = True
-        if nd[0] == "v" and nd[1] == "R":
-            is_port[find(nd)] = True
-
-    def cls(ref: PortRef) -> tuple:
-        side, i = ref
-        return find(("u", "L", i)) if side == "L" else find(("v", "R", i))
 
     out_refs = [("L", i) for i in sorted(r1.left_defined)] + [
         ("R", j) for j in sorted(r2.right_defined)
     ]
+    cls = [name[("u", *ref)] if ref[0] == "L" else name[("v", *ref)] for ref in out_refs]
     reachable_from: dict[tuple, set[tuple]] = {}
-    for ref in out_refs:
-        start = cls(ref)
+    for start in cls:
         if start in reachable_from:
             continue
         seen = {start}
@@ -372,7 +385,7 @@ def beta_compose(r1: ReachType, r2: ReachType) -> ReachType:
                 if nb in reached:
                     continue
                 reached.add(nb)
-                if not is_port[nb] and nb not in seen:
+                if nb[0] == "~" and nb not in seen:
                     seen.add(nb)
                     frontier.append(nb)
         reachable_from[start] = reached
@@ -380,16 +393,169 @@ def beta_compose(r1: ReachType, r2: ReachType) -> ReachType:
     pairs = set()
     for a in range(len(out_refs)):
         for b in range(a, len(out_refs)):
-            p, q = out_refs[a], out_refs[b]
-            cp, cq = cls(p), cls(q)
+            cp, cq = cls[a], cls[b]
             if cp == cq or cq in reachable_from[cp]:
-                pairs.add(_norm_pair(p, q))
+                pairs.add(_norm_pair(out_refs[a], out_refs[b]))
     return ReachType(
         r1.arity,
         r1.left_defined,
         r2.right_defined,
         r1.persistent & r2.persistent,
         frozenset(pairs),
+    )
+
+
+# ---------------------------------------------------------------------------
+# linkage types
+
+Pattern = frozenset[tuple[PortRef, PortRef]]
+
+
+@dataclass(frozen=True)
+class LinkageType:
+    """Which systems of disjoint inner paths a context realises.
+
+    Each port vertex is named by one of its references, ("L", i) when
+    it is a left port and ("R", j) otherwise.  A pattern is a linear
+    forest over these names whose edges are inner paths (the interior
+    avoids every port vertex) with pairwise disjoint interiors;
+    ``patterns`` holds every pattern the context realises, the empty
+    one included.  A linear forest on at most 2k port vertices has at
+    most 2k - 1 edges, so the type is finite for every arity.
+    """
+
+    arity: int
+    left_defined: frozenset[int]
+    right_defined: frozenset[int]
+    persistent: frozenset[int]
+    patterns: frozenset[Pattern]
+
+
+def _glue(edges, keep) -> list | None:
+    """Contract the graph ``edges`` onto the nodes in ``keep``.
+
+    The graph must be a linear forest in which every node of degree 1
+    is kept; otherwise the result is None.  Each maximal run of
+    unkept nodes between two kept ones becomes one edge between them,
+    written (smaller, larger).
+    """
+    nbrs: dict = {}
+    for a, b in edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    ends = []
+    for x, around in nbrs.items():
+        if len(around) == 1:
+            if x not in keep:
+                return None
+            ends.append(x)
+        elif len(around) > 2:
+            return None
+    out = []
+    walked = 0
+    done = set()
+    for x in ends:
+        if x in done:
+            continue
+        last, prev, cur = x, x, nbrs[x][0]
+        walked += 1
+        while True:
+            if cur in keep:
+                out.append((last, cur) if last < cur else (cur, last))
+                last = cur
+            around = nbrs[cur]
+            if len(around) == 1:
+                break
+            prev, cur = cur, around[1] if around[0] == prev else around[0]
+            walked += 1
+        done.add(cur)
+    # every edge of a linear forest lies on a path between two ends
+    return out if walked == len(edges) else None
+
+
+def linkage_type(w: Context) -> LinkageType:
+    """The linkage type of a concrete context.
+
+    Vertices are introduced one at a time, each taking the least room
+    on the frontier (introduced non-port vertices with neighbours still
+    to come).  The patterns so far live on the ports and the frontier:
+    each new vertex may take zero, one or two edges back to introduced
+    vertices, and `_glue` contracts the vertices that leave the
+    frontier, so no path is ever enumerated.
+    """
+    ports = w.port_vertices()
+    adj = _adjacency(w)
+    pending = {v: len(adj[v]) for v in w.vertices}  # neighbours still to come
+    frontier: set[str] = set()
+    remaining = set(w.vertices)
+
+    def cost(v):
+        joins = v not in ports and pending[v] > 0
+        leaves = sum(1 for u in adj[v] if u in frontier and pending[u] == 1)
+        done = len(adj[v]) - pending[v]
+        return joins - leaves, -done, v
+
+    patterns: set[frozenset] = {frozenset()}
+    while remaining:
+        v = min(remaining, key=cost)
+        remaining.discard(v)
+        back = sorted(u for u in adj[v] if u not in remaining)
+        for u in adj[v]:
+            pending[u] -= 1
+        frontier.add(v)
+        frontier = {u for u in frontier if pending[u] and u not in ports}
+        keep = ports | frontier
+        choices = [[]] + [[(u, v)] for u in back]
+        choices += [[(a, v), (b, v)] for a, b in combinations(back, 2)]
+        patterns = {
+            frozenset(glued)
+            for pattern in patterns
+            for extra in choices
+            if (glued := _glue([*pattern, *extra], keep)) is not None
+        }
+
+    ref = {v: ("R", j) for j, v in w.right_map().items()}
+    ref.update({v: ("L", i) for i, v in w.left_map().items()})
+    return LinkageType(
+        w.arity,
+        frozenset(w.left_map()),
+        frozenset(w.right_map()),
+        persistent_ports(w),
+        frozenset(
+            frozenset(_norm_pair(ref[a], ref[b]) for a, b in p) for p in patterns
+        ),
+    )
+
+
+def linkage_compose(t1: LinkageType, t2: LinkageType) -> LinkageType:
+    """Compose two linkage types; matches linkage_type of the composition.
+
+    References are merged into classes as in `beta_compose`.  Every
+    pattern of the first operand is unioned with every pattern of the
+    second on those classes; a union with a vertex of degree three, a
+    cycle or a non-port class of degree one is dropped, and `_glue`
+    contracts the non-port classes of degree two.
+    """
+    name = _glued_refs(t1, t2)
+    keep = {c for c in name.values() if c[0] != "~"}
+    firsts = [
+        [(name[("u", *p)], name[("u", *q)]) for p, q in pattern] for pattern in t1.patterns
+    ]
+    seconds = [
+        [(name[("v", *p)], name[("v", *q)]) for p, q in pattern] for pattern in t2.patterns
+    ]
+    patterns = set()
+    for a in firsts:
+        for b in seconds:
+            glued = _glue(a + b, keep)
+            if glued is not None:
+                patterns.add(frozenset(glued))
+    return LinkageType(
+        t1.arity,
+        t1.left_defined,
+        t2.right_defined,
+        t1.persistent & t2.persistent,
+        frozenset(patterns),
     )
 
 

@@ -108,40 +108,6 @@ class Forall(Formula):
     sub: Formula
 
 
-def free_vars(f: Formula) -> frozenset[str]:
-    match f:
-        case Edge(x, y) | Eq(x, y):
-            return frozenset((x, y))
-        case Sep(x, y, zs):
-            return frozenset((x, y, *zs))
-        case Label(x, _):
-            return frozenset((x,))
-        case Not(sub):
-            return free_vars(sub)
-        case And(a, b) | Or(a, b):
-            return free_vars(a) | free_vars(b)
-        case Exists(v, sub) | Forall(v, sub):
-            return free_vars(sub) - {v}
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def quantifier_rank(f: Formula) -> int:
-    match f:
-        case Edge() | Eq() | Sep() | Label():
-            return 0
-        case Not(sub):
-            return quantifier_rank(sub)
-        case And(a, b) | Or(a, b):
-            return max(quantifier_rank(a), quantifier_rank(b))
-        case Exists(_, sub) | Forall(_, sub):
-            return 1 + quantifier_rank(sub)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# concrete syntax
-
-
 def _nesting_guard(error, what: str):
     """Decorator: running out of stack inside the function becomes
     ``error("<what> nested too deeply")``.  Parsers and evaluators
@@ -159,6 +125,50 @@ def _nesting_guard(error, what: str):
         return guarded
 
     return guard
+
+
+@_nesting_guard(FormulaError, "formula")
+def free_vars(f: Formula) -> frozenset[str]:
+    return _free_vars(f)
+
+
+def _free_vars(f: Formula) -> frozenset[str]:
+    match f:
+        case Edge(x, y) | Eq(x, y):
+            return frozenset((x, y))
+        case Sep(x, y, zs):
+            return frozenset((x, y, *zs))
+        case Label(x, _):
+            return frozenset((x,))
+        case Not(sub):
+            return _free_vars(sub)
+        case And(a, b) | Or(a, b):
+            return _free_vars(a) | _free_vars(b)
+        case Exists(v, sub) | Forall(v, sub):
+            return _free_vars(sub) - {v}
+    raise TypeError(f"not a formula: {f!r}")
+
+
+@_nesting_guard(FormulaError, "formula")
+def quantifier_rank(f: Formula) -> int:
+    return _quantifier_rank(f)
+
+
+def _quantifier_rank(f: Formula) -> int:
+    match f:
+        case Edge() | Eq() | Sep() | Label():
+            return 0
+        case Not(sub):
+            return _quantifier_rank(sub)
+        case And(a, b) | Or(a, b):
+            return max(_quantifier_rank(a), _quantifier_rank(b))
+        case Exists(_, sub) | Forall(_, sub):
+            return 1 + _quantifier_rank(sub)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# concrete syntax
 
 
 class _Scanner:
@@ -285,11 +295,15 @@ def parse_formula(text: str) -> Formula:
     return _Parser(text).parse()
 
 
+@_nesting_guard(FormulaError, "formula")
 def render_formula(f: Formula) -> str:
     """Concrete syntax for f; parse(render(f)) == f."""
+    return _render_formula(f)
 
+
+def _render_formula(f: Formula) -> str:
     def paren(sub: Formula, tight: bool) -> str:
-        s = render_formula(sub)
+        s = _render_formula(sub)
         need = isinstance(sub, (Or, Exists, Forall)) or (
             tight and isinstance(sub, And)
         )
@@ -307,7 +321,7 @@ def render_formula(f: Formula) -> str:
                 return f"S{len(zs)}({x},{y}|{','.join(zs)})"
             return f"S0({x},{y})"
         case Not(sub):
-            s = render_formula(sub)
+            s = _render_formula(sub)
             if isinstance(sub, (And, Or, Exists, Forall)):
                 s = f"({s})"
             return f"!{s}"
@@ -316,9 +330,9 @@ def render_formula(f: Formula) -> str:
         case Or(a, b):
             return f"{paren(a, False)} | {paren(b, False)}"
         case Exists(v, sub):
-            return f"exists {v}. {render_formula(sub)}"
+            return f"exists {v}. {_render_formula(sub)}"
         case Forall(v, sub):
-            return f"forall {v}. {render_formula(sub)}"
+            return f"forall {v}. {_render_formula(sub)}"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -330,7 +344,7 @@ def render_formula(f: Formula) -> str:
 def eval_formula(g: PortGraph, f: Formula, valuation=None) -> bool:
     """Evaluate f over g; `valuation` must cover the free variables."""
     env = dict(valuation or {})
-    missing = free_vars(f) - set(env)
+    missing = _free_vars(f) - set(env)
     if missing:
         raise FormulaError(f"unassigned free variables: {sorted(missing)}")
     for var, v in env.items():
@@ -364,7 +378,7 @@ def _eval(g: PortGraph, f: Formula, env: dict[str, str]) -> bool:
 
 @_nesting_guard(FormulaError, "formula")
 def sentence_holds(g: PortGraph, f: Formula) -> bool:
-    if free_vars(f):
+    if _free_vars(f):
         raise FormulaError("not a sentence; free variables present")
     return _eval(g, f, {})
 
@@ -374,13 +388,13 @@ def language_member(g: PortGraph, f: Formula) -> bool:
     """Membership of g in the language of f, with free variable x{i}
     interpreted as port i of g."""
     allowed = {f"x{i + 1}" for i in range(g.arity)}
-    stray = free_vars(f) - allowed
+    stray = _free_vars(f) - allowed
     if stray:
         raise FormulaError(
             f"free variables {sorted(stray)} not of the form x1..x{g.arity}"
         )
     env = {f"x{i + 1}": p for i, p in enumerate(g.ports)}
-    return _eval(g, f, {v: env[v] for v in free_vars(f)})
+    return _eval(g, f, {v: env[v] for v in _free_vars(f)})
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,13 @@ table is read off the right Cayley graph that search records (Froidure
 & Pin, 1997); the decision procedure runs the same search over pairs.
 
 `certify_non_star_free` complements the decision procedure on the
-semantic side: it pumps a concrete context with idempotent
-reachability type and watches an oracle alternate.
+semantic side: it pumps a context with idempotent reachability type
+and watches an oracle alternate.  Every oracle is a morphism into a
+finite type plus a predicate on types (the reachability type for
+``reach``, the linkage type of `sepstar.contexts` for
+``two-disjoint-paths``), so the powers are pumped on types: no power
+is built as a context, and the pumping stops at the first repeated
+type, so its cost does not grow with the number of powers asked for.
 """
 
 from __future__ import annotations
@@ -28,15 +33,19 @@ from dataclasses import dataclass
 
 from .contexts import (
     Context,
+    LinkageType,
+    ReachType,
     beta,
     beta_compose,
     build_from_word,
     compose,
     context_cert,
     enumerate_generators,
+    linkage_compose,
+    linkage_type,
     reaches,
 )
-from .graphs import MONOID_SHAPE, RECOGNIZER_SHAPE, _conform, _read_json
+from .graphs import MONOID_SHAPE, RECOGNIZER_SHAPE, _conform, _DisjointSet, _read_json
 
 __all__ = [
     "MonoidError",
@@ -83,7 +92,7 @@ class FiniteMonoid:
     ``table[a][b]`` is the product a*b.  ``zero``, when present, is an
     absorbing element.  Use :meth:`FiniteMonoid.build` on untrusted
     data; internal constructions (transition monoids, quotients) are
-    associative by construction and skip the cubic check.
+    associative by construction and skip the associativity check.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -139,12 +148,34 @@ def validate_monoid(m: FiniteMonoid) -> None:
         for a in range(n):
             if m.table[m.zero][a] != m.zero or m.table[a][m.zero] != m.zero:
                 raise MonoidError(f"element {m.zero} is not absorbing")
-    for a in range(n):
-        for b in range(n):
-            ab = m.table[a][b]
-            for c in range(n):
-                if m.table[ab][c] != m.table[a][m.table[b][c]]:
-                    raise MonoidError(f"associativity fails at ({a},{b},{c})")
+    # Light's test: the elements g with (x*g)*y = x*(g*y) for all x, y
+    # are closed under the product, so checking a generating set is
+    # enough; n^2 products per generator in place of n^3
+    t = m.table
+    for g in _generators(m):
+        column = [row[g] for row in t]
+        for x in range(n):
+            left, right = t[column[x]], t[x]
+            for y, gy in enumerate(t[g]):
+                if left[y] != right[gy]:
+                    raise MonoidError(f"associativity fails at ({x},{g},{y})")
+
+
+def _generators(m: FiniteMonoid) -> list[int]:
+    """A generating set: each element in turn that the ones taken so
+    far do not reach from the identity."""
+    gens: list[int] = []
+    reached = {m.identity}
+    for a in range(m.size):
+        if a not in reached:
+            gens.append(a)
+            reached = {
+                b
+                for b, _, _ in _closure(
+                    [m.identity], [(g, g) for g in gens], lambda x, g: m.table[x][g]
+                )
+            }
+    return gens
 
 
 def is_aperiodic_element(m: FiniteMonoid, a: int) -> bool:
@@ -615,67 +646,47 @@ class Certificate:
     threshold: int
 
 
+def _reach_holds(rt: ReachType) -> bool:
+    return reaches(rt, ("L", 1), ("R", 1))
+
+
+def _two_paths_hold(t: LinkageType) -> bool:
+    """Some pattern puts left 1 and right 1 on one path component and
+    left 2 and right 2 on another."""
+    if t.arity < 2:
+        raise MonoidError("the disjoint-paths oracle needs arity at least 2")
+    if not {1, 2} <= t.left_defined & t.right_defined:
+        raise MonoidError("ports 1 and 2 must be defined on both sides")
+    s1, s2 = ("L", 1), ("L", 2)
+    t1, t2 = (("L", i) if i in t.persistent else ("R", i) for i in (1, 2))
+    for pattern in t.patterns:
+        parts = _DisjointSet({s1, s2, t1, t2}.union(*pattern))
+        for p, q in pattern:
+            parts.union(p, q)
+        one, two = parts.find(s1), parts.find(s2)
+        if one == parts.find(t1) and two == parts.find(t2) and one != two:
+            return True
+    return False
+
+
 def oracle_inner_reach(ctx: Context) -> bool:
     """Left port 1 linked to right port 1 by an inner path."""
-    return reaches(beta(ctx), ("L", 1), ("R", 1))
+    return _reach_holds(beta(ctx))
 
 
 def oracle_two_disjoint_paths(ctx: Context) -> bool:
     """Two vertex-disjoint paths: left 1 to right 1 and left 2 to
-    right 2.  Backtracking search; exponential in the worst case but
-    fast on the layered contexts it is meant for."""
-    if ctx.arity < 2:
-        raise MonoidError("the disjoint-paths oracle needs arity at least 2")
-    s1, s2 = ctx.left[0], ctx.left[1]
-    t1, t2 = ctx.right[0], ctx.right[1]
-    if None in (s1, s2, t1, t2):
-        raise MonoidError("ports 1 and 2 must be defined on both sides")
-    if len({s1, s2}) < 2 or len({t1, t2}) < 2:
-        return False
-
-    adj = {v: sorted(ctx.neighbors(v)) for v in ctx.vertices}
-
-    def connected_avoiding(a, b, blocked):
-        if a in blocked or b in blocked:
-            return False
-        stack = [a]
-        seen = {a}
-        while stack:
-            v = stack.pop()
-            if v == b:
-                return True
-            for w in adj[v]:
-                if w not in blocked and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    if s2 in (s1, t1) or t2 in (s1, t1):
-        return False
-
-    path = [s1]
-    on_path = {s1}
-
-    def search(v):
-        if v == t1:
-            return connected_avoiding(s2, t2, on_path)
-        for w in adj[v]:
-            if w in on_path or w in (s2, t2):
-                continue
-            on_path.add(w)
-            path.append(w)
-            if search(w):
-                return True
-            path.pop()
-            on_path.discard(w)
-        return False
-
-    return search(s1)
+    right 2, read off the context's linkage type."""
+    return _two_paths_hold(linkage_type(ctx))
 
 
+# Each oracle is a predicate on a finite type that composes like the
+# contexts it abstracts: (morphism, its composition, predicate).  The
+# entries look the functions up when called, so they use the module's
+# current bindings.
 _ORACLES = {
-    "reach": oracle_inner_reach,
-    "two-disjoint-paths": oracle_two_disjoint_paths,
+    "reach": lambda: (beta, beta_compose, _reach_holds),
+    "two-disjoint-paths": lambda: (linkage_type, linkage_compose, _two_paths_hold),
 }
 
 
@@ -686,8 +697,15 @@ def certify_non_star_free(
     y: Context | None = None,
     max_power: int = 8,
 ) -> Certificate | None:
-    """Pump x . w^m . y for m = 1..max_power and look for persistent
-    alternation of the oracle.
+    """Evaluate the oracle on x . w^m . y for m = 1..max_power and look
+    for persistent alternation.
+
+    The powers are pumped on types, never on contexts: with tau the
+    oracle's morphism, t_1 = tau(x) . tau(w), t_(m+1) = t_m . tau(w),
+    and the value at power m is the predicate on t_m . tau(y).  The
+    types are finitely many, so the sequence cycles from its first
+    repeated t_m; composing stops there, and the cost is the index plus
+    the period whatever ``max_power`` is.
 
     Requires beta(w) idempotent, so the interface abstraction of every
     power is the same and any alternation is invisible to reachability
@@ -703,7 +721,6 @@ def certify_non_star_free(
         raise MonoidError(
             f"max_power must be at least 5, got {max_power}"
         )
-    fn = _ORACLES[oracle]
     rt = beta(w)
     if beta_compose(rt, rt) != rt:
         raise MonoidError("the pumped context must have idempotent reachability type")
@@ -711,12 +728,22 @@ def certify_non_star_free(
         raise MonoidError("left dressing has wrong arity")
     if y is not None and y.arity != w.arity:
         raise MonoidError("right dressing has wrong arity")
-    values = []
-    current = w if x is None else compose(x, w)
-    for power in range(1, max_power + 1):
-        full = current if y is None else compose(current, y)
-        values.append(fn(full))
-        current = compose(current, w)
+    tau, mul, holds = _ORACLES[oracle]()
+    step = tau(w)
+    first = step if x is None else mul(tau(x), step)
+    types, index = [first], {first: 0}
+    repeat = None  # position in `types` of the first type met twice
+    while repeat is None and len(types) < max_power:
+        t = mul(types[-1], step)
+        repeat = index.get(t)
+        if repeat is None:
+            index[t] = len(types)
+            types.append(t)
+    last = None if y is None else tau(y)
+    values = [holds(t if last is None else mul(t, last)) for t in types]
+    if repeat is not None:
+        period = len(types) - repeat
+        values += [values[repeat + i % period] for i in range(max_power - len(types))]
     threshold = None
     for m0 in range(1, max_power + 1):
         tail = values[m0 - 1 :]

@@ -53,8 +53,8 @@ from .logic import (
     Or as FOr,
     Sep,
     _nesting_guard,
+    _free_vars,
     _Scanner,
-    free_vars,
 )
 
 __all__ = [
@@ -158,18 +158,23 @@ def no_graphs(arity: int) -> Expr:
     return finite(arity)
 
 
-@lru_cache(maxsize=None)
+@_nesting_guard(ExprError, "expression")
 def expr_arity(e: Expr) -> int:
     """The common arity of all graphs the expression can denote.
 
     Raises ExprError when sub-expressions disagree, which is the only
     way an expression can be ill-formed.
     """
+    return _expr_arity(e)
+
+
+@lru_cache(maxsize=None)
+def _expr_arity(e: Expr) -> int:
     match e:
         case Finite(arity, _):
             return arity
         case Not(sub) | Forget(sub) | Add(sub) | Permute(_, sub):
-            k = expr_arity(sub)
+            k = _expr_arity(sub)
             if isinstance(e, Forget):
                 if k == 0:
                     raise ExprError("forget applied at arity 0")
@@ -184,7 +189,7 @@ def expr_arity(e: Expr) -> int:
                 return k
             return k
         case And(a, b) | Or(a, b) | Fuse(a, b):
-            ka, kb = expr_arity(a), expr_arity(b)
+            ka, kb = _expr_arity(a), _expr_arity(b)
             if ka != kb:
                 raise ExprError(
                     f"operands of {type(e).__name__} have arities {ka} and {kb}"
@@ -283,7 +288,7 @@ def member(g: PortGraph, e: Expr) -> bool:
     """Decide whether g belongs to the language of e."""
     if g.labels:
         raise ExprError("star-free expressions range over unlabelled graphs")
-    k = expr_arity(e)
+    k = _expr_arity(e)
     if g.arity != k:
         raise ExprError(f"graph has arity {g.arity}, expression has arity {k}")
     return _member(g, e)
@@ -349,7 +354,7 @@ class _ExprParser(_Scanner):
 
     def top(self) -> Expr:
         e = self.expr()
-        expr_arity(e)  # validate
+        _expr_arity(e)  # validate
         return e
 
     def expr(self) -> Expr:
@@ -414,9 +419,13 @@ def parse_expr(text: str) -> Expr:
     return _ExprParser(text).parse()
 
 
+@_nesting_guard(ExprError, "expression")
 def render_expr(e: Expr) -> str:
     """Concrete syntax; parse(render(e)) denotes the same language."""
+    return _render_expr(e)
 
+
+def _render_expr(e: Expr) -> str:
     def level(x: Expr) -> int:
         if isinstance(x, Or):
             return 0
@@ -427,7 +436,7 @@ def render_expr(e: Expr) -> str:
         return 3
 
     def wrap(x: Expr, need: int) -> str:
-        s = render_expr(x)
+        s = _render_expr(x)
         return f"({s})" if level(x) < need else s
 
     match e:
@@ -446,11 +455,11 @@ def render_expr(e: Expr) -> str:
         case Fuse(a, b):
             return f"{wrap(a, 2)} (+) {wrap(b, 3)}"
         case Forget(sub):
-            return f"forget({render_expr(sub)})"
+            return f"forget({_render_expr(sub)})"
         case Add(sub):
-            return f"add({render_expr(sub)})"
+            return f"add({_render_expr(sub)})"
         case Permute(perm, sub):
-            return f"perm[{','.join(map(str, perm))}]({render_expr(sub)})"
+            return f"perm[{','.join(map(str, perm))}]({_render_expr(sub)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -635,7 +644,7 @@ def compile_formula(f: Formula, arity: int) -> Expr:
     if arity < 0:
         raise ExprError("arity must be nonnegative")
     allowed = {f"x{i}" for i in range(1, arity + 1)}
-    stray = free_vars(f) - allowed
+    stray = _free_vars(f) - allowed
     if stray:
         raise ExprError(
             f"free variables {sorted(stray)} not of the form x1..x{arity}"

@@ -170,3 +170,93 @@ def brute_generators(k: int):
                         seen[cert] = canonical_rename_context(w)
     ordered = sorted(seen.values(), key=lambda w: (len(w.vertices), context_cert(w)))
     return GeneratorAlphabet(k, tuple(ordered))
+
+
+def brute_two_disjoint_paths(ctx) -> bool:
+    """Two vertex-disjoint paths, left 1 to right 1 and left 2 to
+    right 2, by backtracking over the first path and a search for the
+    second around it.  Exponential in the worst case; ports 1 and 2
+    must be defined on both sides."""
+    s1, s2 = ctx.left[0], ctx.left[1]
+    t1, t2 = ctx.right[0], ctx.right[1]
+    if len({s1, s2}) < 2 or len({t1, t2}) < 2:
+        return False
+    if s2 in (s1, t1) or t2 in (s1, t1):
+        return False
+
+    adj = {v: sorted(ctx.neighbors(v)) for v in ctx.vertices}
+
+    def connected_avoiding(a, b, blocked):
+        stack = [a]
+        seen = {a}
+        while stack:
+            v = stack.pop()
+            if v == b:
+                return True
+            for w in adj[v]:
+                if w not in blocked and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    on_path = {s1}
+
+    def search(v):
+        if v == t1:
+            return connected_avoiding(s2, t2, on_path)
+        for w in adj[v]:
+            if w in on_path or w in (s2, t2):
+                continue
+            on_path.add(w)
+            if search(w):
+                return True
+            on_path.discard(w)
+        return False
+
+    return search(s1)
+
+
+def brute_linkage_patterns(w):
+    """The patterns of ``w``'s linkage type by listing every inner path
+    (a simple path between two port vertices through non-port vertices
+    only) and every set of them with disjoint interiors that forms a
+    linear forest on the port vertices."""
+    from sepstar.contexts import _norm_pair
+
+    ports = w.port_vertices()
+    paths = []  # (p, q, interior) with p < q
+    for p in sorted(ports):
+        stack = [(p, (p,))]
+        while stack:
+            v, walk = stack.pop()
+            for u in sorted(w.neighbors(v)):
+                if u in walk:
+                    continue
+                if u in ports:
+                    if p < u:
+                        paths.append((p, u, frozenset(walk[1:])))
+                else:
+                    stack.append((u, walk + (u,)))
+    ref = {v: ("R", j) for j, v in w.right_map().items()}
+    ref.update({v: ("L", i) for i, v in w.left_map().items()})
+    found = set()
+
+    def extend(start, used, chosen):
+        found.add(frozenset(_norm_pair(ref[p], ref[q]) for p, q in chosen))
+        for i in range(start, len(paths)):
+            p, q, interior = paths[i]
+            trial = chosen + [(p, q)]
+            if interior & used or not _is_linear_forest(trial):
+                continue
+            extend(i + 1, used | interior, trial)
+
+    extend(0, frozenset(), [])
+    return frozenset(found)
+
+
+def _is_linear_forest(edges) -> bool:
+    """No vertex of degree 3 and no cycle (parallel edges count)."""
+    import networkx as nx
+
+    g = nx.MultiGraph(edges)
+    return max(d for _, d in g.degree) <= 2 and nx.is_forest(g)

@@ -174,6 +174,13 @@ def test_deep_nesting_exits_2(tmp_path, capsys, command, innermost):
     assert code == 2 and "nested too deeply" in err
 
 
+def test_long_chain_exits_2_without_a_recursion_catch(capsys):
+    # the parser folds a chain in a loop; the tree it builds is 3000 deep
+    chain = " | ".join(["x1=x1"] * 3000)
+    code, _, err = run(capsys, ["compile", chain, "--arity", "1"])
+    assert code == 2 and "nested too deeply" in err
+
+
 def test_compile_output_feeds_eval_expr(tmp_path, capsys):
     code, out, _ = run(capsys, ["compile", "E(x1,x2)", "--arity", "2"])
     assert code == 0

@@ -26,11 +26,13 @@ from sepstar.contexts import (
     identity_context,
     inner_components,
     isomorphic_contexts,
+    linkage_compose,
+    linkage_type,
     persistent_ports,
     reaches,
 )
 
-from helpers import random_context
+from helpers import brute_linkage_patterns, random_context
 
 
 def _ctx(vertices, edges, arity, left, right):
@@ -234,6 +236,58 @@ def test_hub_reach_type_is_idempotent():
     for p in [("L", 1), ("L", 2), ("R", 1), ("R", 2)]:
         for q in [("L", 1), ("L", 2), ("R", 1), ("R", 2)]:
             assert reaches(rt, p, q)
+
+
+# --- linkage types ---------------------------------------------------------
+
+
+def test_linkage_type_of_fixtures():
+    wires = linkage_type(crossing_context())
+    straight, swapped = (("L", 1), ("R", 2)), (("L", 2), ("R", 1))
+    assert wires.patterns == {
+        frozenset(),
+        frozenset({straight}),
+        frozenset({swapped}),
+        frozenset({straight, swapped}),
+    }
+    hub = linkage_type(hub_context())
+    assert len(hub.patterns) == 20
+    # the hub is used at most once, so L1-R1 and L2-R2 never go together
+    assert frozenset({(("L", 1), ("R", 1)), (("L", 2), ("R", 2))}) not in hub.patterns
+    # a persistent vertex is named by its left reference
+    ident = linkage_type(identity_context(2))
+    assert ident.persistent == {1, 2} and ident.patterns == {frozenset()}
+
+
+def test_linkage_type_against_brute_enumeration():
+    rng = random.Random(23)
+    for _ in range(300):
+        w = random_context(rng, rng.randint(1, 3), 7)
+        assert linkage_type(w).patterns == brute_linkage_patterns(w)
+
+
+@pytest.mark.parametrize("k, pairs", [(1, 100), (2, 300), (3, 100)])
+def test_linkage_compose_is_a_homomorphism(k, pairs):
+    rng = random.Random(31337 + k)
+    ids = enumerate_generators(k).ids
+    for _ in range(pairs):
+        u = build_from_word(k, [rng.choice(ids) for _ in range(rng.randint(1, 3))])
+        v = build_from_word(k, [rng.choice(ids) for _ in range(rng.randint(1, 3))])
+        assert linkage_type(compose(u, v)) == linkage_compose(
+            linkage_type(u), linkage_type(v)
+        )
+
+
+def test_linkage_compose_on_random_contexts():
+    rng = random.Random(19)
+    for _ in range(250):
+        k = rng.randint(1, 3)
+        u, v = random_context(rng, k, 5), random_context(rng, k, 5)
+        assert linkage_type(compose(u, v)) == linkage_compose(
+            linkage_type(u), linkage_type(v)
+        )
+    with pytest.raises(ContextError):
+        linkage_compose(linkage_type(hub_context()), linkage_type(identity_context(1)))
 
 
 # --- generators ------------------------------------------------------------

@@ -2,14 +2,18 @@
 aperiodicity decision, and semantic certification."""
 
 import json
+import random
+import re
 
 import pytest
 
+import sepstar.contexts as contexts
 import sepstar.monoids as monoids
 from sepstar.contexts import (
     Context,
     beta,
     beta_compose,
+    build_from_word,
     compose,
     compose_all,
     context_cert,
@@ -48,6 +52,8 @@ from sepstar.monoids import (
     transition_monoid,
     validate_monoid,
 )
+
+from helpers import brute_two_disjoint_paths
 
 Z2 = FiniteMonoid.build([[0, 1], [1, 0]], 0)
 # two-element semilattice: 1 absorbs
@@ -469,6 +475,76 @@ def test_certify_hub_alternates():
     assert cert.values == (False, True, False, True, False, True, False, True)
 
 
+def test_linkage_oracle_matches_backtracking_on_hub_powers():
+    hub = hub_context()
+    power = hub
+    for m in range(1, 9):
+        assert oracle_two_disjoint_paths(power) == brute_two_disjoint_paths(power) == (
+            m % 2 == 0
+        )
+        power = compose(power, hub)
+
+
+DRESSINGS = [None, identity_context(2), crossing_context()]
+
+
+@pytest.mark.parametrize("x", DRESSINGS, ids=["none", "identity", "crossing"])
+@pytest.mark.parametrize("y", DRESSINGS, ids=["none", "identity", "crossing"])
+def test_linkage_oracle_matches_backtracking_on_dressed_hub(x, y):
+    expected = []
+    for m in range(1, 7):
+        parts = [x] * (x is not None) + [hub_context()] * m + [y] * (y is not None)
+        full = compose_all(parts)
+        expected.append(brute_two_disjoint_paths(full))
+        assert oracle_two_disjoint_paths(full) == expected[-1]
+    cert = certify_non_star_free(hub_context(), "two-disjoint-paths", x, y, max_power=6)
+    assert cert is not None and cert.values == tuple(expected)
+
+
+@pytest.mark.parametrize("k, count", [(2, 300), (3, 100)])
+def test_linkage_oracle_matches_backtracking_on_words(k, count):
+    rng = random.Random(4242 + k)
+    ids = enumerate_generators(k).ids
+    checked = 0
+    while checked < count:
+        u = build_from_word(k, [rng.choice(ids) for _ in range(rng.randint(1, 3))])
+        v = build_from_word(k, [rng.choice(ids) for _ in range(rng.randint(1, 3))])
+        w = compose(u, v)
+        if None in w.left[:2] + w.right[:2]:
+            continue
+        assert oracle_two_disjoint_paths(w) == brute_two_disjoint_paths(w)
+        checked += 1
+
+
+def test_certify_work_is_independent_of_max_power(monkeypatch):
+    calls = []
+
+    def counted(t1, t2):
+        calls.append(1)
+        return contexts.linkage_compose(t1, t2)
+
+    monkeypatch.setattr(monoids, "linkage_compose", counted)
+    counts = []
+    for power in (5, 8, 40, 200):
+        calls.clear()
+        cert = certify_non_star_free(hub_context(), "two-disjoint-paths", max_power=power)
+        assert cert.values == tuple(m % 2 == 0 for m in range(1, power + 1))
+        counts.append(len(calls))
+    assert counts[0] > 0 and len(set(counts)) == 1
+
+
+def test_certify_composes_no_context(monkeypatch):
+    def refuse(u, v):
+        raise AssertionError("certify composed a concrete context")
+
+    monkeypatch.setattr(contexts, "compose", refuse)
+    monkeypatch.setattr(monoids, "compose", refuse)
+    for x, y in ((None, None), (identity_context(2), crossing_context())):
+        cert = certify_non_star_free(hub_context(), "two-disjoint-paths", x, y, max_power=8)
+        assert cert is not None and cert.threshold <= 2
+        assert all(a != b for a, b in zip(cert.values[1:], cert.values[2:]))
+
+
 def test_certify_rejects_non_idempotent_type():
     with pytest.raises(MonoidError):
         certify_non_star_free(crossing_context(), "two-disjoint-paths")
@@ -527,3 +603,30 @@ def test_recognizer_json_round_trip():
 def test_validate_monoid_accepts_zoo():
     for m in monoid_zoo():
         validate_monoid(m)
+
+
+def _square_of_z20():
+    """Z20 x Z20, element 20a + b for the pair (a, b)."""
+    return [
+        [20 * ((x // 20 + y // 20) % 20) + (x + y) % 20 for y in range(400)]
+        for x in range(400)
+    ]
+
+
+def test_validate_monoid_loads_a_400_element_table():
+    m = monoid_from_json({"table": _square_of_z20(), "identity": 0})
+    assert m.size == 400
+    # Light's test checks (x*g)*y = x*(g*y) for the generators only
+    assert monoids._generators(m) == [1, 20]
+
+
+def test_validate_monoid_names_a_failing_triple():
+    rng = random.Random(5)
+    for _ in range(5):
+        table = _square_of_z20()
+        a, b = rng.randrange(1, 400), rng.randrange(1, 400)
+        table[a][b] = (table[a][b] + rng.randrange(1, 400)) % 400
+        with pytest.raises(MonoidError, match="associativity fails") as err:
+            FiniteMonoid.build(table, 0)
+        x, g, y = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(err.value)).groups())
+        assert table[table[x][g]][y] != table[x][table[g][y]]

@@ -12,8 +12,11 @@ from sepstar.logic import (
     Exists,
     FormulaError,
     eval_formula,
+    free_vars,
     language_member,
     parse_formula,
+    quantifier_rank,
+    render_formula,
     sentence_holds,
 )
 from sepstar.logic import Not as FNot
@@ -344,7 +347,13 @@ DOT = PortGraph.build(["a"])
     (lambda: language_member(DOT, DEEP_FORMULA), FormulaError),
     (lambda: compile_formula(DEEP_FORMULA, 0), ExprError),
     (lambda: member(DOT, DEEP_EXPR), ExprError),
-], ids=["eval_formula", "sentence_holds", "language_member", "compile_formula", "member"])
+    (lambda: render_formula(DEEP_FORMULA), FormulaError),
+    (lambda: free_vars(DEEP_FORMULA), FormulaError),
+    (lambda: quantifier_rank(DEEP_FORMULA), FormulaError),
+    (lambda: render_expr(DEEP_EXPR), ExprError),
+    (lambda: expr_arity(DEEP_EXPR), ExprError),
+], ids=["eval_formula", "sentence_holds", "language_member", "compile_formula", "member",
+        "render_formula", "free_vars", "quantifier_rank", "render_expr", "expr_arity"])
 def test_deep_trees_raise_the_library_error(call, error):
     # trees built in code never meet the parser's guard
     with pytest.raises(error, match="nested too deeply"):
