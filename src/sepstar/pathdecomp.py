@@ -135,6 +135,17 @@ def validate_decomposition(bags, vertices, edges, first=frozenset(), last=frozen
 # possible, since right ports stay alive to the end anyway and pulling
 # them in early only lengthens the stretches where both interfaces are
 # pinned alive together.
+#
+# A vertex of S is active when it is a right port or lies in the
+# neighbourhood of the free vertices outside S, so active(S) costs two
+# lookups: one table holds the neighbourhood of every subset of the
+# low half of the free vertices, one that of the high half (2^(f/2)
+# entries each, where one table over all subsets would hold 2^f).
+# `_active_mask` computes the same set from its definition, once per
+# step when bags are rebuilt.  Nothing else is stored per subset: a
+# walk back from the full set recovers each step from `cost` as the
+# lowest-index vertex whose removal leaves the least cost, the vertex
+# the min above picks.
 
 
 def _active_mask(smask, adj, rmask):
@@ -150,6 +161,15 @@ def _active_mask(smask, adj, rmask):
     return out
 
 
+def _neighbourhoods(rows):
+    """nb[c] = the union of rows[i] over the bits i of c."""
+    nb = [0] * (1 << len(rows))
+    for c in range(1, len(nb)):
+        low = c & -c
+        nb[c] = nb[c ^ low] | rows[low.bit_length() - 1]
+    return nb
+
+
 class _Table(NamedTuple):
     verts: list[str]  # free vertices (right ports first), then left ports
     index: dict[str, int]
@@ -159,7 +179,15 @@ class _Table(NamedTuple):
     free: list[str]  # the vertices outside `first`, verts[:len(free)]
     limit: int  # smallest largest bag over all orders: the width plus one
     cost: list[int]  # per free-subset: cost[m] of the comment above
-    parent: list[int]  # per free-subset: the vertex introduced last
+    lo: list[int]  # neighbourhood of each subset of the low free half
+    hi: list[int]  # neighbourhood of each subset of the high free half
+
+    def active(self, m):
+        """active(m) of the comment above, as a vertex mask."""
+        h = len(self.free) // 2
+        out = (len(self.cost) - 1) ^ m
+        nb = self.lo[out & ((1 << h) - 1)] | self.hi[out >> h]
+        return (m | self.lmask) & (self.rmask | nb)
 
 
 def _pathwidth_table(vertices, edges, first, last) -> _Table:
@@ -178,34 +206,59 @@ def _pathwidth_table(vertices, edges, first, last) -> _Table:
     free = verts[: len(verts) - len(first)]
     if len(free) > _EXACT_LIMIT:
         raise OutOfScopeError(
-            f"exact search handles at most {_EXACT_LIMIT} non-port vertices"
+            f"exact search handles at most {_EXACT_LIMIT} vertices outside "
+            f"the left interface, got {len(free)}"
         )
 
-    size = 1 << len(free)
-    cost = [0] * size
-    parent = [-1] * size
+    f = len(free)
+    h = f // 2
+    lo = _neighbourhoods(adj[:h])
+    hi = _neighbourhoods(adj[h:f])
+    low_half = (1 << h) - 1
+    full = (1 << f) - 1
+    above = len(verts) + 2  # exceeds every cost
+    cost = [0] * (full + 1)
     g = len(first)  # of the empty prefix
-    for m in range(size):
+    for m in range(full + 1):
         if m:
-            g = None
-            for t in range(len(free)):
-                if m >> t & 1 and (g is None or cost[m ^ 1 << t] < g):
-                    g = cost[m ^ 1 << t]
-                    parent[m] = t
-        cost[m] = max(g, _active_mask(m | lmask, adj, rmask).bit_count() + 1)
+            g = above
+            bits = m
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                if cost[m ^ low] < g:
+                    g = cost[m ^ low]
+        out = full ^ m  # what follows inlines _Table.active(m)
+        active = (m | lmask) & (rmask | lo[out & low_half] | hi[out >> h])
+        bag = active.bit_count() + 1
+        cost[m] = g if g > bag else bag
     # g is now that of the full set
-    return _Table(verts, index, adj, lmask, rmask, free, g, cost, parent)
+    return _Table(verts, index, adj, lmask, rmask, free, g, cost, lo, hi)
 
 
-def _decomposition(table, parent, vertices, edges, first, last):
-    """Walk `parent` back from the full subset to an introduction order
-    and turn it into bags, checked against the table's width."""
-    verts, _, adj, lmask, rmask, _, limit, cost, _ = table
+def _best_removal(key, m):
+    """The lowest bit of m whose removal leaves the least key."""
+    best = m & -m
+    bits = m ^ best
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        if key[m ^ low] < key[m ^ best]:
+            best = low
+    return best
+
+
+def _decomposition(table, key, vertices, edges, first, last):
+    """Walk back from the full subset by `_best_removal` on the
+    per-subset `key` to an introduction order and turn it into bags,
+    checked against the table's width."""
+    verts, _, adj, lmask, rmask, _, limit = table[:7]
     order = []
-    m = len(cost) - 1
+    m = len(key) - 1
     while m:
-        order.append(parent[m])
-        m ^= 1 << parent[m]
+        low = _best_removal(key, m)
+        order.append(low.bit_length() - 1)
+        m ^= low
     bags = [frozenset(first)]
     smask = lmask
     for i in reversed(order):
@@ -228,7 +281,7 @@ def pathwidth(vertices, edges, first=frozenset(), last=frozenset()) -> int:
 def optimal_decomposition(vertices, edges, first=frozenset(), last=frozenset()):
     """A decomposition of minimum width, validated before returning."""
     table = _pathwidth_table(vertices, edges, first, last)
-    return _decomposition(table, table.parent, vertices, edges, first, last)
+    return _decomposition(table, table.cost, vertices, edges, first, last)
 
 
 def _interfaces(w: Context):
@@ -259,7 +312,7 @@ def _low_overlap_decomposition(w: Context, table):
     ``table`` is the context's own `_pathwidth_table`."""
     left_map = w.left_map()
     right_map = w.right_map()
-    _, index, adj, lmask, rmask, free, limit, cost, _ = table
+    index, cost, limit = table.index, table.cost, table.limit
     pair_masks = [
         (1 << index[left_map[p]], 1 << index[right_map[p]])
         for p in left_map
@@ -267,23 +320,19 @@ def _low_overlap_decomposition(w: Context, table):
     ]
 
     def step(m):
-        a = _active_mask(m | lmask, adj, rmask)
+        a = table.active(m)
         return sum(1 for mu, mv in pair_masks if a & mu and a & mv)
 
     # a prefix lies on an order of width at most limit exactly when its
-    # cost is at most limit; h[m] sums the overlaps along the best one
-    h = [step(0)] + [0] * (len(cost) - 1)
-    parent = [-1] * len(cost)
+    # cost is at most limit; h[m] sums the overlaps along the best such
+    # order, and is `above` on prefixes that lie on none
+    above = (len(table.free) + 1) * len(pair_masks) + 1
+    h = [above] * len(cost)
+    h[0] = step(0)
     for m in range(1, len(cost)):
-        for t in range(len(free)):
-            prev = m ^ 1 << t
-            if m >> t & 1 and cost[prev] <= limit:
-                if parent[m] < 0 or h[prev] < h[m]:
-                    h[m] = h[prev]
-                    parent[m] = t
-        if parent[m] >= 0:
-            h[m] += step(m)
-    return _decomposition(table, parent, w.vertices, w.edges, *_interfaces(w))
+        if cost[m] <= limit:
+            h[m] = h[m ^ _best_removal(h, m)] + step(m)
+    return _decomposition(table, h, w.vertices, w.edges, *_interfaces(w))
 
 
 def _brute_pathwidth(vertices, edges, first=frozenset(), last=frozenset()) -> int:
@@ -761,14 +810,14 @@ def two_bridge_decompose(w: Context):
     # decomposition; only one table is alive at a time
     low = _low_overlap_decomposition(w, table)
     optimal = _decomposition(
-        table, table.parent, w.vertices, w.edges, left_set, right_set
+        table, table.cost, w.vertices, w.edges, left_set, right_set
     )
     del table
     mirror = Context.build(w.vertices, w.edges, k, w.right_map(), w.left_map())
     table = _pathwidth_table(w.vertices, w.edges, right_set, left_set)
     mirror_low = _low_overlap_decomposition(mirror, table)
     mirror_optimal = _decomposition(
-        table, table.parent, w.vertices, w.edges, right_set, left_set
+        table, table.cost, w.vertices, w.edges, right_set, left_set
     )
     decomps = [low, mirror_low[::-1], optimal, mirror_optimal[::-1]]
 

@@ -260,3 +260,92 @@ def _is_linear_forest(edges) -> bool:
 
     g = nx.MultiGraph(edges)
     return max(d for _, d in g.degree) <= 2 and nx.is_forest(g)
+
+
+def reference_pathwidth_table(vertices, edges, first, last):
+    """The exact-pathwidth subset DP in its plain form: every subset's
+    active set from `_active_mask`, the min over all free vertices, and
+    the vertex introduced last stored per subset in ``parent``.
+
+    Returns ``(verts, index, adj, lmask, rmask, free, limit, cost,
+    parent)`` with the library table's vertex numbering, so that costs
+    and decompositions compare entry for entry."""
+    from sepstar.pathdecomp import _active_mask
+
+    first = frozenset(first)
+    last = frozenset(last)
+    verts = sorted(vertices, key=lambda v: (v in first, v not in last, v))
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
+    for u, v in edges:
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    lmask = sum(1 << index[v] for v in first)
+    rmask = sum(1 << index[v] for v in last)
+    free = verts[: len(verts) - len(first)]
+    size = 1 << len(free)
+    cost = [0] * size
+    parent = [-1] * size
+    g = len(first)
+    for m in range(size):
+        if m:
+            g = None
+            for t in range(len(free)):
+                if m >> t & 1 and (g is None or cost[m ^ 1 << t] < g):
+                    g = cost[m ^ 1 << t]
+                    parent[m] = t
+        cost[m] = max(g, _active_mask(m | lmask, adj, rmask).bit_count() + 1)
+    return verts, index, adj, lmask, rmask, free, g, cost, parent
+
+
+def reference_low_overlap_parent(w, table):
+    """Per free subset, the last vertex of the optimal order that keeps
+    each left port co-alive with the different right port of its slot
+    for the fewest steps, lowest index first on ties; ``table`` is the
+    context's `reference_pathwidth_table`."""
+    from sepstar.pathdecomp import _active_mask
+
+    _, index, adj, lmask, rmask, free, limit, cost, _ = table
+    left_map, right_map = w.left_map(), w.right_map()
+    pair_masks = [
+        (1 << index[left_map[p]], 1 << index[right_map[p]])
+        for p in left_map
+        if p in right_map and left_map[p] != right_map[p]
+    ]
+
+    def step(m):
+        a = _active_mask(m | lmask, adj, rmask)
+        return sum(1 for mu, mv in pair_masks if a & mu and a & mv)
+
+    h = [step(0)] + [0] * (len(cost) - 1)
+    parent = [-1] * len(cost)
+    for m in range(1, len(cost)):
+        for t in range(len(free)):
+            prev = m ^ 1 << t
+            if m >> t & 1 and cost[prev] <= limit:
+                if parent[m] < 0 or h[prev] < h[m]:
+                    h[m] = h[prev]
+                    parent[m] = t
+        if parent[m] >= 0:
+            h[m] += step(m)
+    return parent
+
+
+def reference_decomposition(table, parent, first):
+    """The bags of the introduction order that ``parent`` walks back
+    from the full subset, normalised."""
+    from sepstar.pathdecomp import _active_mask, normalize
+
+    verts, _, adj, lmask, rmask, _, _, cost, _ = table
+    order = []
+    m = len(cost) - 1
+    while m:
+        order.append(parent[m])
+        m ^= 1 << parent[m]
+    bags = [frozenset(first)]
+    smask = lmask
+    for i in reversed(order):
+        members = _active_mask(smask, adj, rmask) | 1 << i
+        bags.append(frozenset(v for j, v in enumerate(verts) if members >> j & 1))
+        smask |= 1 << i
+    return normalize(bags)

@@ -241,6 +241,21 @@ def test_pathwidth_reads_contexts_without_interfaces(tmp_path, capsys):
     assert run(capsys, ["pathwidth", context]) == expected
 
 
+def test_pathwidth_beyond_the_exact_limit_is_bad_input(tmp_path, capsys):
+    # 17 path vertices and 2 right-only ports: 19 vertices to order
+    names = [f"p{i:02}" for i in range(17)] + ["r1", "r2"]
+    data = {
+        "vertices": names,
+        "edges": [list(e) for e in zip(names, names[1:])],
+        "arity": 2,
+        "right": {"1": "r1", "2": "r2"},
+    }
+    path = graph_file(tmp_path, "long.json", data)
+    code, out, err = run(capsys, ["pathwidth", path])
+    assert (code, out) == (2, "")
+    assert "at most 18 vertices outside the left interface, got 19" in err
+
+
 def test_pathwidth_builds_one_table(tmp_path, capsys, monkeypatch):
     from sepstar import pathdecomp
 

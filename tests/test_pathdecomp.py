@@ -20,6 +20,7 @@ from sepstar.contexts import (
 from sepstar.graphs import PortGraph
 from sepstar.pathdecomp import (
     DecompositionError,
+    OutOfScopeError,
     _brute_pathwidth,
     blocks_of,
     context_decomposition,
@@ -44,6 +45,9 @@ from helpers import (
     graph_pool,
     path_graph,
     random_context,
+    reference_decomposition,
+    reference_low_overlap_parent,
+    reference_pathwidth_table,
     star_graph,
 )
 
@@ -169,7 +173,7 @@ def test_context_pathwidth_matches_brute():
         assert width(bags) == got
 
 
-def test_subset_dp_computes_each_active_set_once(monkeypatch):
+def test_subset_dp_costs_one_lookup_per_subset(monkeypatch):
     from sepstar import pathdecomp
 
     calls = []
@@ -183,9 +187,73 @@ def test_subset_dp_computes_each_active_set_once(monkeypatch):
     rng = random.Random(417)
     verts = [f"v{i}" for i in range(10)]
     edges = [p for p in combinations(verts, 2) if rng.random() < 0.3]
-    table = pathdecomp._pathwidth_table(verts, edges, {"v0", "v1"}, {"v2"})
-    assert len(table.free) == 8
-    assert len(calls) == len(set(calls)) == 1 << 8
+    first, last = {"v0", "v1"}, {"v2"}
+    table = pathdecomp._pathwidth_table(verts, edges, first, last)
+    assert len(table.free) == 8 and calls == []
+    pathdecomp._decomposition(table, table.cost, verts, edges, first, last)
+    assert len(calls) <= len(table.free) + 1
+    for m in range(1 << 8):
+        assert table.active(m) == active(m | table.lmask, table.adj, table.rmask)
+
+
+def _graph_as_context(rng, verts, edges, first, last):
+    """The graph as a context with interfaces `first` and `last`.  A
+    vertex on both sides keeps one slot; the other right ports take
+    random free slots, often one a different left port holds."""
+    left = {i + 1: v for i, v in enumerate(verts) if v in first}
+    right = {i + 1: v for i, v in enumerate(verts) if v in first and v in last}
+    slots = [s for s in range(1, len(verts) + 1) if s not in right]
+    rng.shuffle(slots)
+    for v in sorted(set(last) - set(first)):
+        right[slots.pop()] = v
+    return Context.build(verts, edges, len(verts), left, right)
+
+
+def test_subset_dp_matches_the_reference_table():
+    from sepstar import pathdecomp
+
+    def check(verts, edges, first, last):
+        ref = reference_pathwidth_table(verts, edges, first, last)
+        *_, limit, cost, parent = ref
+        table = pathdecomp._pathwidth_table(verts, edges, first, last)
+        assert (table.limit, table.cost) == (limit, cost)
+        bags = optimal_decomposition(verts, edges, first, last)
+        assert bags == reference_decomposition(ref, parent, first)
+        return ref, table, bags
+
+    _, _, bags = check([], [], set(), set())
+    assert bags == [frozenset()] and pathwidth([], []) == -1
+    rng = random.Random(418)
+    for case in range(300):
+        verts = [f"v{i}" for i in range(rng.randint(1, 11))]
+        density = rng.random()
+        edges = [p for p in combinations(verts, 2) if rng.random() < density]
+        first = {v for v in verts if rng.random() < 0.3}
+        last = {v for v in verts if rng.random() < 0.3}
+        if case % 4 == 1:  # overlapping interfaces
+            shared = rng.choice(verts)
+            first.add(shared)
+            last.add(shared)
+        elif case % 4 == 2:  # empty interfaces
+            first, last = set(), set()
+        elif case % 4 == 3:  # no free vertices
+            first = set(verts)
+        ref, table, bags = check(verts, edges, first, last)
+        w = _graph_as_context(rng, verts, edges, first, last)
+        assert context_decomposition(w) == bags
+        low = reference_decomposition(ref, reference_low_overlap_parent(w, ref), first)
+        assert pathdecomp._low_overlap_decomposition(w, table) == low
+
+
+def test_exact_search_limit_counts_vertices_outside_the_left_interface():
+    # 17 path vertices and 2 right-only ports: 19 vertices to order
+    verts = [f"p{i:02}" for i in range(17)] + ["r1", "r2"]
+    edges = list(zip(verts, verts[1:]))
+    with pytest.raises(OutOfScopeError) as err:
+        pathwidth(verts, edges, last={"r1", "r2"})
+    assert str(err.value) == (
+        "exact search handles at most 18 vertices outside the left interface, got 19"
+    )
 
 
 def test_context_pathwidth_anchors():
