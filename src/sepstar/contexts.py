@@ -17,11 +17,12 @@ vertices whose edges are inner paths with disjoint interiors.  It
 composes the same way, by gluing.
 
 A context is a vertex/edge core plus two interface tuples, so it runs
-on the graph core of `sepstar.graphs`: the same validation, adjacency
-cache, disjoint-set helper, canonical ordering engine, certificate
-encoding and decoding, and JSON file reader.  Only the interface
-handling and the colour keys that encode it live here; a context's
-canonical rename is read back from its certificate.
+on the graph core of `sepstar.graphs`: the same validation, core class
+with its per-object neighbour sets, disjoint-set helper, canonical
+ordering engine, certificate encoding and decoding, and JSON file
+reader.  Only the interface handling and the colour keys that encode
+it live here; a context's canonical rename is read back from its
+certificate.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from itertools import combinations, permutations, product
 
 from .graphs import (
     CONTEXT_SHAPE,
-    _adjacency,
     _certificate,
     _check_core,
     _conform,
+    _Core,
     _decode_certificate,
     _DisjointSet,
     _read_json,
@@ -80,10 +81,14 @@ class ContextError(ValueError):
 # interfaces are arity-long tuples; the bound keeps a few bytes of
 # input from asking for gigabytes
 _MAX_ARITY = 1024
+# the alphabet grows by orders of magnitude with the width: 6,939
+# letters at width 3 and 471,228 at width 4, while width 5 has millions
+# of interface pairs per vertex count before any letter is found
+_MAX_ALPHABET_WIDTH = 4
 
 
 @dataclass(frozen=True)
-class Context:
+class Context(_Core):
     """Immutable context; build instances with :meth:`Context.build`.
 
     ``left`` and ``right`` have one entry per port index (0-based
@@ -91,8 +96,6 @@ class Context:
     undefined index.
     """
 
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str]]
     left: tuple[str | None, ...]
     right: tuple[str | None, ...]
 
@@ -145,9 +148,6 @@ class Context:
 
     def port_vertices(self) -> frozenset[str]:
         return frozenset(v for v in self.left + self.right if v is not None)
-
-    def neighbors(self, v: str) -> frozenset[str]:
-        return _adjacency(self)[v]
 
     def __repr__(self) -> str:
         return (
@@ -296,7 +296,7 @@ def beta(w: Context) -> ReachType:
     for (x, y) in w.edges:
         if x not in ports and y not in ports:
             inner.union(x, y)
-    adj = _adjacency(w)
+    adj = w.adjacency
     # the inner components each port vertex touches
     comp_sets = {
         p: frozenset(inner.find(x) for x in adj[p] if x not in ports) for p in ports
@@ -484,7 +484,7 @@ def linkage_type(w: Context) -> LinkageType:
     frontier, so no path is ever enumerated.
     """
     ports = w.port_vertices()
-    adj = _adjacency(w)
+    adj = w.adjacency
     pending = {v: len(adj[v]) for v in w.vertices}  # neighbours still to come
     frontier: set[str] = set()
     remaining = set(w.vertices)
@@ -694,9 +694,12 @@ def enumerate_generators(k: int) -> GeneratorAlphabet:
     these orbits are the isomorphism classes.  Each representative is
     certified once and replaced by the canonical context its certificate
     describes; letters are ordered by vertex count, then certificate.
+    A width outside 1..4 raises ContextError before anything is built.
     """
-    if not 1 <= k <= _MAX_ARITY:
-        raise ContextError(f"generator alphabets need arity in 1..{_MAX_ARITY}")
+    if not 1 <= k <= _MAX_ALPHABET_WIDTH:
+        raise ContextError(
+            f"generator alphabets need arity in 1..{_MAX_ALPHABET_WIDTH}, got {k}"
+        )
     certs = []
     for n in range(1, k + 2):
         names = [f"v{i}" for i in range(n)]

@@ -15,10 +15,11 @@ fast at the sizes this library works with.
 
 This module is also the graph core that contexts
 (`sepstar.contexts`) and path decompositions (`sepstar.pathdecomp`)
-reuse: vertex/edge validation, the adjacency cache, the disjoint-set
-helper, the canonical ordering engine with its certificate and rename
-helpers, and the JSON file reader all live here and take any object
-with ``vertices``, ``edges`` and ``arity``.
+reuse: vertex/edge validation, the `_Core` base class that holds the
+vertices and edges and computes each object's neighbour sets once, the
+disjoint-set helper, the canonical ordering engine with its
+certificate and rename helpers, and the JSON file reader all live here
+and take any object with ``vertices``, ``edges`` and ``arity``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 __all__ = [
@@ -81,14 +82,24 @@ def _check_core(vertices, edges, error):
     return vs, frozenset(es)
 
 
-@lru_cache(maxsize=None)
-def _adjacency(g) -> dict[str, frozenset[str]]:
-    """Neighbour sets of a port graph or context, cached per object."""
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for (u, v) in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return {v: frozenset(ns) for v, ns in adj.items()}
+@dataclass(frozen=True)
+class _Core:
+    """The vertices and normalised edges a port graph and a context
+    share, with the neighbour sets derived from them once per object."""
+
+    vertices: frozenset[str]
+    edges: frozenset[tuple[str, str]]
+
+    @cached_property
+    def adjacency(self) -> dict[str, frozenset[str]]:
+        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for (u, v) in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return {v: frozenset(ns) for v, ns in adj.items()}
+
+    def neighbors(self, v: str) -> frozenset[str]:
+        return self.adjacency[v]
 
 
 class _DisjointSet:
@@ -201,7 +212,7 @@ def _conform(value, shape, error, where: str) -> None:
 
 
 @dataclass(frozen=True)
-class PortGraph:
+class PortGraph(_Core):
     """Immutable graph with ports.
 
     Do not call the constructor with unnormalised data; use
@@ -210,8 +221,6 @@ class PortGraph:
     the whole object is hashable.
     """
 
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str]]
     ports: tuple[str, ...]
     labels: tuple[tuple[str, str], ...] = ()
 
@@ -253,9 +262,6 @@ class PortGraph:
             return False
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    def neighbors(self, v: str) -> frozenset[str]:
-        return _adjacency(self)[v]
-
     def __repr__(self) -> str:  # keep test failures readable
         return (
             f"PortGraph(n={len(self.vertices)}, m={len(self.edges)}, "
@@ -270,7 +276,7 @@ class PortGraph:
 @lru_cache(maxsize=None)
 def _component_ids(g: PortGraph, removed: frozenset[str]) -> dict[str, int]:
     """Map each vertex outside `removed` to a component id."""
-    adj = _adjacency(g)
+    adj = g.adjacency
     ids: dict[str, int] = {}
     next_id = 0
     for start in sorted(g.vertices):
@@ -572,7 +578,7 @@ def canonical_order(
 
 def _certificate(tag: str, g, keys: dict[str, str]) -> bytes:
     """Certificate of a port graph or context coloured by ``keys``."""
-    _, enc = canonical_order(sorted(g.vertices), _adjacency(g), keys)
+    _, enc = canonical_order(sorted(g.vertices), g.adjacency, keys)
     return f"{tag};{len(g.vertices)};{g.arity};".encode() + enc
 
 
@@ -588,7 +594,7 @@ def _decode_certificate(cert: bytes) -> tuple[int, list[str], list[tuple[int, in
 
 def _canonical_names(g, keys: dict[str, str]) -> dict[str, str]:
     """Rename vertices to v0..v{n-1} in canonical order."""
-    order, _ = canonical_order(sorted(g.vertices), _adjacency(g), keys)
+    order, _ = canonical_order(sorted(g.vertices), g.adjacency, keys)
     return {v: f"v{i}" for i, v in enumerate(order)}
 
 

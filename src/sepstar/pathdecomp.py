@@ -28,7 +28,7 @@ from .contexts import (
     isomorphic_contexts,
     persistent_ports,
 )
-from .graphs import PortGraph, _adjacency, _DisjointSet
+from .graphs import PortGraph, _DisjointSet
 
 __all__ = [
     "DecompositionError",
@@ -369,7 +369,7 @@ def is_caterpillar_forest(g: PortGraph) -> bool:
     forest = _DisjointSet(g.vertices)
     if not all(forest.union(u, v) for u, v in g.edges):
         return False
-    adj = _adjacency(g)
+    adj = g.adjacency
     spine = {v for v in g.vertices if len(adj[v]) >= 2}
     return all(len(adj[v] & spine) <= 2 for v in spine)
 
@@ -806,28 +806,18 @@ def two_bridge_decompose(w: Context):
     ports = w.port_vertices()
     diag: list[str] = []
 
-    # each direction's table yields its low-overlap and its optimal
-    # decomposition; only one table is alive at a time
+    # each direction's table yields the optimal order that keeps the
+    # slot overlaps shortest; only one table is alive at a time
     low = _low_overlap_decomposition(w, table)
-    optimal = _decomposition(
-        table, table.cost, w.vertices, w.edges, left_set, right_set
-    )
     del table
     mirror = Context.build(w.vertices, w.edges, k, w.right_map(), w.left_map())
     table = _pathwidth_table(w.vertices, w.edges, right_set, left_set)
     mirror_low = _low_overlap_decomposition(mirror, table)
-    mirror_optimal = _decomposition(
-        table, table.cost, w.vertices, w.edges, right_set, left_set
-    )
-    decomps = [low, mirror_low[::-1], optimal, mirror_optimal[::-1]]
 
     sequences = []
-    seen = set()
-    for bags in decomps:
+    for bags in (low, mirror_low[::-1]):
         instructions = to_instructions(bags, left_set, right_set)
-        key = tuple(instructions)
-        if key not in seen:
-            seen.add(key)
+        if instructions not in sequences:
             sequences.append(instructions)
 
     for instructions in sequences:

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import product
 
 from .graphs import (
     GraphError,
@@ -36,8 +36,8 @@ from .graphs import (
     fuse as fuse_graphs,
     graph_from_json,
     graph_to_json,
-    nonport_classes,
     permute as permute_graph,
+    prime_factors,
     with_port,
 )
 from .logic import (
@@ -83,53 +83,106 @@ class ExprError(ValueError):
     """Raised for ill-formed expressions and membership queries."""
 
 
+@dataclass(frozen=True)
 class Expr:
-    __slots__ = ()
+    """Base of the expression nodes, which are frozen dataclasses.
+
+    A node derives its ``arity`` from its operands when it is built, so
+    an ill-formed tree raises ExprError at construction and never
+    exists.  ``memo`` maps the certificate of each graph already tested
+    against the node to the verdict.  Equality and hashing see neither:
+    a node's value is what it was built from.
+    """
+
+    arity: int = field(init=False, repr=False, compare=False)
+    memo: dict[bytes, bool] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "arity", self._arity())
+
+
+def _operand_arity(e) -> int:
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    return e.arity
 
 
 @dataclass(frozen=True)
 class Finite(Expr):
     arity: int
     members: tuple[PortGraph, ...]  # canonical, deduplicated, sorted
+    certs: frozenset[bytes] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        certs = frozenset(canonical_cert(g) for g in self.members)
+        object.__setattr__(self, "certs", certs)
 
 
 @dataclass(frozen=True)
 class Not(Expr):
     sub: Expr
 
-
-@dataclass(frozen=True)
-class And(Expr):
-    lhs: Expr
-    rhs: Expr
+    def _arity(self) -> int:
+        return _operand_arity(self.sub)
 
 
 @dataclass(frozen=True)
-class Or(Expr):
+class _Binary(Expr):
     lhs: Expr
     rhs: Expr
 
+    def _arity(self) -> int:
+        ka, kb = _operand_arity(self.lhs), _operand_arity(self.rhs)
+        if ka != kb:
+            raise ExprError(
+                f"operands of {type(self).__name__} have arities {ka} and {kb}"
+            )
+        return ka
 
-@dataclass(frozen=True)
-class Fuse(Expr):
-    lhs: Expr
-    rhs: Expr
+
+class And(_Binary):
+    pass
+
+
+class Or(_Binary):
+    pass
+
+
+class Fuse(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
 class Forget(Expr):
     sub: Expr
 
+    def _arity(self) -> int:
+        k = _operand_arity(self.sub)
+        if k == 0:
+            raise ExprError("forget applied at arity 0")
+        return k - 1
+
 
 @dataclass(frozen=True)
 class Add(Expr):
     sub: Expr
+
+    def _arity(self) -> int:
+        return _operand_arity(self.sub) + 1
 
 
 @dataclass(frozen=True)
 class Permute(Expr):
     perm: tuple[int, ...]
     sub: Expr
+
+    def _arity(self) -> int:
+        k = _operand_arity(self.sub)
+        if sorted(self.perm) != list(range(1, k + 1)):
+            raise ExprError(f"perm{list(self.perm)} is not a permutation of 1..{k}")
+        return k
 
 
 def finite(arity: int, graphs=()) -> Finite:
@@ -158,62 +211,17 @@ def no_graphs(arity: int) -> Expr:
     return finite(arity)
 
 
-@_nesting_guard(ExprError, "expression")
 def expr_arity(e: Expr) -> int:
     """The common arity of all graphs the expression can denote.
 
-    Raises ExprError when sub-expressions disagree, which is the only
-    way an expression can be ill-formed.
+    Every node checks its operands when it is built, which is the only
+    place an expression can turn out ill-formed, so this reads a field.
     """
-    return _expr_arity(e)
-
-
-@lru_cache(maxsize=None)
-def _expr_arity(e: Expr) -> int:
-    match e:
-        case Finite(arity, _):
-            return arity
-        case Not(sub) | Forget(sub) | Add(sub) | Permute(_, sub):
-            k = _expr_arity(sub)
-            if isinstance(e, Forget):
-                if k == 0:
-                    raise ExprError("forget applied at arity 0")
-                return k - 1
-            if isinstance(e, Add):
-                return k + 1
-            if isinstance(e, Permute):
-                if sorted(e.perm) != list(range(1, k + 1)):
-                    raise ExprError(
-                        f"perm{list(e.perm)} is not a permutation of 1..{k}"
-                    )
-                return k
-            return k
-        case And(a, b) | Or(a, b) | Fuse(a, b):
-            ka, kb = _expr_arity(a), _expr_arity(b)
-            if ka != kb:
-                raise ExprError(
-                    f"operands of {type(e).__name__} have arities {ka} and {kb}"
-                )
-            return ka
-    raise TypeError(f"not an expression: {e!r}")
+    return _operand_arity(e)
 
 
 # ---------------------------------------------------------------------------
 # membership
-
-
-def _memo(e: Expr) -> dict:
-    try:
-        return object.__getattribute__(e, "_member_memo")
-    except AttributeError:
-        d: dict = {}
-        object.__setattr__(e, "_member_memo", d)
-        return d
-
-
-@lru_cache(maxsize=None)
-def _finite_certs(e: Finite) -> frozenset[bytes]:
-    return frozenset(canonical_cert(g) for g in e.members)
 
 
 def fusion_splits(g: PortGraph):
@@ -221,66 +229,35 @@ def fusion_splits(g: PortGraph):
 
     The non-port vertex classes of g must be distributed between the
     operands and every port-port edge assigned to the left, the right,
-    or both.  Classes with isomorphic induced factors are
+    or both.  Classes with isomorphic prime factors are
     interchangeable, so only the multiplicity of each factor shape on
     the left matters.
     """
-    k = g.arity
     pset = set(g.ports)
-    classes = nonport_classes(g)
     groups: dict[bytes, list[frozenset[str]]] = {}
-    for cls in classes:
-        keep = cls | pset
-        sub = PortGraph.build(
-            keep,
-            {e for e in g.edges if e[0] in keep and e[1] in keep},
-            g.ports,
-        )
-        groups.setdefault(canonical_cert(sub), []).append(cls)
+    for factor in prime_factors(g):
+        groups.setdefault(canonical_cert(factor), []).append(factor.vertices - pset)
     ordered = [groups[c] for c in sorted(groups)]
     port_edges = sorted(e for e in g.edges if e[0] in pset and e[1] in pset)
+    class_edges = g.edges.difference(port_edges)
 
-    def build(side_classes, side_edges):
-        verts = set(g.ports) | set().union(*side_classes) if side_classes else set(g.ports)
-        if not verts:
-            return None
-        keep = verts
-        edges = {
-            e
-            for e in g.edges
-            if e[0] in keep and e[1] in keep and not (e[0] in pset and e[1] in pset)
-        }
-        edges.update(side_edges)
-        return PortGraph.build(keep, edges, g.ports)
+    def build(classes, side_edges):
+        keep = pset.union(*classes)
+        edges = {e for e in class_edges if e[0] in keep and e[1] in keep}
+        return PortGraph.build(keep, edges | side_edges, g.ports)
 
-    counts = [len(gr) for gr in ordered]
-
-    def rec_counts(i, left_sel):
-        if i == len(ordered):
-            yield list(left_sel)
-            return
-        for take in range(counts[i] + 1):
-            yield from rec_counts(i + 1, left_sel + [take])
-
-    for left_counts in rec_counts(0, []):
-        left_classes = []
-        right_classes = []
-        for gr, take in zip(ordered, left_counts):
-            left_classes.extend(gr[:take])
-            right_classes.extend(gr[take:])
-        for bits in range(3 ** len(port_edges)):
-            sides = []
-            b = bits
-            for _ in port_edges:
-                sides.append(b % 3)
-                b //= 3
-            left_edges = {e for e, s in zip(port_edges, sides) if s in (0, 2)}
-            right_edges = {e for e, s in zip(port_edges, sides) if s in (1, 2)}
-            h1 = build(left_classes, left_edges)
-            h2 = build(right_classes, right_edges)
-            if h1 is None or h2 is None:
-                continue
-            yield h1, h2
+    for takes in product(*(range(len(gr) + 1) for gr in ordered)):
+        left = [c for gr, t in zip(ordered, takes) for c in gr[:t]]
+        right = [c for gr, t in zip(ordered, takes) for c in gr[t:]]
+        if not (pset or left) or not (pset or right):
+            continue  # an operand would be the empty graph
+        # the first port-port edge's side varies fastest
+        for sides in product((0, 1, 2), repeat=len(port_edges)):
+            sides = sides[::-1]
+            yield (
+                build(left, {e for e, s in zip(port_edges, sides) if s != 1}),
+                build(right, {e for e, s in zip(port_edges, sides) if s != 0}),
+            )
 
 
 @_nesting_guard(ExprError, "expression")
@@ -288,7 +265,7 @@ def member(g: PortGraph, e: Expr) -> bool:
     """Decide whether g belongs to the language of e."""
     if g.labels:
         raise ExprError("star-free expressions range over unlabelled graphs")
-    k = _expr_arity(e)
+    k = _operand_arity(e)
     if g.arity != k:
         raise ExprError(f"graph has arity {g.arity}, expression has arity {k}")
     return _member(g, e)
@@ -296,13 +273,12 @@ def member(g: PortGraph, e: Expr) -> bool:
 
 def _member(g: PortGraph, e: Expr) -> bool:
     cert = canonical_cert(g)
-    memo = _memo(e)
-    hit = memo.get(cert)
+    hit = e.memo.get(cert)
     if hit is not None:
         return hit
     match e:
         case Finite():
-            res = cert in _finite_certs(e)
+            res = cert in e.certs
         case Not(sub):
             res = not _member(g, sub)
         case And(a, b):
@@ -331,7 +307,7 @@ def _member(g: PortGraph, e: Expr) -> bool:
             res = _member(permute_graph(g, tuple(inv)), sub)
         case _:
             raise TypeError(f"not an expression: {e!r}")
-    memo[cert] = res
+    e.memo[cert] = res
     return res
 
 
@@ -353,11 +329,6 @@ class _ExprParser(_Scanner):
     what = "expression"
 
     def top(self) -> Expr:
-        e = self.expr()
-        _expr_arity(e)  # validate
-        return e
-
-    def expr(self) -> Expr:
         return self.chain(self.conj, "|", Or)
 
     def conj(self) -> Expr:
@@ -372,13 +343,13 @@ class _ExprParser(_Scanner):
             return Not(self.unary())
         if self.peek() == "(" and self.peek(3) != "(+)":
             self.take("(")
-            e = self.expr()
+            e = self.top()
             self.take(")")
             return e
         for head, node in (("forget(", Forget), ("add(", Add)):
             if self.peek(len(head)) == head:
                 self.take(head)
-                e = self.expr()
+                e = self.top()
                 self.take(")")
                 return node(e)
         if self.peek(5) == "perm[":
@@ -386,7 +357,7 @@ class _ExprParser(_Scanner):
             perm = tuple(map(int, self.listing(r"[0-9]+", "a number")))
             self.take("]")
             self.take("(")
-            e = self.expr()
+            e = self.top()
             self.take(")")
             return Permute(perm, e)
         if self.peek(7) == "finite@":
@@ -504,35 +475,11 @@ def _var_index(v: str, k: int) -> int:
     return int(m.group(1))
 
 
-def _subst(f: Formula, old: str, new: str) -> Formula:
-    match f:
-        case FEdge(x, y):
-            return FEdge(new if x == old else x, new if y == old else y)
-        case Eq(x, y):
-            return Eq(new if x == old else x, new if y == old else y)
-        case Label(x, lab):
-            return Label(new if x == old else x, lab)
-        case Sep(x, y, zs):
-            return Sep(
-                new if x == old else x,
-                new if y == old else y,
-                tuple(new if z == old else z for z in zs),
-            )
-        case FNot(sub):
-            return FNot(_subst(sub, old, new))
-        case FAnd(a, b):
-            return FAnd(_subst(a, old, new), _subst(b, old, new))
-        case FOr(a, b):
-            return FOr(_subst(a, old, new), _subst(b, old, new))
-        case Exists(v, sub):
-            return f if v == old else Exists(v, _subst(sub, old, new))
-        case Forall(v, sub):
-            return f if v == old else Forall(v, _subst(sub, old, new))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _alpha_normalise(f: Formula, env: dict[str, str], counter: list[int]) -> Formula:
-    """Rename bound variables to b1, b2, ... so substitution is capture-free."""
+def _rename(f: Formula, env: dict[str, str], fresh: list[int] | None = None) -> Formula:
+    """Rename the free variables of f by ``env``; a binder shadows its
+    own variable.  Given a ``fresh`` counter, every bound variable is
+    renamed as well, to b1, b2, ... in the order the binders come, so
+    that renaming the result later can capture nothing."""
     match f:
         case FEdge(x, y):
             return FEdge(env.get(x, x), env.get(y, y))
@@ -543,20 +490,16 @@ def _alpha_normalise(f: Formula, env: dict[str, str], counter: list[int]) -> For
         case Sep(x, y, zs):
             return Sep(env.get(x, x), env.get(y, y), tuple(env.get(z, z) for z in zs))
         case FNot(sub):
-            return FNot(_alpha_normalise(sub, env, counter))
-        case FAnd(a, b):
-            return FAnd(
-                _alpha_normalise(a, env, counter), _alpha_normalise(b, env, counter)
-            )
-        case FOr(a, b):
-            return FOr(
-                _alpha_normalise(a, env, counter), _alpha_normalise(b, env, counter)
-            )
+            return FNot(_rename(sub, env, fresh))
+        case FAnd(a, b) | FOr(a, b):
+            return type(f)(_rename(a, env, fresh), _rename(b, env, fresh))
         case Exists(v, sub) | Forall(v, sub):
-            counter[0] += 1
-            fresh = f"b{counter[0]}"
-            body = _alpha_normalise(sub, {**env, v: fresh}, counter)
-            return Exists(fresh, body) if isinstance(f, Exists) else Forall(fresh, body)
+            if fresh is None:
+                name = v
+            else:
+                fresh[0] += 1
+                name = f"b{fresh[0]}"
+            return type(f)(name, _rename(sub, {**env, v: name}, fresh))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -621,9 +564,9 @@ def _compile(f: Formula, k: int) -> Expr:
             return Or(_compile(a, k), _compile(b, k))
         case Exists(v, sub):
             fresh = f"x{k + 1}"
-            branches = [Forget(_compile(_subst(sub, v, fresh), k + 1))]
+            branches = [Forget(_compile(_rename(sub, {v: fresh}), k + 1))]
             for i in range(1, k + 1):
-                branches.append(_compile(_subst(sub, v, f"x{i}"), k))
+                branches.append(_compile(_rename(sub, {v: f"x{i}"}), k))
             out = branches[0]
             for br in branches[1:]:
                 out = Or(out, br)
@@ -649,5 +592,4 @@ def compile_formula(f: Formula, arity: int) -> Expr:
         raise ExprError(
             f"free variables {sorted(stray)} not of the form x1..x{arity}"
         )
-    normalised = _alpha_normalise(f, {}, [0])
-    return _compile(normalised, arity)
+    return _compile(_rename(f, {}, fresh=[0]), arity)

@@ -1,8 +1,11 @@
 """Exit codes, output shapes, and error handling of the command line."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,7 +134,27 @@ def test_arity_is_bounded(tmp_path, capsys):
         code, _, err = run(capsys, ["beta", bad])
         assert code == 2 and "arity must lie in 0..1024" in err
     code, _, err = run(capsys, ["generators", "--arity", "5000"])
-    assert code == 2 and "arity in 1..1024" in err
+    assert code == 2 and "arity in 1..4" in err
+
+
+def test_alphabets_above_width_4_exit_2_at_once(tmp_path, capsys, monkeypatch):
+    # width 5 has millions of interface pairs per vertex count, so the
+    # width is refused before a single one is listed
+    from sepstar import contexts
+
+    def unreachable(*args):
+        raise AssertionError("interface pairs listed above width 4")
+
+    monkeypatch.setattr(contexts, "_interface_pairs", unreachable)
+    rec = graph_file(tmp_path, "rec5.json", {
+        "monoid": {"table": [[0]], "identity": 0},
+        "arity": 5, "gen_map": {}, "accepting": [0],
+    })
+    for argv in (["generators", "--arity", "5"],
+                 ["build-word", "--arity", "5", "g0"],
+                 ["decide", "--recognizer", rec]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "") and "arity in 1..4, got 5" in err
 
 
 GRAPH = {"vertices": ["a", "b"], "edges": [["a", "b"]], "ports": ["a"]}
@@ -583,3 +606,29 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "true\n"
+
+
+def readme_transcript():
+    """The ``$ sepstar ...`` lines of the README's shell block, each
+    with the output printed under it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", text, re.S) if "$ sepstar" in b)
+    runs = []
+    for line in block.splitlines(keepends=True):
+        if line.startswith("$ "):
+            runs.append((shlex.split(line[2:]), []))
+        else:
+            runs[-1][1].append(line)
+    return [(argv, "".join(out)) for argv, out in runs]
+
+
+def test_readme_transcript(tmp_path, capsys, monkeypatch):
+    graph_file(tmp_path, "triangle.json", TRIANGLE)
+    write(tmp_path, "crossing.json", dump_context(crossing_context()))
+    write(tmp_path, "hub.json", dump_context(hub_context()))
+    monkeypatch.chdir(tmp_path)
+    transcript = readme_transcript()
+    assert len(transcript) == 5
+    for argv, expected in transcript:
+        assert argv[0] == "sepstar"
+        assert run(capsys, argv[1:]) == (0, expected, ""), argv

@@ -312,6 +312,18 @@ def test_generator_alphabet_is_deterministic():
     ]
 
 
+@pytest.mark.parametrize("k", [0, 5, 1024, 10**12])
+def test_generator_alphabet_width_is_bounded(k, monkeypatch):
+    from sepstar import contexts
+
+    def unreachable(*args):
+        raise AssertionError("interface pairs listed outside widths 1..4")
+
+    monkeypatch.setattr(contexts, "_interface_pairs", unreachable)
+    with pytest.raises(ContextError, match=r"arity in 1\.\.4"):
+        enumerate_generators(k)
+
+
 def test_generator_alphabet_width_two_contains_all_small_contexts():
     alphabet = enumerate_generators(2)
     assert all(len(w.vertices) <= 3 for w in alphabet.contexts)

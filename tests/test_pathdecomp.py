@@ -10,6 +10,7 @@ from sepstar.contexts import (
     Context,
     bridges,
     compose_all,
+    context_from_json,
     crossing_context,
     enumerate_generators,
     hub_context,
@@ -569,6 +570,30 @@ def test_two_bridge_pendant_heavy_word():
     )
     assert len(bridges(w)) == 2
     _check_factorisation(w, two_bridge_decompose(w))
+
+
+def test_two_bridge_dealternation_fallback(monkeypatch):
+    # regression: no valley of either low-overlap sequence cuts this
+    # context; only the dealternated sequence of one bridge's class does
+    from sepstar import pathdecomp
+
+    w = context_from_json({
+        "vertices": ["t0", "t1", "t2", "t3", "t4", "t5", "t6"],
+        "edges": [["t0", "t2"], ["t0", "t5"], ["t2", "t4"], ["t4", "t5"]],
+        "arity": 2, "left": {"1": "t4", "2": "t3"}, "right": {"1": "t0", "2": "t1"},
+    })
+    assert len(bridges(w)) == 2
+    reordered = []
+
+    def spy(*args):
+        reordered.append(dealternate(*args))
+        return reordered[-1]
+
+    monkeypatch.setattr(pathdecomp, "dealternate", spy)
+    factors = two_bridge_decompose(w)
+    _check_factorisation(w, factors)
+    assert len(reordered) == 1
+    assert sorted(len(f.vertices) for f in factors) == [2, 2, 3, 3, 3]
 
 
 def test_two_bridge_random_generator_words():
