@@ -17,7 +17,7 @@ enough to be alphabet letters or strictly more persistent
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, islice, product
 from typing import NamedTuple
 
 from .contexts import (
@@ -335,33 +335,6 @@ def _low_overlap_decomposition(w: Context, table):
     return _decomposition(table, h, w.vertices, w.edges, *_interfaces(w))
 
 
-def _brute_pathwidth(vertices, edges, first=frozenset(), last=frozenset()) -> int:
-    """Reference search over all introduction orders.  Exponential;
-    used by tests and kept here so both searches share nothing but the
-    problem statement."""
-    verts = sorted(vertices)
-    first = frozenset(first)
-    last = frozenset(last)
-    adj = {v: set() for v in verts}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    free = [v for v in verts if v not in first]
-    best = None
-    for perm in permutations(free):
-        placed = set(first)
-        high = len(first)
-        for x in perm:
-            active = {
-                v for v in placed if v in last or any(n not in placed for n in adj[v])
-            }
-            high = max(high, len(active) + 1)
-            placed.add(x)
-        if best is None or high < best:
-            best = high
-    return best - 1
-
-
 def is_caterpillar_forest(g: PortGraph) -> bool:
     """Acyclic, and removing the leaves of each component leaves a
     path.  Equivalent to pathwidth at most 1."""
@@ -399,11 +372,13 @@ def to_instructions(bags, first=frozenset(), last=frozenset()):
     return out
 
 
-def from_instructions(first, instructions):
-    """Replay instructions from the initial bag and return the
-    normalized snapshot sequence."""
+def _replay(first, instructions):
+    """The alive set before each instruction and after the last one.
+    Raises DecompositionError on an instruction that adds a vertex
+    twice or after its removal, removes an absent vertex, or is neither
+    an add nor a remove."""
     current = set(first)
-    snapshots = [frozenset(current)]
+    alive = [frozenset(current)]
     gone = set()
     for op, v in instructions:
         if op == "add":
@@ -419,17 +394,20 @@ def from_instructions(first, instructions):
             gone.add(v)
         else:
             raise DecompositionError(f"unknown instruction {op!r}")
-        snapshots.append(frozenset(current))
-    return normalize(snapshots)
+        alive.append(frozenset(current))
+    return alive
+
+
+def from_instructions(first, instructions):
+    """Replay instructions from the initial bag and return the
+    normalized snapshot sequence."""
+    return normalize(_replay(first, instructions))
 
 
 def instruction_width(first, instructions) -> int:
-    current = len(set(first))
-    high = current
-    for op, _ in instructions:
-        current += 1 if op == "add" else -1
-        high = max(high, current)
-    return high - 1
+    """The largest alive set of the replayed sequence minus one; the
+    sequence is validated as in `from_instructions`."""
+    return width(_replay(first, instructions))
 
 
 def blocks_of(instructions, kind):
@@ -455,37 +433,6 @@ def blocks_of(instructions, kind):
 # prefix contributions.  The first pass finds the smallest achievable
 # maximum bag size, the second minimises the number of class blocks
 # subject to that bound.
-
-
-def _lattice_data(instructions, kind, first):
-    xs, ys, pins = [], [], []
-    netx, nety = [0], [0]
-    netp = 0
-    for ins in instructions:
-        op, v = ins
-        delta = 1 if op == "add" else -1
-        cls = kind[v]
-        if cls == "X":
-            xs.append(ins)
-            netx.append(netx[-1] + delta)
-        elif cls == "Y":
-            ys.append(ins)
-            nety.append(nety[-1] + delta)
-        elif cls == "P":
-            pins.append((len(xs), len(ys), ins, netp))
-            netp += delta
-        else:
-            raise DecompositionError(f"vertex {v!r} has unknown class {cls!r}")
-    # A gap's cost applies after the pin starting it has executed, so
-    # the waypoint carries the pinned net including that pin's delta.
-    waypoints = [(0, 0, 0)]
-    run = 0
-    for i, j, ins, _ in pins:
-        run += 1 if ins[0] == "add" else -1
-        waypoints.append((i, j, run))
-    waypoints.append((len(xs), len(ys), netp))
-    base = len(set(first))
-    return xs, ys, pins, netx, nety, waypoints, base
 
 
 def _gap_minimax(i0, j0, i1, j1, cost):
@@ -570,40 +517,38 @@ def dealternate(instructions, kind, first=frozenset()):
     for op, v in instructions:
         if v not in kind:
             raise DecompositionError(f"vertex {v!r} missing from the class map")
-    xs, ys, pins, netx, nety, waypoints, base = _lattice_data(
-        instructions, kind, first
-    )
-    for (i0, j0, _), (i1, j1, _) in zip(waypoints, waypoints[1:]):
-        if i1 < i0 or j1 < j0:
-            raise DecompositionError("pinned points out of order")
-
-    best = 0
-    for (i0, j0, net0), (i1, j1, _) in zip(waypoints, waypoints[1:]):
-
-        def cost(i, j, _c=base + net0):
-            return _c + netx[i] + nety[j]
-
-        best = max(best, _gap_minimax(i0, j0, i1, j1, cost))
+    # one pass builds the X and Y lanes, each with its running net bag
+    # change, and the gap corners: the pin opening each gap, its lattice
+    # point, and the bag size once that pin has run, lanes aside
+    xs, ys, netx, nety = [], [], [0], [0]
+    corners = [(None, 0, 0, len(set(first)))]
+    for ins in instructions:
+        delta = 1 if ins[0] == "add" else -1
+        cls = kind[ins[1]]
+        if cls == "X":
+            xs.append(ins)
+            netx.append(netx[-1] + delta)
+        elif cls == "Y":
+            ys.append(ins)
+            nety.append(nety[-1] + delta)
+        elif cls == "P":
+            corners.append((ins, len(xs), len(ys), corners[-1][3] + delta))
+        else:
+            raise DecompositionError(f"vertex {ins[1]!r} has unknown class {cls!r}")
+    corners.append((None, len(xs), len(ys), None))
+    gaps = [
+        (pin, (i0, j0, i1, j1, lambda i, j, c=c: c + netx[i] + nety[j]))
+        for (pin, i0, j0, c), (_, i1, j1, _) in zip(corners, corners[1:])
+    ]
+    best = max(_gap_minimax(*gap) for _, gap in gaps)
 
     out = []
-    xi = yi = 0
-    pin_iter = iter(pins + [None])
-    for (i0, j0, net0), (i1, j1, _) in zip(waypoints, waypoints[1:]):
-
-        def cost(i, j, _c=base + net0):
-            return _c + netx[i] + nety[j]
-
-        _, path = _gap_min_blocks(i0, j0, i1, j1, cost, best)
-        for step in path:
-            if step == "X":
-                out.append(xs[xi])
-                xi += 1
-            else:
-                out.append(ys[yi])
-                yi += 1
-        nxt = next(pin_iter)
-        if nxt is not None:
-            out.append(nxt[2])
+    lanes = {"X": iter(xs), "Y": iter(ys)}
+    for pin, gap in gaps:
+        if pin:
+            out.append(pin)
+        _, path = _gap_min_blocks(*gap, best)
+        out.extend(next(lanes[step]) for step in path)
     if len(out) != len(instructions):
         raise DecompositionError("reordering lost or duplicated instructions")
     if instruction_width(first, out) > instruction_width(first, instructions):
@@ -623,18 +568,14 @@ def dealternate(instructions, kind, first=frozenset()):
 # when every factor either fits in arity+1 vertices or keeps some
 # non-persistent vertex alive across its whole extent, which turns it
 # persistent in the factor.
-
-
-def _alive_sets(first, instructions):
-    current = set(first)
-    sets = [frozenset(current)]
-    for op, v in instructions:
-        if op == "add":
-            current.add(v)
-        else:
-            current.discard(v)
-        sets.append(frozenset(current))
-    return sets
+#
+# On the low-overlap sequence of each direction, the search tries as
+# cuts each valley (an interior cut with at most `arity` vertices
+# alive), the first 128 pairs of valleys and all valleys at once; then,
+# per bridge, the sequence dealternated with the bridge's inner
+# vertices as class X, cut at its block boundaries each snapped to a
+# valley at most two steps away: the first 64 choices of snaps.  Each
+# (sequence, cuts) pair is tried once; the first that factors wins.
 
 
 def _try_factorisation(w, instructions, cuts, diag):
@@ -643,18 +584,13 @@ def _try_factorisation(w, instructions, cuts, diag):
     right_map = w.right_map()
     pers_idx = persistent_ports(w)
     pers_verts = {left_map[i] for i in pers_idx}
-    alive = _alive_sets(frozenset(left_map.values()), instructions)
+    alive = _replay(frozenset(left_map.values()), instructions)
     m = len(instructions)
-    cuts = sorted(set(cuts))
-    cuts = [c for c in cuts if 0 < c < m]
-    if not cuts:
-        diag.append("no interior cut positions")
-        return None
     for c in cuts:
         if len(alive[c]) > k:
             diag.append(f"cut {c} keeps {len(alive[c])} vertices alive")
             return None
-    bounds = [0] + cuts + [m]
+    bounds = [0, *cuts, m]
 
     # every factor must be small or carry a persistence witness
     spans = []
@@ -760,28 +696,43 @@ def _try_factorisation(w, instructions, cuts, diag):
     return factors
 
 
-def _valleys(alive, k):
-    return [c for c in range(1, len(alive) - 1) if len(alive[c]) <= k]
+def _valleys(first, instructions, k):
+    """The interior cuts of the sequence with at most k vertices alive."""
+    alive = _replay(first, instructions)
+    return [c for c in range(1, len(instructions)) if len(alive[c]) <= k]
 
 
-def _bounded_product(options, cap):
-    """First `cap` tuples of the cartesian product, cheapest choices
-    first (the head of each option list is the preferred snap)."""
-    from itertools import product
-
-    for i, combo in enumerate(product(*options)):
-        if i >= cap:
-            return
-        yield combo
-
-
-def _snap_candidates(q, alive, k):
-    m = len(alive) - 1
-    out = []
-    for c in (q, q - 1, q + 1, q - 2, q + 2):
-        if 0 < c < m and len(alive[c]) <= k and c not in out:
-            out.append(c)
-    return out
+def _cut_candidates(w, instructions, brs, diag):
+    """The (sequence, sorted cuts) pairs to try on one instruction
+    sequence, lazily and in the order of the comment above; ``brs`` are
+    the bridges of ``w``."""
+    k = w.arity
+    left_set = frozenset(w.left_map().values())
+    ports = w.port_vertices()
+    seq = tuple(instructions)
+    valleys = _valleys(left_set, seq, k)
+    for c in valleys:
+        yield seq, (c,)
+    for pair in islice(combinations(valleys, 2), 128):
+        yield seq, pair
+    if valleys:
+        yield seq, tuple(valleys)
+    for bridge in brs:
+        x_verts = {v for e in bridge for v in e if v not in ports}
+        if not x_verts:
+            continue
+        kind = {v: "X" if v in x_verts else "Y" for v in w.vertices - ports}
+        kind.update(dict.fromkeys(ports, "P"))
+        reordered = tuple(dealternate(seq, kind, left_set))
+        thin = set(_valleys(left_set, reordered, k))
+        ends = list(accumulate(size for _, size in blocks_of(reordered, kind)))[:-1]
+        near = ([c for c in (q, q - 1, q + 1, q - 2, q + 2) if c in thin] for q in ends)
+        options = [opt for opt in near if opt]
+        if not options:
+            diag.append("no block boundary could be snapped to a thin point")
+            continue
+        for cuts in islice(product(*options), 64):
+            yield reordered, tuple(sorted(set(cuts)))
 
 
 def two_bridge_decompose(w: Context):
@@ -803,7 +754,6 @@ def two_bridge_decompose(w: Context):
         raise OutOfScopeError(
             "pathwidth exceeds the arity; not in the width-limited monoid"
         )
-    ports = w.port_vertices()
     diag: list[str] = []
 
     # each direction's table yields the optimal order that keeps the
@@ -814,70 +764,19 @@ def two_bridge_decompose(w: Context):
     table = _pathwidth_table(w.vertices, w.edges, right_set, left_set)
     mirror_low = _low_overlap_decomposition(mirror, table)
 
-    sequences = []
-    for bags in (low, mirror_low[::-1]):
-        instructions = to_instructions(bags, left_set, right_set)
-        if instructions not in sequences:
-            sequences.append(instructions)
-
+    sequences = dict.fromkeys(
+        tuple(to_instructions(bags, left_set, right_set))
+        for bags in (low, mirror_low[::-1])
+    )
+    tried = set()
     for instructions in sequences:
-        alive = _alive_sets(left_set, instructions)
-        valleys = _valleys(alive, k)
-        tried = set()
-
-        def attempt(cuts):
-            key = tuple(sorted({c for c in cuts if 0 < c < len(instructions)}))
-            if not key or key in tried:
-                return None
-            tried.add(key)
-            return _try_factorisation(w, instructions, list(key), diag)
-
-        for c in valleys:
-            result = attempt((c,))
-            if result:
-                return result
-        budget = 128
-        for pair in combinations(valleys, 2):
-            result = attempt(pair)
-            if result:
-                return result
-            budget -= 1
-            if budget <= 0:
-                break
-        result = attempt(tuple(valleys))
-        if result:
-            return result
-        for bridge in brs:
-            x_verts = {v for e in bridge for v in e if v not in ports}
-            if not x_verts:
+        for candidate in _cut_candidates(w, instructions, brs, diag):
+            if candidate in tried:
                 continue
-            kind = {
-                v: ("P" if v in ports else "X" if v in x_verts else "Y")
-                for v in w.vertices
-            }
-            reordered = dealternate(instructions, kind, left_set)
-            alive2 = _alive_sets(left_set, reordered)
-            boundaries = []
-            pos = 0
-            for cls, size in blocks_of(reordered, kind):
-                pos += size
-                boundaries.append(pos)
-            options = [
-                _snap_candidates(q, alive2, k) for q in boundaries[:-1]
-            ]
-            options = [opt for opt in options if opt]
-            if not options:
-                diag.append("no block boundary could be snapped to a thin point")
-                continue
-            tried_snaps = set()
-            for cuts in _bounded_product(options, 64):
-                key = tuple(sorted(set(cuts)))
-                if key in tried_snaps:
-                    continue
-                tried_snaps.add(key)
-                result = _try_factorisation(w, reordered, cuts, diag)
-                if result:
-                    return result
+            tried.add(candidate)
+            factors = _try_factorisation(w, *candidate, diag)
+            if factors:
+                return factors
     raise DecompositionError(
         "no factorisation found:\n  " + "\n  ".join(dict.fromkeys(diag))
     )

@@ -7,6 +7,7 @@ under test must agree with these on small inputs.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -121,6 +122,28 @@ def random_context(rng, k: int, max_n: int):
             return Context.build(verts, edges, k, left, right)
         except ContextError:
             continue  # injectivity or compatibility failed; redraw
+
+
+def two_bridge_corpus():
+    """1,000 seeded random contexts of arity 2 or 3 on 6 to 12 vertices with
+    sparse edges, so that many have two bridges and small pathwidth and
+    the two-bridge search runs on them; some of those searches fail."""
+    from sepstar.contexts import Context, ContextError
+
+    rng = random.Random(4104)
+    out = []
+    while len(out) < 1000:
+        k = rng.choice((2, 3))
+        p = rng.uniform(0.1, 0.3)
+        verts = [f"t{i}" for i in range(rng.randint(6, 12))]
+        edges = [e for e in combinations(verts, 2) if rng.random() < p]
+        left = {i: rng.choice(verts) for i in range(1, k + 1) if rng.random() < 0.8}
+        right = {i: rng.choice(verts) for i in range(1, k + 1) if rng.random() < 0.8}
+        try:
+            out.append(Context.build(verts, edges, k, left, right))
+        except ContextError:
+            continue  # injectivity or compatibility failed; redraw
+    return out
 
 
 def _partial_injections(indices: list[int], verts: list[str]):
@@ -260,6 +283,32 @@ def _is_linear_forest(edges) -> bool:
 
     g = nx.MultiGraph(edges)
     return max(d for _, d in g.degree) <= 2 and nx.is_forest(g)
+
+
+def brute_pathwidth(vertices, edges, first=frozenset(), last=frozenset()) -> int:
+    """Reference search over all introduction orders.  Exponential; it
+    shares nothing with the library's search but the problem statement."""
+    verts = sorted(vertices)
+    first = frozenset(first)
+    last = frozenset(last)
+    adj = {v: set() for v in verts}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    free = [v for v in verts if v not in first]
+    best = None
+    for perm in permutations(free):
+        placed = set(first)
+        high = len(first)
+        for x in perm:
+            active = {
+                v for v in placed if v in last or any(n not in placed for n in adj[v])
+            }
+            high = max(high, len(active) + 1)
+            placed.add(x)
+        if best is None or high < best:
+            best = high
+    return best - 1
 
 
 def reference_pathwidth_table(vertices, edges, first, last):

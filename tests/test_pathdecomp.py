@@ -22,7 +22,6 @@ from sepstar.graphs import PortGraph
 from sepstar.pathdecomp import (
     DecompositionError,
     OutOfScopeError,
-    _brute_pathwidth,
     blocks_of,
     context_decomposition,
     context_pathwidth,
@@ -41,6 +40,7 @@ from sepstar.pathdecomp import (
 )
 
 from helpers import (
+    brute_pathwidth,
     complete_graph,
     cycle_graph,
     graph_pool,
@@ -50,6 +50,7 @@ from helpers import (
     reference_low_overlap_parent,
     reference_pathwidth_table,
     star_graph,
+    two_bridge_corpus,
 )
 
 
@@ -155,7 +156,7 @@ def test_pathwidth_matches_brute_on_random_graphs():
         first = {v for v in verts if rng.random() < 0.25}
         last = {v for v in verts if rng.random() < 0.25}
         got = pathwidth(verts, edges, first, last)
-        assert got == _brute_pathwidth(verts, edges, first, last)
+        assert got == brute_pathwidth(verts, edges, first, last)
         bags = optimal_decomposition(verts, edges, first, last)
         validate_decomposition(bags, verts, edges, first, last)
         assert width(bags) == got
@@ -168,7 +169,7 @@ def test_context_pathwidth_matches_brute():
         first = frozenset(w.left_map().values())
         last = frozenset(w.right_map().values())
         got = context_pathwidth(w)
-        assert got == _brute_pathwidth(w.vertices, w.edges, first, last)
+        assert got == brute_pathwidth(w.vertices, w.edges, first, last)
         bags = context_decomposition(w)
         validate_decomposition(bags, w.vertices, w.edges, first, last)
         assert width(bags) == got
@@ -311,6 +312,20 @@ def test_instruction_errors():
         )
     with pytest.raises(DecompositionError):
         from_instructions({"a"}, [("swap", "a")])
+
+
+@pytest.mark.parametrize(
+    "first, instructions",
+    [
+        (set(), [("swap", "a")]),
+        (set(), [("remove", "a")]),
+        ({"a"}, [("add", "a")]),
+    ],
+    ids=["unknown-op", "remove-absent", "add-twice"],
+)
+def test_instruction_width_rejects_what_replay_rejects(first, instructions):
+    with pytest.raises(DecompositionError):
+        instruction_width(first, instructions)
 
 
 def test_interface_vertices_enter_late_and_leave_early():
@@ -527,6 +542,25 @@ def test_two_bridge_builds_one_table_per_direction(monkeypatch):
         (frozenset("ab"), frozenset("cd")),
         (frozenset("cd"), frozenset("ab")),
     ]
+
+
+def test_two_bridge_tries_each_candidate_once(monkeypatch):
+    from sepstar import pathdecomp
+
+    tried = []
+    factorise = pathdecomp._try_factorisation
+
+    def spy(w, instructions, cuts, diag):
+        tried.append((tuple(instructions), tuple(sorted(set(cuts)))))
+        return factorise(w, instructions, cuts, diag)
+
+    monkeypatch.setattr(pathdecomp, "_try_factorisation", spy)
+    for w in two_bridge_corpus():
+        try:
+            two_bridge_decompose(w)
+        except DecompositionError:
+            pass
+    assert tried and len(set(tried)) == len(tried)
 
 
 def test_two_bridge_hub_at_larger_arity():

@@ -20,6 +20,8 @@ from sepstar.pathdecomp import (
     two_bridge_decompose,
 )
 
+from helpers import two_bridge_corpus
+
 
 def digest(rows) -> str:
     return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
@@ -66,4 +68,24 @@ def test_pinned_word_decompositions():
             rows.append([word, bags_json(context_decomposition(w)), factors])
     assert digest(rows) == (
         "1ea2de668adf721972535581657802851b02fc3099ecd72f01b2e8cf166be203"
+    )
+
+
+def test_pinned_two_bridge_search_outcomes():
+    # random contexts, some of which fail the search itself, so the
+    # "no factorisation found" diagnostics are pinned along with the
+    # factors and the out-of-scope errors
+    rows = []
+    for w in two_bridge_corpus():
+        try:
+            factors = [context_to_json(f) for f in two_bridge_decompose(w)]
+        except DecompositionError as exc:
+            factors = str(exc)
+        rows.append([context_to_json(w), factors])
+    failed = sum(
+        isinstance(f, str) and f.startswith("no factorisation found") for _, f in rows
+    )
+    assert failed == 10
+    assert digest(rows) == (
+        "664f4a452f671448fd795f8e1044ff5f56248eedb5252c333cfd5a8633a5cf96"
     )
