@@ -11,10 +11,15 @@ The reachability type of a context records, for every pair of interface
 references, whether they are linked by a path with no intermediate port
 vertices ("inner" path).  Reachability types compose without looking at
 the underlying graphs, which is what the recognizer machinery in
-`sepstar.monoids` exploits.  The linkage type is the finer abstraction
-behind the disjoint-paths oracle: every linear forest over the port
-vertices whose edges are inner paths with disjoint interiors.  It
-composes the same way, by gluing.
+`sepstar.monoids` exploits.  Each type is also a small integer code:
+three k-bit masks (left-defined, right-defined, persistent) and one
+2k-bit reach row per reference.  Types compose on their codes, with bit
+operations on glued reference classes; `sepstar.monoids` runs its
+closures and searches on the codes alone, and `ReachType` carries its
+code, so equality and hashing are integer work.  The linkage type is
+the finer abstraction behind the disjoint-paths oracle: every linear
+forest over the port vertices whose edges are inner paths with disjoint
+interiors.  It composes the same way, by gluing.
 
 A context is a vertex/edge core plus two interface tuples, so it runs
 on the graph core of `sepstar.graphs`: the same validation, core class
@@ -28,7 +33,7 @@ certificate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -259,34 +264,126 @@ def _norm_pair(p: PortRef, q: PortRef) -> tuple[PortRef, PortRef]:
     return (p, q) if p <= q else (q, p)
 
 
+# A reachability type of arity k is also one integer, its code.  Bits
+# 0..k-1 hold the left-defined indices, k..2k-1 the right-defined ones
+# and 2k..3k-1 the persistent ones.  Then each reference in the order
+# L1..Lk, R1..Rk has a 2k-bit row from bit 3k on, the references it
+# reaches in the same order; the rows are symmetric and reflexive on
+# the defined references.
+
+
+def _ref_bit(ref, k: int) -> int:
+    """The position of a reference among L1..Lk, R1..Rk."""
+    try:
+        side, i = ref
+    except (TypeError, ValueError):
+        raise ContextError(f"bad reference {ref!r}") from None
+    if side not in ("L", "R") or not isinstance(i, int) or isinstance(i, bool):
+        raise ContextError(f"bad reference {ref!r}")
+    if not 1 <= i <= k:
+        raise ContextError(f"reference {ref!r} out of range 1..{k}")
+    return i - 1 if side == "L" else k + i - 1
+
+
+def _reach_bit(k: int, p: PortRef, q: PortRef) -> int:
+    """The bit of an arity-k code that is set when p reaches q."""
+    return 3 * k + 2 * k * _ref_bit(p, k) + _ref_bit(q, k)
+
+
+def _index_mask(indices, k: int, name: str) -> int:
+    mask = 0
+    for i in indices:
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= k:
+            raise ContextError(f"{name} index {i!r} out of range 1..{k}")
+        mask |= 1 << (i - 1)
+    return mask
+
+
 @dataclass(frozen=True)
 class ReachType:
     """Interface-level abstraction of a context.
 
     ``reach`` holds unordered pairs of references linked by an inner
     path (no intermediate port vertices; length 0 allowed, so every
-    persistent index links its own two references).  Reflexive pairs
-    are stored for every defined reference.
+    persistent index links its own two references), each written
+    (smaller, larger).  Reflexive pairs are stored for every defined
+    reference.  A type carries its code, which determines the other
+    fields, so equality and hashing read the arity and the code only.
     """
 
     arity: int
-    left_defined: frozenset[int]
-    right_defined: frozenset[int]
-    persistent: frozenset[int]
-    reach: frozenset[tuple[PortRef, PortRef]]
+    left_defined: frozenset[int] = field(compare=False)
+    right_defined: frozenset[int] = field(compare=False)
+    persistent: frozenset[int] = field(compare=False)
+    reach: frozenset[tuple[PortRef, PortRef]] = field(compare=False)
+    _code: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.persistent <= self.left_defined & self.right_defined:
+        k = self.arity
+        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= _MAX_ARITY:
+            raise ContextError(f"arity must be an integer in 0..{_MAX_ARITY}, got {k!r}")
+        left = _index_mask(self.left_defined, k, "left-defined")
+        right = _index_mask(self.right_defined, k, "right-defined")
+        pers = _index_mask(self.persistent, k, "persistent")
+        if pers & ~(left & right):
             raise ContextError("persistent indices must be defined on both sides")
-        for (p, q) in self.reach:
-            for side, i in (p, q):
-                defined = self.left_defined if side == "L" else self.right_defined
-                if i not in defined:
-                    raise ContextError(f"reach pair uses undefined reference {(side, i)}")
+        defined = left | right << k
+        rows = [0] * (2 * k)
+        for pair in self.reach:
+            try:
+                p, q = pair
+            except (TypeError, ValueError):
+                raise ContextError(f"bad reach pair {pair!r}") from None
+            a, b = _ref_bit(p, k), _ref_bit(q, k)
+            if a > b:
+                raise ContextError(f"reach pair {pair!r} is not written (smaller, larger)")
+            for ref, c in ((p, a), (q, b)):
+                if not defined >> c & 1:
+                    raise ContextError(f"reach pair uses undefined reference {ref}")
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        code = defined | pers << 2 * k
+        for a, row in enumerate(rows):
+            if defined >> a & 1 and not row >> a & 1:
+                ref = ("L", a + 1) if a < k else ("R", a - k + 1)
+                raise ContextError(f"defined reference {ref} lacks its reflexive pair")
+            code |= row << 3 * k + 2 * k * a
+        for i in range(k):
+            if pers >> i & 1 and not rows[i] >> k + i & 1:
+                raise ContextError(f"persistent index {i + 1} lacks its L-R pair")
+        object.__setattr__(self, "_code", code)
+
+    @classmethod
+    def _of_code(cls, k: int, code: int) -> "ReachType":
+        """The type an arity-k code stands for, unchecked: codes come from
+        `beta`, a checked type or a composition of those."""
+        ones = range(1, k + 1)
+        refs = [("L", i) for i in ones] + [("R", i) for i in ones]
+        row_mask = (1 << 2 * k) - 1
+        pairs = []
+        for a, p in enumerate(refs):
+            bits = (code >> 3 * k + 2 * k * a & row_mask) >> a << a
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                pairs.append((p, refs[low.bit_length() - 1]))
+        rt = object.__new__(cls)
+        # frozen: the fields go straight into the instance dictionary
+        vars(rt).update(
+            arity=k,
+            left_defined=frozenset([i for i in ones if code >> i - 1 & 1]),
+            right_defined=frozenset([i for i in ones if code >> k + i - 1 & 1]),
+            persistent=frozenset([i for i in ones if code >> 2 * k + i - 1 & 1]),
+            reach=frozenset(pairs),
+            _code=code,
+        )
+        return rt
 
 
 def reaches(rt: ReachType, p: PortRef, q: PortRef) -> bool:
-    return p == q or _norm_pair(p, q) in rt.reach
+    """Whether p and q are linked by an inner path; an undefined
+    reference reaches nothing, and a malformed one raises ContextError."""
+    return bool(rt._code >> _reach_bit(rt.arity, p, q) & 1)
 
 
 def beta(w: Context) -> ReachType:
@@ -302,17 +399,97 @@ def beta(w: Context) -> ReachType:
         p: frozenset(inner.find(x) for x in adj[p] if x not in ports) for p in ports
     }
 
-    left, right = w.left_map(), w.right_map()
-    refs = [(("L", i), v) for i, v in left.items()]
-    refs += [(("R", j), v) for j, v in right.items()]
-    pairs = set()
-    for a, (p, vp) in enumerate(refs):
-        for q, vq in refs[a:]:
+    k = w.arity
+    refs = [(a, v) for a, v in enumerate(w.left + w.right) if v is not None]
+    rows = [0] * (2 * k)
+    for n, (a, vp) in enumerate(refs):
+        for b, vq in refs[n:]:
             if vp == vq or vq in adj[vp] or comp_sets[vp] & comp_sets[vq]:
-                pairs.add(_norm_pair(p, q))
-    return ReachType(
-        w.arity, frozenset(left), frozenset(right), persistent_ports(w), frozenset(pairs)
-    )
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    code = 0
+    for a, row in enumerate(rows):
+        code |= row << 3 * k + 2 * k * a
+    for a, _ in refs:
+        code |= 1 << a
+    for i in persistent_ports(w):
+        code |= 1 << 2 * k + i - 1
+    return ReachType._of_code(k, code)
+
+
+def _reach_compose(c1: int, c2: int, k: int) -> int:
+    """The code of the composition of two arity-k codes.
+
+    The references of both operands are bits of one 3k-bit node space:
+    the first operand's left references are nodes 0..k-1, its right
+    references and the second operand's left references are the glued
+    middle nodes k..2k-1, and the second operand's right references are
+    nodes 2k..3k-1.  ``glue`` moves a bit onto the node of its class
+    in `compose`: a middle index persistent in the first operand joins
+    its left node, one persistent only in the second joins its right
+    node, and a right index persistent in both joins its left node.
+    The middle nodes left over are the classes that are not ports, and
+    reachability across them is Warshall's closure with only those
+    nodes as pivots.
+    """
+    mask = (1 << k) - 1
+    k2, k3 = 2 * k, 3 * k
+    pers1, pers2 = c1 >> k2 & mask, c2 >> k2 & mask
+    both = pers1 & pers2
+    up = pers1 << k
+    down = (pers2 & ~pers1) << k
+    across = both << k2
+    stay = ~(up | down | across)
+
+    def glue(x):
+        return x & stay | (x & up) >> k | (x & down) << k | (x & across) >> k2
+
+    row_mask = (1 << k2) - 1
+    adj = [0] * k3
+    for code, shift in ((c1, 0), (c2, k)):
+        defined = code & row_mask
+        while defined:
+            low = defined & -defined
+            defined ^= low
+            a = low.bit_length() - 1
+            row = code >> k3 + k2 * a & row_mask
+            adj[glue(low << shift).bit_length() - 1] |= glue(row << shift)
+    free = ((c1 >> k | c2) & mask & ~(pers1 | pers2)) << k
+    while free:
+        low = free & -free
+        free ^= low
+        around = adj[low.bit_length() - 1]
+        bits = around
+        while bits:
+            b = bits & -bits
+            bits ^= b
+            adj[b.bit_length() - 1] |= around
+
+    left, right = c1 & mask, c2 >> k & mask
+    ports = left | (right & ~both) << k2
+    out = left | right << k | both << k2
+    refs = left | right << k
+    while refs:
+        low = refs & -refs
+        refs ^= low
+        a = low.bit_length() - 1
+        reached = adj[glue(low if a < k else low << k).bit_length() - 1] & ports
+        row = reached & mask | reached >> k
+        out |= (row | (row & both) << k) << k3 + k2 * a
+    return out
+
+
+def beta_compose(r1: ReachType, r2: ReachType) -> ReachType:
+    """Compose two reachability types; matches beta of the composition.
+
+    Runs on the operands' codes: interface references are glued into
+    classes the way `compose` glues vertices, and composite
+    reachability is a search over classes in which only non-port
+    classes may be crossed.
+    """
+    if r1.arity != r2.arity:
+        raise ContextError("types must have equal arity")
+    return ReachType._of_code(r1.arity, _reach_compose(r1._code, r2._code, r1.arity))
 
 
 def _glued_refs(r1, r2) -> dict[tuple, tuple[str, int]]:
@@ -351,58 +528,6 @@ def _glued_refs(r1, r2) -> dict[tuple, tuple[str, int]]:
     for nd in refs:
         names.setdefault(find(nd), ("~", len(names)))
     return {nd: names[find(nd)] for nd in refs}
-
-
-def beta_compose(r1: ReachType, r2: ReachType) -> ReachType:
-    """Compose two reachability types; matches beta of the composition.
-
-    Interface references of the two operands are merged into classes
-    by `_glued_refs`.  Composite reachability is graph search over
-    classes in which only non-port classes may be crossed.
-    """
-    name = _glued_refs(r1, r2)
-    edges: dict[tuple, set[tuple]] = {c: set() for c in name.values()}
-    for side, rt in (("u", r1), ("v", r2)):
-        for (p, q) in rt.reach:
-            a, b = name[(side, *p)], name[(side, *q)]
-            edges[a].add(b)
-            edges[b].add(a)
-
-    out_refs = [("L", i) for i in sorted(r1.left_defined)] + [
-        ("R", j) for j in sorted(r2.right_defined)
-    ]
-    cls = [name[("u", *ref)] if ref[0] == "L" else name[("v", *ref)] for ref in out_refs]
-    reachable_from: dict[tuple, set[tuple]] = {}
-    for start in cls:
-        if start in reachable_from:
-            continue
-        seen = {start}
-        frontier = [start]
-        reached = set()
-        while frontier:
-            c = frontier.pop()
-            for nb in edges[c]:
-                if nb in reached:
-                    continue
-                reached.add(nb)
-                if nb[0] == "~" and nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        reachable_from[start] = reached
-
-    pairs = set()
-    for a in range(len(out_refs)):
-        for b in range(a, len(out_refs)):
-            cp, cq = cls[a], cls[b]
-            if cp == cq or cq in reachable_from[cp]:
-                pairs.add(_norm_pair(out_refs[a], out_refs[b]))
-    return ReachType(
-        r1.arity,
-        r1.left_defined,
-        r2.right_defined,
-        r1.persistent & r2.persistent,
-        frozenset(pairs),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +655,7 @@ def linkage_type(w: Context) -> LinkageType:
 def linkage_compose(t1: LinkageType, t2: LinkageType) -> LinkageType:
     """Compose two linkage types; matches linkage_type of the composition.
 
-    References are merged into classes as in `beta_compose`.  Every
+    References are merged into classes by `_glued_refs`.  Every
     pattern of the first operand is unioned with every pattern of the
     second on those classes; a union with a vertex of degree three, a
     cycle or a non-port class of degree one is dropped, and `_glue`

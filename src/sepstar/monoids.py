@@ -11,16 +11,22 @@ group - the pattern that separates genuinely periodic behaviour from
 behaviour that only looks periodic because the interface wiring
 changes.
 
-Every monoid here is built by ``_closure``, one breadth-first search
-from some generators under right multiplication, and its multiplication
-table is read off the right Cayley graph that search records (Froidure
-& Pin, 1997); the decision procedure runs the same search over pairs.
+Every monoid with a table is built by ``_right_cayley``, a closure
+under right multiplication that takes its generators one at a time
+and keeps only those the earlier ones do not already generate
+(Froidure & Pin, 1997); the table is read off the right Cayley graph
+it records.  The reachability-type recognizer runs it on the integer
+codes of `sepstar.contexts`, so at width 2 it keeps 30 of the 77 letter
+types.  The lazy searches (the decision procedure over (element, type
+code) pairs, shortest words) run ``_closure``, one breadth-first search
+over every generator, so that their words stay shortest over the whole
+alphabet.
 
 `certify_non_star_free` complements the decision procedure on the
 semantic side: it pumps a context with idempotent reachability type
 and watches an oracle alternate.  Every oracle is a morphism into a
-finite type plus a predicate on types (the reachability type for
-``reach``, the linkage type of `sepstar.contexts` for
+finite type plus a predicate on types (the reachability type's code
+for ``reach``, the linkage type of `sepstar.contexts` for
 ``two-disjoint-paths``), so the powers are pumped on types: no power
 is built as a context, and the pumping stops at the first repeated
 type, so its cost does not grow with the number of powers asked for.
@@ -35,6 +41,8 @@ from .contexts import (
     Context,
     LinkageType,
     ReachType,
+    _reach_bit,
+    _reach_compose,
     beta,
     beta_compose,
     build_from_word,
@@ -164,18 +172,7 @@ def validate_monoid(m: FiniteMonoid) -> None:
 def _generators(m: FiniteMonoid) -> list[int]:
     """A generating set: each element in turn that the ones taken so
     far do not reach from the identity."""
-    gens: list[int] = []
-    reached = {m.identity}
-    for a in range(m.size):
-        if a not in reached:
-            gens.append(a)
-            reached = {
-                b
-                for b, _, _ in _closure(
-                    [m.identity], [(g, g) for g in gens], lambda x, g: m.table[x][g]
-                )
-            }
-    return gens
+    return _right_cayley(m.identity, range(m.size), lambda x, g: m.table[x][g])[1]
 
 
 def is_aperiodic_element(m: FiniteMonoid, a: int) -> bool:
@@ -272,48 +269,72 @@ def green_classes(m: FiniteMonoid) -> GreenData:
 # construction helpers
 
 
-def _closure(seeds, gens, mul, right=None):
+def _closure(seeds, gens, mul):
     """Breadth-first closure of ``seeds`` under right multiplication by
     ``gens``, a list of (name, element) pairs.  Lazily yields ``(element,
     parent, name)`` the first time each element is reached, parents
-    before children; seeds come first, with name None.  If ``right`` is
-    a list, row i of the right Cayley graph is appended to it once the
-    i-th element has met every generator: the yield positions of its
-    products with the generators, in order."""
-    index: dict = {}
+    before children; seeds come first, with name None."""
+    index: set = set()
     queue: list = []
     for s in seeds:
         if s not in index:
-            index[s] = len(queue)
+            index.add(s)
             queue.append(s)
             yield s, None, None
     for a in queue:
-        row = []
         for name, g in gens:
             b = mul(a, g)
             if b not in index:
-                index[b] = len(queue)
+                index.add(b)
                 queue.append(b)
                 yield b, a, name
-            row.append(index[b])
-        if right is not None:
-            right.append(row)
 
 
-def _cayley_monoid(identity, gens, mul):
-    """The monoid generated by the elements ``gens`` around ``identity``,
-    with its multiplication table read off the right Cayley graph: for
+def _right_cayley(identity, candidates, mul):
+    """The right Cayley graph of the monoid generated by ``candidates``
+    around ``identity``, over a reduced generating set, closed one
+    candidate at a time (Froidure & Pin, 1997).
+
+    A candidate already in the closure of the ones kept so far is
+    dropped.  Otherwise it is kept, every element met so far is
+    multiplied by it and every new element by each kept generator, so
+    ``mul`` runs once per (element, kept generator).
+
+    Returns (position, kept, steps, right): ``position`` numbers the
+    elements in the order they are met, the identity as 0;
+    steps[x - 1] = (p, j) when element x > 0 was first met as element p
+    times kept[j]; right[a][j] is the position of element a times
+    kept[j]."""
+    position = {identity: 0}
+    elements = [identity]
+    kept: list = []
+    steps: list[tuple[int, int]] = []
+    right: list[list[int]] = [[]]
+    for c in candidates:
+        if c in position:
+            continue
+        kept.append(c)
+        # the loop also visits the rows that it appends
+        for a, row in enumerate(right):
+            x = elements[a]
+            for j in range(len(row), len(kept)):
+                b = mul(x, kept[j])
+                if b not in position:
+                    position[b] = len(elements)
+                    elements.append(b)
+                    steps.append((a, j))
+                    right.append([])
+                row.append(position[b])
+    return position, kept, steps, right
+
+
+def _cayley_monoid(identity, candidates, mul):
+    """The monoid generated by ``candidates`` around ``identity``, with
+    its multiplication table read off `_right_cayley`'s graph: for
     b = p*g, a*b = (a*p)*g, so ``mul`` runs only inside the closure.
 
-    Returns (position, monoid): ``position`` numbers the elements with
-    the identity as 0 and the rest in breadth-first order."""
-    position: dict = {}
-    steps = []  # (parent position, generator position) per non-identity element
-    right: list[list[int]] = []
-    for x, parent, j in _closure([identity], list(enumerate(gens)), mul, right):
-        position[x] = len(position)
-        if j is not None:
-            steps.append((position[parent], j))
+    Returns (position, monoid), ``position`` as in `_right_cayley`."""
+    position, _, steps, right = _right_cayley(identity, candidates, mul)
     columns = [list(range(len(position)))]
     for p, j in steps:
         columns.append([right[a][j] for a in columns[p]])
@@ -332,7 +353,7 @@ def transition_monoid(n_states: int, letters: dict[str, tuple[int, ...]]):
     gens = {name: tuple(f) for name, f in letters.items()}
     position, monoid = _cayley_monoid(
         tuple(range(n_states)),
-        list(gens.values()),
+        gens.values(),
         lambda f, g: tuple(g[q] for q in f),
     )
     return monoid, {name: position[f] for name, f in gens.items()}
@@ -358,9 +379,10 @@ def generated_submonoid(m: FiniteMonoid, generators: dict[str, int]):
 class Recognizer:
     """A monoid morphism from width-`arity` generator words.
 
-    ``gen_map`` must cover the whole generator alphabet for the
-    decision procedures; partial maps are tolerated for evaluation
-    only.  Keys of gen_map are generator ids ('g0', 'g1', ...).
+    ``gen_map`` must cover the whole generator alphabet, and name no
+    other generator, for the decision procedures; partial maps are
+    tolerated for evaluation only.  Keys of gen_map are generator ids
+    ('g0', 'g1', ...).
     """
 
     monoid: FiniteMonoid
@@ -453,22 +475,22 @@ def reach_type_recognizer(k: int) -> Recognizer:
     """The reachability-type recognizer: elements are the closure of the
     generator types under composition plus an adjoined identity, element
     0 (no concrete context acts neutrally on all others, so the closure
-    itself has no unit).  Built by ``_closure`` from the distinct letter
-    types, with the table read off the right Cayley graph, so
-    ``beta_compose`` runs once per (element, generator type).
-    Accepting: types linking left 1 to right 1."""
+    itself has no unit).  Built by `_cayley_monoid` on type codes, over
+    the letter types that earlier ones do not already generate (30 of
+    the 77 at width 2), so the composition of codes runs once per
+    (element, kept type).  Accepting: types linking left 1 to right 1."""
     alphabet = enumerate_generators(k)
-    letter_types = [beta(w) for w in alphabet.contexts]
+    letter_types = [beta(w)._code for w in alphabet.contexts]
     # None stands for the adjoined identity
     position, monoid = _cayley_monoid(
         None,
-        list(dict.fromkeys(letter_types)),
-        lambda a, g: g if a is None else beta_compose(a, g),
+        letter_types,
+        lambda a, g: g if a is None else _reach_compose(a, g, k),
     )
-    gen_map = {gid: position[rt] for gid, rt in zip(alphabet.ids, letter_types)}
-    linked = ("L", 1), ("R", 1)
+    gen_map = {gid: position[c] for gid, c in zip(alphabet.ids, letter_types)}
+    linked = 1 << _reach_bit(k, ("L", 1), ("R", 1))
     accepting = frozenset(
-        i for rt, i in position.items() if rt is not None and reaches(rt, *linked)
+        i for c, i in position.items() if c is not None and c & linked
     )
     return Recognizer.build(monoid, k, gen_map, accepting)
 
@@ -516,31 +538,37 @@ def decide_aperiodic_mod_reachability(rec: Recognizer) -> Verdict:
 
     Generators with equal (image, type) pairs act identically, so the
     search runs over one representative per pair; the witness is then
-    a genuinely shortest word."""
-    alphabet = enumerate_generators(rec.arity)
+    a genuinely shortest word.  Types are codes here: the search runs
+    over (element, code) pairs, and a type is decoded only to re-check
+    a witness."""
+    k = rec.arity
+    alphabet = enumerate_generators(k)
     gm = rec.gen_dict()
     missing = [gid for gid in alphabet.ids if gid not in gm]
-    if missing:
-        raise MonoidError(
-            f"recognizer does not map generators {missing[:4]}..."
-            if len(missing) > 4
-            else f"recognizer does not map generators {missing}"
-        )
+    unknown = sorted(set(gm) - set(alphabet.ids))
+    for problem, gids in (
+        ("does not map generators", missing),
+        (f"maps generators outside the width-{k} alphabet", unknown),
+    ):
+        if gids:
+            more = "..." if len(gids) > 4 else ""
+            raise MonoidError(f"recognizer {problem} {gids[:4]}{more}")
     m = rec.monoid
+    table = m.table
     # one letter per (image, type) pair, the first by generator index
-    letters: dict[tuple, str] = {}
+    letters: dict[tuple[int, int], str] = {}
     for gid, w in zip(alphabet.ids, alphabet.contexts):
-        letters.setdefault((gm[gid], beta(w)), gid)
+        letters.setdefault((gm[gid], beta(w)._code), gid)
 
     def mul(pair, letter):
-        return m.mul(pair[0], letter[0]), beta_compose(pair[1], letter[1])
+        return table[pair[0]][letter[0]], _reach_compose(pair[1], letter[1], k)
 
-    words: dict[tuple, tuple[str, ...]] = {}
+    words: dict[tuple[int, int], tuple[str, ...]] = {}
     gens = [(gid, key) for key, gid in letters.items()]
     for pair, parent, gid in _closure(letters, gens, mul):
         words[pair] = (letters[pair],) if gid is None else words[parent] + (gid,)
-        el, rt = pair
-        if beta_compose(rt, rt) == rt and not is_aperiodic_element(m, el):
+        el, code = pair
+        if _reach_compose(code, code, k) == code and not is_aperiodic_element(m, el):
             # every letter pair counts as explored before the first is tested
             explored = max(len(words), len(letters))
             return _violation_verdict(rec, words[pair], pair, explored)
@@ -548,7 +576,8 @@ def decide_aperiodic_mod_reachability(rec: Recognizer) -> Verdict:
 
 
 def _violation_verdict(rec, word, pair, explored) -> Verdict:
-    el, rt = pair
+    el, code = pair
+    rt = ReachType._of_code(rec.arity, code)
     # re-verify the witness against the concrete semantics
     if beta(build_from_word(rec.arity, word)) != rt:
         raise MonoidError("witness type mismatch")
@@ -646,10 +675,6 @@ class Certificate:
     threshold: int
 
 
-def _reach_holds(rt: ReachType) -> bool:
-    return reaches(rt, ("L", 1), ("R", 1))
-
-
 def _two_paths_hold(t: LinkageType) -> bool:
     """Some pattern puts left 1 and right 1 on one path component and
     left 2 and right 2 on another."""
@@ -671,7 +696,7 @@ def _two_paths_hold(t: LinkageType) -> bool:
 
 def oracle_inner_reach(ctx: Context) -> bool:
     """Left port 1 linked to right port 1 by an inner path."""
-    return _reach_holds(beta(ctx))
+    return reaches(beta(ctx), ("L", 1), ("R", 1))
 
 
 def oracle_two_disjoint_paths(ctx: Context) -> bool:
@@ -680,13 +705,25 @@ def oracle_two_disjoint_paths(ctx: Context) -> bool:
     return _two_paths_hold(linkage_type(ctx))
 
 
+def _reach_oracle(k: int):
+    """`oracle_inner_reach` on the codes of arity-k reachability types."""
+    if k < 1:
+        raise MonoidError("the reach oracle needs arity at least 1")
+    linked = 1 << _reach_bit(k, ("L", 1), ("R", 1))
+    return (
+        lambda w: beta(w)._code,
+        lambda a, b: _reach_compose(a, b, k),
+        lambda code: bool(code & linked),
+    )
+
+
 # Each oracle is a predicate on a finite type that composes like the
-# contexts it abstracts: (morphism, its composition, predicate).  The
-# entries look the functions up when called, so they use the module's
-# current bindings.
+# contexts it abstracts: given the arity, (morphism, its composition,
+# predicate).  The entries look the functions up when called, so they
+# use the module's current bindings.
 _ORACLES = {
-    "reach": lambda: (beta, beta_compose, _reach_holds),
-    "two-disjoint-paths": lambda: (linkage_type, linkage_compose, _two_paths_hold),
+    "reach": _reach_oracle,
+    "two-disjoint-paths": lambda k: (linkage_type, linkage_compose, _two_paths_hold),
 }
 
 
@@ -721,14 +758,14 @@ def certify_non_star_free(
         raise MonoidError(
             f"max_power must be at least 5, got {max_power}"
         )
-    rt = beta(w)
-    if beta_compose(rt, rt) != rt:
+    code = beta(w)._code
+    if _reach_compose(code, code, w.arity) != code:
         raise MonoidError("the pumped context must have idempotent reachability type")
     if x is not None and x.arity != w.arity:
         raise MonoidError("left dressing has wrong arity")
     if y is not None and y.arity != w.arity:
         raise MonoidError("right dressing has wrong arity")
-    tau, mul, holds = _ORACLES[oracle]()
+    tau, mul, holds = _ORACLES[oracle](w.arity)
     step = tau(w)
     first = step if x is None else mul(tau(x), step)
     types, index = [first], {first: 0}

@@ -398,3 +398,54 @@ def reference_decomposition(table, parent, first):
         bags.append(frozenset(v for j, v in enumerate(verts) if members >> j & 1))
         smask |= 1 << i
     return normalize(bags)
+
+
+def reference_beta_compose(r1, r2):
+    """`beta_compose` as a graph search over the glued reference
+    classes of `contexts._glued_refs`, written on ReachType fields: the
+    reference for the composition of type codes."""
+    from sepstar.contexts import ReachType, _glued_refs, _norm_pair
+
+    name = _glued_refs(r1, r2)
+    edges: dict[tuple, set[tuple]] = {c: set() for c in name.values()}
+    for side, rt in (("u", r1), ("v", r2)):
+        for (p, q) in rt.reach:
+            a, b = name[(side, *p)], name[(side, *q)]
+            edges[a].add(b)
+            edges[b].add(a)
+
+    out_refs = [("L", i) for i in sorted(r1.left_defined)] + [
+        ("R", j) for j in sorted(r2.right_defined)
+    ]
+    cls = [name[("u", *ref)] if ref[0] == "L" else name[("v", *ref)] for ref in out_refs]
+    reachable_from: dict[tuple, set[tuple]] = {}
+    for start in cls:
+        if start in reachable_from:
+            continue
+        seen = {start}
+        frontier = [start]
+        reached = set()
+        while frontier:
+            c = frontier.pop()
+            for nb in edges[c]:
+                if nb in reached:
+                    continue
+                reached.add(nb)
+                if nb[0] == "~" and nb not in seen:
+                    seen.add(nb)
+                    frontier.append(nb)
+        reachable_from[start] = reached
+
+    pairs = set()
+    for a in range(len(out_refs)):
+        for b in range(a, len(out_refs)):
+            cp, cq = cls[a], cls[b]
+            if cp == cq or cq in reachable_from[cp]:
+                pairs.add(_norm_pair(out_refs[a], out_refs[b]))
+    return ReachType(
+        r1.arity,
+        r1.left_defined,
+        r2.right_defined,
+        r1.persistent & r2.persistent,
+        frozenset(pairs),
+    )

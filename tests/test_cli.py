@@ -343,6 +343,20 @@ def test_decide_exit_codes(tmp_path, capsys):
 PARITY = json.loads(dump_recognizer(parity_recognizer(1, ["g5"])))
 
 
+@pytest.mark.parametrize("gid", ["hello", "g99"])
+def test_decide_rejects_generators_outside_the_alphabet(tmp_path, capsys, gid):
+    trivial = {"monoid": {"table": [[0]], "identity": 0}, "arity": 1, "accepting": [0]}
+    gen_map = {f"g{i}": 0 for i in range(14)}
+    extra = {**trivial, "gen_map": {**gen_map, gid: 0}}
+    rec = write(tmp_path, "rec.json", json.dumps(extra))
+    code, out, err = run(capsys, ["decide", "--recognizer", rec])
+    assert (code, out) == (2, "")
+    assert gid in err and "outside the width-1 alphabet" in err
+    rec = write(tmp_path, "rec.json", json.dumps({**trivial, "gen_map": gen_map}))
+    code, out, _ = run(capsys, ["decide", "--recognizer", rec])
+    assert code == 0 and out.startswith("aperiodic modulo reachability")
+
+
 @pytest.mark.parametrize("field, value", [
     ("arity", "1"),
     ("gen_map", [["g0", 0]]),
@@ -375,6 +389,13 @@ def test_certify_found_and_not_found(tmp_path, capsys):
         ["certify", "--oracle", "reach", "--context", idf, "--max-power", "5"],
     )
     assert code == 1 and "no certificate" in out
+
+
+def test_certify_reach_needs_port_1(tmp_path, capsys):
+    empty = write(tmp_path, "empty.json", dump_context(Context.build(["a"], [], 0, {}, {})))
+    code, out, err = run(capsys, ["certify", "--oracle", "reach", "--context", empty])
+    assert (code, out) == (2, "")
+    assert "needs arity at least 1" in err
 
 
 @pytest.mark.parametrize("power", ["-3", "0", "4"])

@@ -9,6 +9,7 @@ import pytest
 from sepstar.contexts import (
     Context,
     ContextError,
+    ReachType,
     beta,
     beta_compose,
     bridges,
@@ -32,7 +33,7 @@ from sepstar.contexts import (
     reaches,
 )
 
-from helpers import brute_linkage_patterns, random_context
+from helpers import brute_linkage_patterns, random_context, reference_beta_compose
 
 
 def _ctx(vertices, edges, arity, left, right):
@@ -207,6 +208,48 @@ def test_beta_compose_is_a_homomorphism():
         k = rng.randint(1, 3)
         u, v = random_context(rng, k, 4), random_context(rng, k, 4)
         assert beta(compose(u, v)) == beta_compose(beta(u), beta(v))
+
+
+def _fields(rt):
+    return rt.arity, rt.left_defined, rt.right_defined, rt.persistent, rt.reach
+
+
+def test_type_codes_match_the_reference_composition_at_width_2():
+    letters = list(dict.fromkeys(beta(w) for w in enumerate_generators(2).contexts))
+    types, seen = list(letters), set(letters)
+    for a in types:  # the list grows while it is walked
+        for g in letters:
+            b = reference_beta_compose(a, g)
+            if b not in seen:
+                seen.add(b)
+                types.append(b)
+    assert len(types) == 126
+    for rt in types:
+        checked = ReachType(2, rt.left_defined, rt.right_defined, rt.persistent, rt.reach)
+        assert checked._code == rt._code
+        assert _fields(ReachType._of_code(2, rt._code)) == _fields(rt)
+    for a in types:
+        for b in types:
+            assert _fields(beta_compose(a, b)) == _fields(reference_beta_compose(a, b))
+
+
+def test_type_codes_match_the_reference_composition_at_width_3():
+    rng = random.Random(3)
+    pool = list(dict.fromkeys(beta(w) for w in enumerate_generators(3).contexts))
+    for _ in range(2000):
+        a, b = rng.choice(pool), rng.choice(pool)
+        composed = beta_compose(a, b)
+        assert _fields(composed) == _fields(reference_beta_compose(a, b))
+        pool.append(composed)
+
+
+def test_reaches_reads_defined_references_only():
+    rt = beta(_ctx(["a", "b"], [("a", "b")], 2, {1: "a"}, {1: "b"}))
+    assert reaches(rt, ("L", 1), ("L", 1)) and reaches(rt, ("R", 1), ("L", 1))
+    assert not reaches(rt, ("L", 2), ("L", 2))  # undefined
+    for bad in [("L", 3), ("X", 1), ("L", "1")]:
+        with pytest.raises(ContextError):
+            reaches(rt, bad, bad)
 
 
 def test_beta_compose_blocks_port_classes():

@@ -23,6 +23,7 @@ from sepstar.contexts import (
     dump_context,
     enumerate_generators,
     inner_components,
+    reaches,
 )
 from sepstar.graphs import (
     PortGraph,
@@ -197,3 +198,21 @@ def test_inconsistent_reach_type_is_rejected():
         ReachType(
             2, frozenset({1}), frozenset({1}), frozenset(), frozenset({(("L", 1), ("R", 2))})
         )
+    one = frozenset({1})
+    l1, r1 = ("L", 1), ("R", 1)
+    wire = frozenset({(l1, l1), (r1, r1), (l1, r1)})
+    assert reaches(ReachType(2, one, one, frozenset(), wire), l1, r1)
+    for args in [
+        # a pair written (larger, smaller), which `reaches` would miss
+        (2, one, one, frozenset(), wire - {(l1, r1)} | {(r1, l1)}),
+        # an index beyond the arity
+        (2, frozenset({5}), one, frozenset(), wire),
+        # a side other than L and R
+        (2, one, one, frozenset(), wire | {(("X", 1), ("X", 1))}),
+        # no reflexive pairs
+        (2, one, one, frozenset(), frozenset({(l1, r1)})),
+        # a persistent index without its L-R pair
+        (2, one, one, one, frozenset({(l1, l1), (r1, r1)})),
+    ]:
+        with pytest.raises(ContextError):
+            ReachType(*args)

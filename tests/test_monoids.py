@@ -323,17 +323,18 @@ def test_reach_type_recognizer_matches_all_pairs_reference(k, size):
 
 def test_reach_type_recognizer_composes_once_per_element_and_generator(monkeypatch):
     calls = []
+    compose_codes = monoids._reach_compose
 
-    def counting(a, b):
+    def counting(a, b, k):
         calls.append(1)
-        return beta_compose(a, b)
+        return compose_codes(a, b, k)
 
-    monkeypatch.setattr(monoids, "beta_compose", counting)
+    monkeypatch.setattr(monoids, "_reach_compose", counting)
     rec = reach_type_recognizer(2)
     assert rec.monoid.size == 127
-    # 126 non-identity elements times 77 distinct generator types;
-    # composing every pair instead took 44,892 calls
-    assert len(calls) <= 126 * 77
+    # 126 non-identity elements times the 30 letter types kept of 77;
+    # all 77 took 9,702 calls and composing every pair 44,892
+    assert len(calls) == 126 * 30
 
 
 def test_syntactic_quotient_collapses_irrelevant_structure():
@@ -396,6 +397,16 @@ PARITY_VERDICTS = [
 def test_decide_parity_verdicts_are_pinned(odd, aperiodic, witness, element, explored):
     verdict = decide_aperiodic_mod_reachability(parity_recognizer(2, odd))
     assert verdict == Verdict(aperiodic, 2, witness, element, explored)
+
+
+# Arity-3 verdicts, recorded before types became codes
+@pytest.mark.parametrize("odd, witness, explored", [
+    (("g0",), ("g0",), 2351),
+    (("g100", "g2000"), ("g100",), 2352),
+])
+def test_decide_arity_3_parity_verdicts_are_pinned(odd, witness, explored):
+    verdict = decide_aperiodic_mod_reachability(parity_recognizer(3, odd))
+    assert verdict == Verdict(False, 3, witness, 1, explored)
 
 
 def test_decide_requires_total_gen_map():
