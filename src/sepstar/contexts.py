@@ -13,13 +13,15 @@ vertices ("inner" path).  Reachability types compose without looking at
 the underlying graphs, which is what the recognizer machinery in
 `sepstar.monoids` exploits.  Each type is also a small integer code:
 three k-bit masks (left-defined, right-defined, persistent) and one
-2k-bit reach row per reference.  Types compose on their codes, with bit
-operations on glued reference classes; `sepstar.monoids` runs its
-closures and searches on the codes alone, and `ReachType` carries its
-code, so equality and hashing are integer work.  The linkage type is
-the finer abstraction behind the disjoint-paths oracle: every linear
-forest over the port vertices whose edges are inner paths with disjoint
-interiors.  It composes the same way, by gluing.
+2k-bit reach row per reference.  `ReachType` carries its code, so
+equality and hashing are integer work, and `sepstar.monoids` runs its
+closures and searches on the codes alone.  The linkage type is the
+finer abstraction behind the disjoint-paths oracle: every linear forest
+over the port vertices whose edges are inner paths with disjoint
+interiors.  It carries the same three masks and names each port vertex
+by a reference position, the numbering of the code's rows.  Both types
+compose by one gluing, `_gluing`, which reads the operands' masks and
+moves every reference onto the node of its class in `compose`.
 
 A context is a vertex/edge core plus two interface tuples, so it runs
 on the graph core of `sepstar.graphs`: the same validation, core class
@@ -260,10 +262,6 @@ def bridges(w: Context) -> tuple[frozenset[tuple[str, str]], ...]:
 PortRef = tuple[str, int]  # ("L", i) or ("R", i), 1-based
 
 
-def _norm_pair(p: PortRef, q: PortRef) -> tuple[PortRef, PortRef]:
-    return (p, q) if p <= q else (q, p)
-
-
 # A reachability type of arity k is also one integer, its code.  Bits
 # 0..k-1 hold the left-defined indices, k..2k-1 the right-defined ones
 # and 2k..3k-1 the persistent ones.  Then each reference in the order
@@ -407,43 +405,72 @@ def beta(w: Context) -> ReachType:
             if vp == vq or vq in adj[vp] or comp_sets[vp] & comp_sets[vq]:
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
-    code = 0
+    code = _interface_masks(w)
     for a, row in enumerate(rows):
         code |= row << 3 * k + 2 * k * a
-    for a, _ in refs:
-        code |= 1 << a
-    for i in persistent_ports(w):
-        code |= 1 << 2 * k + i - 1
     return ReachType._of_code(k, code)
 
 
-def _reach_compose(c1: int, c2: int, k: int) -> int:
-    """The code of the composition of two arity-k codes.
+def _interface_masks(w: Context) -> int:
+    """Bits 0..3k-1 of the type code of an arity-k context: its
+    left-defined, right-defined and persistent indices."""
+    k = w.arity
+    masks = 0
+    for i, (x, y) in enumerate(zip(w.left, w.right)):
+        if x is not None:
+            masks |= 1 << i | (x == y) << 2 * k + i
+        if y is not None:
+            masks |= 1 << k + i
+    return masks
+
+
+def _gluing(h1: int, h2: int, k: int) -> tuple[int, ...]:
+    """How `compose` glues the references of two arity-k operands, read
+    from the three masks in the low 3k bits of their codes.
 
     The references of both operands are bits of one 3k-bit node space:
     the first operand's left references are nodes 0..k-1, its right
     references and the second operand's left references are the glued
     middle nodes k..2k-1, and the second operand's right references are
-    nodes 2k..3k-1.  ``glue`` moves a bit onto the node of its class
-    in `compose`: a middle index persistent in the first operand joins
-    its left node, one persistent only in the second joins its right
-    node, and a right index persistent in both joins its left node.
-    The middle nodes left over are the classes that are not ports, and
-    reachability across them is Warshall's closure with only those
-    nodes as pivots.
+    nodes 2k..3k-1.  `_move` moves a bit onto the node of its class: a
+    middle index persistent in the first operand joins its left node
+    (``up``), one persistent only in the second joins its right node
+    (``down``), a right index persistent in both joins its left node
+    (``across``), and every other bit stays (``stay``).  Returns
+    (stay, up, down, across, free, ports, masks): ``free`` holds the
+    middle nodes left over, which are the classes that are not ports,
+    ``ports`` the nodes of the composite's ports, and ``masks`` the
+    composite's three masks.
     """
     mask = (1 << k) - 1
-    k2, k3 = 2 * k, 3 * k
-    pers1, pers2 = c1 >> k2 & mask, c2 >> k2 & mask
+    k2 = 2 * k
+    pers1, pers2 = h1 >> k2 & mask, h2 >> k2 & mask
     both = pers1 & pers2
     up = pers1 << k
     down = (pers2 & ~pers1) << k
     across = both << k2
-    stay = ~(up | down | across)
+    free = ((h1 >> k | h2) & mask & ~(pers1 | pers2)) << k
+    left, right = h1 & mask, h2 >> k & mask
+    ports = left | (right & ~both) << k2
+    masks = left | right << k | both << k2
+    return ~(up | down | across), up, down, across, free, ports, masks
 
-    def glue(x):
-        return x & stay | (x & up) >> k | (x & down) << k | (x & across) >> k2
 
+def _move(x: int, k: int, stay: int, up: int, down: int, across: int) -> int:
+    """Move every bit of the node set ``x`` onto the node of its class."""
+    return x & stay | (x & up) >> k | (x & down) << k | (x & across) >> 2 * k
+
+
+def _reach_compose(c1: int, c2: int, k: int) -> int:
+    """The code of the composition of two arity-k codes.
+
+    Each operand's reach rows become edges between the classes of
+    `_gluing`.  Reachability across the classes that are not ports is
+    Warshall's closure with only those nodes as pivots, and the
+    composite's rows are read off at the port nodes.
+    """
+    stay, up, down, across, free, ports, out = _gluing(c1, c2, k)
+    k2, k3 = 2 * k, 3 * k
     row_mask = (1 << k2) - 1
     adj = [0] * k3
     for code, shift in ((c1, 0), (c2, k)):
@@ -453,8 +480,8 @@ def _reach_compose(c1: int, c2: int, k: int) -> int:
             defined ^= low
             a = low.bit_length() - 1
             row = code >> k3 + k2 * a & row_mask
-            adj[glue(low << shift).bit_length() - 1] |= glue(row << shift)
-    free = ((c1 >> k | c2) & mask & ~(pers1 | pers2)) << k
+            node = _move(low << shift, k, stay, up, down, across).bit_length() - 1
+            adj[node] |= _move(row << shift, k, stay, up, down, across)
     while free:
         low = free & -free
         free ^= low
@@ -465,15 +492,15 @@ def _reach_compose(c1: int, c2: int, k: int) -> int:
             bits ^= b
             adj[b.bit_length() - 1] |= around
 
-    left, right = c1 & mask, c2 >> k & mask
-    ports = left | (right & ~both) << k2
-    out = left | right << k | both << k2
-    refs = left | right << k
+    mask = (1 << k) - 1
+    both = out >> k2
+    refs = out & row_mask
     while refs:
         low = refs & -refs
         refs ^= low
         a = low.bit_length() - 1
-        reached = adj[glue(low if a < k else low << k).bit_length() - 1] & ports
+        node = _move(low if a < k else low << k, k, stay, up, down, across)
+        reached = adj[node.bit_length() - 1] & ports
         row = reached & mask | reached >> k
         out |= (row | (row & both) << k) << k3 + k2 * a
     return out
@@ -492,68 +519,30 @@ def beta_compose(r1: ReachType, r2: ReachType) -> ReachType:
     return ReachType._of_code(r1.arity, _reach_compose(r1._code, r2._code, r1.arity))
 
 
-def _glued_refs(r1, r2) -> dict[tuple, tuple[str, int]]:
-    """Merge the interface references of two types composed r1 . r2
-    into classes, the way `compose` glues vertices: persistence links a
-    type's own two references, gluing links right of the first to left
-    of the second.
-
-    Maps each reference ("u" or "v", "L" or "R", i) to the name of its
-    class.  A class is a port of the composite iff it contains a left
-    reference of the first operand or a right reference of the second;
-    it is then named by its reference in the composite, ("L", i) before
-    ("R", j).  Every other class is named ("~", n).
-    """
-    if r1.arity != r2.arity:
-        raise ContextError("types must have equal arity")
-    firsts = [("u", "L", i) for i in sorted(r1.left_defined)]
-    lasts = [("v", "R", i) for i in sorted(r2.right_defined)]
-    refs = (
-        firsts
-        + [("u", "R", i) for i in sorted(r1.right_defined)]
-        + [("v", "L", i) for i in sorted(r2.left_defined)]
-        + lasts
-    )
-    classes = _DisjointSet(refs)
-    find, union = classes.find, classes.union
-    for i in r1.persistent:
-        union(("u", "L", i), ("u", "R", i))
-    for i in r2.persistent:
-        union(("v", "L", i), ("v", "R", i))
-    for i in r1.right_defined & r2.left_defined:
-        union(("u", "R", i), ("v", "L", i))
-    names: dict = {}
-    for nd in firsts + lasts:
-        names.setdefault(find(nd), nd[1:])
-    for nd in refs:
-        names.setdefault(find(nd), ("~", len(names)))
-    return {nd: names[find(nd)] for nd in refs}
-
-
 # ---------------------------------------------------------------------------
 # linkage types
-
-Pattern = frozenset[tuple[PortRef, PortRef]]
-
 
 @dataclass(frozen=True)
 class LinkageType:
     """Which systems of disjoint inner paths a context realises.
 
-    Each port vertex is named by one of its references, ("L", i) when
-    it is a left port and ("R", j) otherwise.  A pattern is a linear
-    forest over these names whose edges are inner paths (the interior
-    avoids every port vertex) with pairwise disjoint interiors;
-    ``patterns`` holds every pattern the context realises, the empty
-    one included.  A linear forest on at most 2k port vertices has at
-    most 2k - 1 edges, so the type is finite for every arity.
+    ``masks`` is the low 3k bits of the context's reachability-type
+    code: its left-defined, right-defined and persistent indices.  Each
+    port vertex is named by its first reference position among L1..Lk,
+    R1..Rk (0..2k-1, the order of the code's reach rows): i - 1 when
+    it is left port i, so a persistent vertex takes its left position,
+    and k + j - 1 when it is only right port j.  A pattern is a linear
+    forest over these positions whose edges are inner paths (the
+    interior avoids every port vertex) with pairwise disjoint
+    interiors, each edge written (smaller, larger); ``patterns`` holds
+    every pattern the context realises, the empty one included.  A
+    linear forest on at most 2k port vertices has at most 2k - 1
+    edges, so the type is finite for every arity.
     """
 
     arity: int
-    left_defined: frozenset[int]
-    right_defined: frozenset[int]
-    persistent: frozenset[int]
-    patterns: frozenset[Pattern]
+    masks: int
+    patterns: frozenset[frozenset[tuple[int, int]]]
 
 
 def _glue(edges, keep) -> list | None:
@@ -639,15 +628,14 @@ def linkage_type(w: Context) -> LinkageType:
             if (glued := _glue([*pattern, *extra], keep)) is not None
         }
 
-    ref = {v: ("R", j) for j, v in w.right_map().items()}
-    ref.update({v: ("L", i) for i, v in w.left_map().items()})
+    k = w.arity
+    pos = {v: k + j for j, v in enumerate(w.right) if v is not None}
+    pos.update({v: i for i, v in enumerate(w.left) if v is not None})
     return LinkageType(
-        w.arity,
-        frozenset(w.left_map()),
-        frozenset(w.right_map()),
-        persistent_ports(w),
+        k,
+        _interface_masks(w),
         frozenset(
-            frozenset(_norm_pair(ref[a], ref[b]) for a, b in p) for p in patterns
+            frozenset(tuple(sorted((pos[a], pos[b]))) for a, b in p) for p in patterns
         ),
     )
 
@@ -655,33 +643,33 @@ def linkage_type(w: Context) -> LinkageType:
 def linkage_compose(t1: LinkageType, t2: LinkageType) -> LinkageType:
     """Compose two linkage types; matches linkage_type of the composition.
 
-    References are merged into classes by `_glued_refs`.  Every
-    pattern of the first operand is unioned with every pattern of the
-    second on those classes; a union with a vertex of degree three, a
-    cycle or a non-port class of degree one is dropped, and `_glue`
+    References are glued into classes by `_gluing`, as for reachability
+    types.  A port class is named by its position in the composite,
+    and a middle node n that is no port by n + k, above every position.
+    Every pattern of the first operand is unioned with every pattern of
+    the second on those classes; a union with a vertex of degree three,
+    a cycle or a non-port class of degree one is dropped, and `_glue`
     contracts the non-port classes of degree two.
     """
-    name = _glued_refs(t1, t2)
-    keep = {c for c in name.values() if c[0] != "~"}
-    firsts = [
-        [(name[("u", *p)], name[("u", *q)]) for p, q in pattern] for pattern in t1.patterns
-    ]
-    seconds = [
-        [(name[("v", *p)], name[("v", *q)]) for p, q in pattern] for pattern in t2.patterns
-    ]
+    if t1.arity != t2.arity:
+        raise ContextError("types must have equal arity")
+    k = t1.arity
+    stay, up, down, across, _, _, masks = _gluing(t1.masks, t2.masks, k)
+
+    def name(node):
+        n = _move(1 << node, k, stay, up, down, across).bit_length() - 1
+        return n if n < k else n - k if n >= 2 * k else n + k
+
+    firsts = [[(name(a), name(b)) for a, b in p] for p in t1.patterns]
+    seconds = [[(name(a + k), name(b + k)) for a, b in p] for p in t2.patterns]
+    keep = range(2 * k)
     patterns = set()
     for a in firsts:
         for b in seconds:
             glued = _glue(a + b, keep)
             if glued is not None:
                 patterns.add(frozenset(glued))
-    return LinkageType(
-        t1.arity,
-        t1.left_defined,
-        t2.right_defined,
-        t1.persistent & t2.persistent,
-        frozenset(patterns),
-    )
+    return LinkageType(k, masks, frozenset(patterns))
 
 
 # ---------------------------------------------------------------------------
@@ -748,13 +736,15 @@ class GeneratorAlphabet:
         return tuple(f"g{i}" for i in range(len(self.contexts)))
 
     def by_id(self, gid: str) -> Context:
-        if not gid.startswith("g"):
-            raise ContextError(f"unknown generator id {gid!r}")
+        """The letter with id ``gid``, exactly as `ids` writes it: no
+        sign, leading zero, space or non-ASCII digit."""
         try:
             idx = int(gid[1:])
-            return self.contexts[idx]
-        except (ValueError, IndexError):
-            raise ContextError(f"unknown generator id {gid!r}") from None
+        except (TypeError, ValueError):
+            idx = -1
+        if not 0 <= idx < len(self.contexts) or gid != f"g{idx}":
+            raise ContextError(f"unknown generator id {gid!r}")
+        return self.contexts[idx]
 
     def __len__(self) -> int:
         return len(self.contexts)

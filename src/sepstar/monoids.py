@@ -678,12 +678,14 @@ class Certificate:
 def _two_paths_hold(t: LinkageType) -> bool:
     """Some pattern puts left 1 and right 1 on one path component and
     left 2 and right 2 on another."""
-    if t.arity < 2:
+    k = t.arity
+    if k < 2:
         raise MonoidError("the disjoint-paths oracle needs arity at least 2")
-    if not {1, 2} <= t.left_defined & t.right_defined:
+    if t.masks & 3 != 3 or t.masks >> k & 3 != 3:
         raise MonoidError("ports 1 and 2 must be defined on both sides")
-    s1, s2 = ("L", 1), ("L", 2)
-    t1, t2 = (("L", i) if i in t.persistent else ("R", i) for i in (1, 2))
+    # the positions naming left ports 1, 2 and right ports 1, 2
+    s1, s2 = 0, 1
+    t1, t2 = (i if t.masks >> 2 * k + i & 1 else k + i for i in (0, 1))
     for pattern in t.patterns:
         parts = _DisjointSet({s1, s2, t1, t2}.union(*pattern))
         for p, q in pattern:
@@ -781,15 +783,19 @@ def certify_non_star_free(
     if repeat is not None:
         period = len(types) - repeat
         values += [values[repeat + i % period] for i in range(max_power - len(types))]
-    threshold = None
-    for m0 in range(1, max_power + 1):
-        tail = values[m0 - 1 :]
-        if all(tail[i] != tail[i + 1] for i in range(len(tail) - 1)):
-            threshold = m0
-            break
-    if threshold is None or threshold > max_power - 4:
+    threshold = _alternation_start(values)
+    if threshold > max_power - 4:
         return None
     return Certificate(oracle, max_power, tuple(values), threshold)
+
+
+def _alternation_start(values) -> int:
+    """The least power m0 (1-based) from which ``values`` strictly
+    alternates: one past the last pair of equal neighbours, or 1."""
+    for i in range(len(values) - 1, 0, -1):
+        if values[i] == values[i - 1]:
+            return i + 1
+    return 1
 
 
 # ---------------------------------------------------------------------------

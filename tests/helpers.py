@@ -244,8 +244,6 @@ def brute_linkage_patterns(w):
     (a simple path between two port vertices through non-port vertices
     only) and every set of them with disjoint interiors that forms a
     linear forest on the port vertices."""
-    from sepstar.contexts import _norm_pair
-
     ports = w.port_vertices()
     paths = []  # (p, q, interior) with p < q
     for p in sorted(ports):
@@ -260,12 +258,13 @@ def brute_linkage_patterns(w):
                         paths.append((p, u, frozenset(walk[1:])))
                 else:
                     stack.append((u, walk + (u,)))
-    ref = {v: ("R", j) for j, v in w.right_map().items()}
-    ref.update({v: ("L", i) for i, v in w.left_map().items()})
+    # each port vertex is named by its first position among L1..Lk, R1..Rk
+    pos = {v: w.arity + j - 1 for j, v in w.right_map().items()}
+    pos.update({v: i - 1 for i, v in w.left_map().items()})
     found = set()
 
     def extend(start, used, chosen):
-        found.add(frozenset(_norm_pair(ref[p], ref[q]) for p, q in chosen))
+        found.add(frozenset(tuple(sorted((pos[p], pos[q]))) for p, q in chosen))
         for i in range(start, len(paths)):
             p, q, interior = paths[i]
             trial = chosen + [(p, q)]
@@ -400,11 +399,56 @@ def reference_decomposition(table, parent, first):
     return normalize(bags)
 
 
+def _norm_pair(p, q):
+    return (p, q) if p <= q else (q, p)
+
+
+def _glued_refs(r1, r2) -> dict[tuple, tuple[str, int]]:
+    """Merge the interface references of two reachability types
+    composed r1 . r2 into classes, the way `compose` glues vertices:
+    persistence links a type's own two references, gluing links right
+    of the first to left of the second.
+
+    Maps each reference ("u" or "v", "L" or "R", i) to the name of its
+    class.  A class is a port of the composite iff it contains a left
+    reference of the first operand or a right reference of the second;
+    it is then named by its reference in the composite, ("L", i) before
+    ("R", j).  Every other class is named ("~", n).
+    """
+    from sepstar.contexts import ContextError
+    from sepstar.graphs import _DisjointSet
+
+    if r1.arity != r2.arity:
+        raise ContextError("types must have equal arity")
+    firsts = [("u", "L", i) for i in sorted(r1.left_defined)]
+    lasts = [("v", "R", i) for i in sorted(r2.right_defined)]
+    refs = (
+        firsts
+        + [("u", "R", i) for i in sorted(r1.right_defined)]
+        + [("v", "L", i) for i in sorted(r2.left_defined)]
+        + lasts
+    )
+    classes = _DisjointSet(refs)
+    find, union = classes.find, classes.union
+    for i in r1.persistent:
+        union(("u", "L", i), ("u", "R", i))
+    for i in r2.persistent:
+        union(("v", "L", i), ("v", "R", i))
+    for i in r1.right_defined & r2.left_defined:
+        union(("u", "R", i), ("v", "L", i))
+    names: dict = {}
+    for nd in firsts + lasts:
+        names.setdefault(find(nd), nd[1:])
+    for nd in refs:
+        names.setdefault(find(nd), ("~", len(names)))
+    return {nd: names[find(nd)] for nd in refs}
+
+
 def reference_beta_compose(r1, r2):
     """`beta_compose` as a graph search over the glued reference
-    classes of `contexts._glued_refs`, written on ReachType fields: the
-    reference for the composition of type codes."""
-    from sepstar.contexts import ReachType, _glued_refs, _norm_pair
+    classes of `_glued_refs`, written on ReachType fields: the reference
+    for the composition of type codes."""
+    from sepstar.contexts import ReachType
 
     name = _glued_refs(r1, r2)
     edges: dict[tuple, set[tuple]] = {c: set() for c in name.values()}
@@ -449,3 +493,13 @@ def reference_beta_compose(r1, r2):
         r1.persistent & r2.persistent,
         frozenset(pairs),
     )
+
+
+def reference_alternation_start(values):
+    """The threshold search `certify_non_star_free` used to run: the
+    least m0 whose tail values[m0 - 1:] strictly alternates."""
+    for m0 in range(1, len(values) + 1):
+        tail = values[m0 - 1 :]
+        if all(tail[i] != tail[i + 1] for i in range(len(tail) - 1)):
+            return m0
+    return None

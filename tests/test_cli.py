@@ -317,6 +317,13 @@ def test_build_word_round_trips(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("gid", ["g-1", "g03", "g\u0663"])
+def test_build_word_rejects_ids_outside_the_alphabet(capsys, gid):
+    # int() would read these as 13 (wrapping), 3 and 3
+    code, out, err = run(capsys, ["build-word", "--arity", "1", gid])
+    assert code == 2 and out == "" and "unknown generator id" in err
+
+
 def test_encode_word_emits_marked_path(capsys):
     code, out, _ = run(capsys, ["encode-word", "ab"])
     assert code == 0

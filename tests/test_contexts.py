@@ -285,8 +285,9 @@ def test_hub_reach_type_is_idempotent():
 
 
 def test_linkage_type_of_fixtures():
+    # positions at width 2: L1 = 0, L2 = 1, R1 = 2, R2 = 3
     wires = linkage_type(crossing_context())
-    straight, swapped = (("L", 1), ("R", 2)), (("L", 2), ("R", 1))
+    straight, swapped = (0, 3), (1, 2)
     assert wires.patterns == {
         frozenset(),
         frozenset({straight}),
@@ -296,10 +297,10 @@ def test_linkage_type_of_fixtures():
     hub = linkage_type(hub_context())
     assert len(hub.patterns) == 20
     # the hub is used at most once, so L1-R1 and L2-R2 never go together
-    assert frozenset({(("L", 1), ("R", 1)), (("L", 2), ("R", 2))}) not in hub.patterns
+    assert frozenset({(0, 2), (1, 3)}) not in hub.patterns
     # a persistent vertex is named by its left reference
     ident = linkage_type(identity_context(2))
-    assert ident.persistent == {1, 2} and ident.patterns == {frozenset()}
+    assert ident.masks == 0b11_11_11 and ident.patterns == {frozenset()}
 
 
 def test_linkage_type_against_brute_enumeration():
@@ -319,6 +320,19 @@ def test_linkage_compose_is_a_homomorphism(k, pairs):
         assert linkage_type(compose(u, v)) == linkage_compose(
             linkage_type(u), linkage_type(v)
         )
+
+
+def test_linkage_compose_glues_every_width_2_pair_of_types():
+    # one letter per linkage type; letters sharing a persistent index
+    # reach the `across` case of the gluing, which random short words
+    # meet only by chance
+    letters = {}
+    for w in enumerate_generators(2).contexts:
+        letters.setdefault(linkage_type(w), w)
+    assert len(letters) == 77
+    for tu, u in letters.items():
+        for tv, v in letters.items():
+            assert linkage_compose(tu, tv) == linkage_type(compose(u, v))
 
 
 def test_linkage_compose_on_random_contexts():

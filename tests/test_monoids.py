@@ -4,6 +4,7 @@ aperiodicity decision, and semantic certification."""
 import json
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -53,7 +54,7 @@ from sepstar.monoids import (
     validate_monoid,
 )
 
-from helpers import brute_two_disjoint_paths
+from helpers import brute_two_disjoint_paths, reference_alternation_start
 
 Z2 = FiniteMonoid.build([[0, 1], [1, 0]], 0)
 # two-element semilattice: 1 absorbs
@@ -542,6 +543,14 @@ def test_certify_work_is_independent_of_max_power(monkeypatch):
         assert cert.values == tuple(m % 2 == 0 for m in range(1, power + 1))
         counts.append(len(calls))
     assert counts[0] > 0 and len(set(counts)) == 1
+
+
+def test_alternation_start_matches_the_tail_search():
+    for n in range(5, 13):
+        for values in product((False, True), repeat=n):
+            assert monoids._alternation_start(values) == reference_alternation_start(
+                values
+            )
 
 
 def test_certify_composes_no_context(monkeypatch):

@@ -68,3 +68,44 @@ def test_json_is_parsed_in_two_places():
         ("graphs.py", "_read_json"),
         ("starfree.py", "_ExprParser.json_graph"),
     }
+
+
+def _private_definitions(tree):
+    """Each module-level name with one leading underscore, with the
+    top-level statement that defines it."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def _names_read(node) -> set[str]:
+    """Every name and attribute the statement reads; an import does not
+    count."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def test_every_private_name_is_used_in_the_library():
+    # a private helper that only tests reach is dead library code
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    reads = [(stmt, _names_read(stmt)) for tree in trees.values() for stmt in tree.body]
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, stmt in _private_definitions(tree)
+        if not any(name in names for other, names in reads if other is not stmt)
+    ]
+    assert trees and not unused, unused
