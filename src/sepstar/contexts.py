@@ -47,6 +47,7 @@ from .graphs import (
     _Core,
     _decode_certificate,
     _DisjointSet,
+    _index_certificate,
     _read_json,
 )
 
@@ -190,29 +191,46 @@ def compose(u: Context, v: Context) -> Context:
     port role.  Distinct operand vertices never collapse together
     (interfaces are injective), so the composite is again simple.
     """
-    if u.arity != v.arity:
-        raise ContextError(f"compose needs equal arities, got {u.arity}, {v.arity}")
-    glued = _DisjointSet([("u", x) for x in u.vertices] + [("v", y) for y in v.vertices])
-    for a, b in zip(u.right, v.left):
-        if a is not None and b is not None:
-            glued.union(("u", a), ("v", b))
-    name_of = {nd: f"z{idx}" for idx, cls in enumerate(glued.classes()) for nd in cls}
-    edges = [(name_of[("u", x)], name_of[("u", y)]) for (x, y) in u.edges]
-    edges += [(name_of[("v", x)], name_of[("v", y)]) for (x, y) in v.edges]
-    left = {i: name_of[("u", x)] for i, x in u.left_map().items()}
-    right = {i: name_of[("v", y)] for i, y in v.right_map().items()}
-    return Context.build(set(name_of.values()), edges, u.arity, left, right)
+    return compose_all((u, v))
 
 
 def compose_all(contexts) -> Context:
-    """Left fold of compose; needs at least one operand."""
+    """Left fold of compose; needs at least one operand.
+
+    Each step names the composite so far's vertices z0, z1, ... in
+    sorted order, then the next operand's unglued vertices, in sorted
+    order, by the next names; a glued vertex takes its partner's name.
+    The steps run on plain names, edge lists and interface lists; only
+    the final composite is built, and so validated, as a Context.
+    """
     items = list(contexts)
     if not items:
         raise ContextError("cannot compose an empty sequence")
-    acc = items[0]
+    first = items[0]
+    if len(items) == 1:
+        return first
+    k = first.arity
+    vertices, edges, left, right = first.vertices, first.edges, first.left, first.right
     for w in items[1:]:
-        acc = compose(acc, w)
-    return acc
+        if w.arity != k:
+            raise ContextError(f"compose needs equal arities, got {k}, {w.arity}")
+        name = {x: f"z{i}" for i, x in enumerate(sorted(vertices))}
+        glued = zip(right, w.left)
+        other = {b: name[a] for a, b in glued if a is not None and b is not None}
+        fresh = sorted(w.vertices.difference(other))
+        other.update({y: f"z{i}" for i, y in enumerate(fresh, len(name))})
+        vertices = {*name.values(), *other.values()}
+        edges = [(name[x], name[y]) for x, y in edges]
+        edges += [(other[x], other[y]) for x, y in w.edges]
+        left = [None if x is None else name[x] for x in left]
+        right = [None if y is None else other[y] for y in w.right]
+    return Context.build(
+        vertices,
+        edges,
+        k,
+        {i + 1: x for i, x in enumerate(left) if x is not None},
+        {i + 1: y for i, y in enumerate(right) if y is not None},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -676,13 +694,16 @@ def linkage_compose(t1: LinkageType, t2: LinkageType) -> LinkageType:
 # canonical forms
 
 
+def _port_keys(vertices, left, right) -> dict:
+    """The colour key of each vertex: the left and the right port index
+    it holds in the interface tuples ``left`` and ``right``, 0 for none."""
+    lpos = {v: i + 1 for i, v in enumerate(left) if v is not None}
+    rpos = {v: i + 1 for i, v in enumerate(right) if v is not None}
+    return {v: f"L{lpos.get(v, 0):03d}R{rpos.get(v, 0):03d}" for v in vertices}
+
+
 def _ctx_color_keys(w: Context) -> dict[str, str]:
-    keys = {}
-    lpos = {v: i + 1 for i, v in enumerate(w.left) if v is not None}
-    rpos = {v: i + 1 for i, v in enumerate(w.right) if v is not None}
-    for v in w.vertices:
-        keys[v] = f"L{lpos.get(v, 0):03d}R{rpos.get(v, 0):03d}"
-    return keys
+    return _port_keys(w.vertices, w.left, w.right)
 
 
 @lru_cache(maxsize=None)
@@ -699,7 +720,7 @@ def _context_from_cert(cert: bytes) -> Context:
     names = [f"v{i}" for i in range(len(keys))]
     left, right = {}, {}
     for v, key in zip(names, keys):
-        i, j = map(int, key[1:].split("R"))  # as `_ctx_color_keys` wrote them
+        i, j = map(int, key[1:].split("R"))  # as `_port_keys` wrote them
         if i:
             left[i] = v
         if j:
@@ -807,8 +828,10 @@ def enumerate_generators(k: int) -> GeneratorAlphabet:
     same vertex count are isomorphic exactly when their graphs are and
     an automorphism carries one pair of interfaces onto the other, so
     these orbits are the isomorphism classes.  Each representative is
-    certified once and replaced by the canonical context its certificate
-    describes; letters are ordered by vertex count, then certificate.
+    certified once on its index data (adjacency bitmasks and colour
+    keys), never built as a Context, and replaced by the canonical
+    context its certificate describes; letters are ordered by vertex
+    count, then certificate.
     A width outside 1..4 raises ContextError before anything is built.
     """
     if not 1 <= k <= _MAX_ALPHABET_WIDTH:
@@ -817,23 +840,21 @@ def enumerate_generators(k: int) -> GeneratorAlphabet:
         )
     certs = []
     for n in range(1, k + 2):
-        names = [f"v{i}" for i in range(n)]
         pairs = list(combinations(range(n), 2))
         edge_sets = (
             frozenset(e for i, e in enumerate(pairs) if bits >> i & 1)
             for bits in range(1 << len(pairs))
         )
         interfaces = _interface_pairs(k, n)
-
-        def ports(side):
-            return {i + 1: names[v] for i, v in enumerate(side) if v is not None}
-
         group = list(permutations(range(n)))
         for edges, automorphisms in _orbits(edge_sets, group, _edge_image):
-            es = [(names[a], names[b]) for a, b in edges]
+            adj = [0] * n
+            for a, b in edges:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
             for (lt, rt), _ in _orbits(interfaces, automorphisms, _interface_image):
-                w = Context.build(names, es, k, ports(lt), ports(rt))
-                certs.append((n, context_cert(w)))
+                keys = list(_port_keys(range(n), lt, rt).values())
+                certs.append((n, _index_certificate("c", k, adj, keys)))
     certs.sort()
     return GeneratorAlphabet(k, tuple(_context_from_cert(c) for _, c in certs))
 

@@ -566,24 +566,37 @@ def canonical_order(
     ``keys`` assigns each vertex a colour string; orderings may only
     mix vertices with equal keys.  Shared by graphs and contexts.
     """
-    idx = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    adj = [0] * n
-    for v in vertices:
-        for w in adj_sets[v]:
-            adj[idx[v]] |= 1 << idx[w]
-    enc, perm = _search_canonical(n, adj, [keys[v] for v in vertices])
+    adj = _index_adjacency(vertices, adj_sets)
+    enc, perm = _search_canonical(len(vertices), adj, [keys[v] for v in vertices])
     return [vertices[i] for i in perm], enc
+
+
+def _index_adjacency(
+    vertices: list[str], adj_sets: dict[str, frozenset[str]]
+) -> list[int]:
+    """The neighbour sets as one bitmask per vertex, vertex i being
+    ``vertices[i]``."""
+    idx = {v: i for i, v in enumerate(vertices)}
+    return [sum(1 << idx[w] for w in adj_sets[v]) for v in vertices]
+
+
+def _index_certificate(tag: str, arity: int, adj: list[int], keys: list[str]) -> bytes:
+    """Certificate of the coloured graph on vertices 0..n-1 with
+    adjacency bitmasks ``adj`` and colour keys ``keys``: ``tag;n;arity;``
+    then the canonical encoding."""
+    enc, _ = _search_canonical(len(keys), adj, keys)
+    return f"{tag};{len(keys)};{arity};".encode() + enc
 
 
 def _certificate(tag: str, g, keys: dict[str, str]) -> bytes:
     """Certificate of a port graph or context coloured by ``keys``."""
-    _, enc = canonical_order(sorted(g.vertices), g.adjacency, keys)
-    return f"{tag};{len(g.vertices)};{g.arity};".encode() + enc
+    vertices = sorted(g.vertices)
+    adj = _index_adjacency(vertices, g.adjacency)
+    return _index_certificate(tag, g.arity, adj, [keys[v] for v in vertices])
 
 
 def _decode_certificate(cert: bytes) -> tuple[int, list[str], list[tuple[int, int]]]:
-    """Undo `_certificate` for keys free of ``|`` and ``#``: the arity,
+    """Undo `_index_certificate` for keys free of ``|`` and ``#``: the arity,
     the colour keys in canonical order, and the edges as pairs of
     positions in that order."""
     _, n, arity, encoding = cert.decode().split(";", 3)

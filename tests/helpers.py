@@ -399,6 +399,27 @@ def reference_decomposition(table, parent, first):
     return normalize(bags)
 
 
+def reference_compose(u, v):
+    """`compose` as a union-find over the operands' tagged vertices,
+    building and validating each composite: the reference for the
+    fold of `compose_all` on plain data."""
+    from sepstar.contexts import Context, ContextError
+    from sepstar.graphs import _DisjointSet
+
+    if u.arity != v.arity:
+        raise ContextError(f"compose needs equal arities, got {u.arity}, {v.arity}")
+    glued = _DisjointSet([("u", x) for x in u.vertices] + [("v", y) for y in v.vertices])
+    for a, b in zip(u.right, v.left):
+        if a is not None and b is not None:
+            glued.union(("u", a), ("v", b))
+    name_of = {nd: f"z{idx}" for idx, cls in enumerate(glued.classes()) for nd in cls}
+    edges = [(name_of[("u", x)], name_of[("u", y)]) for (x, y) in u.edges]
+    edges += [(name_of[("v", x)], name_of[("v", y)]) for (x, y) in v.edges]
+    left = {i: name_of[("u", x)] for i, x in u.left_map().items()}
+    right = {i: name_of[("v", y)] for i, y in v.right_map().items()}
+    return Context.build(set(name_of.values()), edges, u.arity, left, right)
+
+
 def _norm_pair(p, q):
     return (p, q) if p <= q else (q, p)
 

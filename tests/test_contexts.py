@@ -1,8 +1,10 @@
 """Contexts: composition, bridges, reachability types and their
 composition law, generator alphabets, fixtures, serialisation."""
 
+import functools
 import json
 import random
+import re
 
 import pytest
 
@@ -33,7 +35,12 @@ from sepstar.contexts import (
     reaches,
 )
 
-from helpers import brute_linkage_patterns, random_context, reference_beta_compose
+from helpers import (
+    brute_linkage_patterns,
+    random_context,
+    reference_beta_compose,
+    reference_compose,
+)
 
 
 def _ctx(vertices, edges, arity, left, right):
@@ -89,6 +96,45 @@ def test_compose_unmatched_interface_becomes_plain_vertex():
 def test_compose_arity_mismatch():
     with pytest.raises(ContextError):
         compose(identity_context(1), identity_context(2))
+    # a mismatch anywhere in a word raises where the reference fold does
+    letters = list(enumerate_generators(2).contexts[:5])
+    for pos in range(len(letters)):
+        word = letters[:pos] + [identity_context(3)] + letters[pos + 1:]
+        with pytest.raises(ContextError) as expected:
+            functools.reduce(reference_compose, word)
+        assert str(expected.value).startswith("compose needs equal arities, got ")
+        with pytest.raises(ContextError, match=re.escape(str(expected.value))):
+            compose_all(word)
+
+
+def _core(w):
+    return w.vertices, w.edges, w.left, w.right
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_compose_matches_the_union_find_reference(k):
+    # words of alphabet letters (named v0, v1, ...) mixed with random
+    # contexts (t0, t1, ...), so that sorting mixes both kinds of name
+    letters = enumerate_generators(k).contexts
+    rng = random.Random(k)
+    for length in range(1, 17):
+        for _ in range(8):
+            word = [
+                rng.choice(letters) if rng.random() < 0.7 else random_context(rng, k, 5)
+                for _ in range(length)
+            ]
+            expected = functools.reduce(reference_compose, word)
+            assert _core(compose_all(word)) == _core(expected)
+            extra = rng.choice(letters)
+            once_more = _core(reference_compose(expected, extra))
+            assert _core(compose(compose_all(word), extra)) == once_more
+            assert _core(compose_all(word + [extra])) == once_more
+
+
+def test_compose_all_of_one_operand_is_that_operand():
+    w = random_context(random.Random(3), 2, 4)
+    assert compose_all([w]) is w
+    assert compose_all(iter([w])) is w
 
 
 def test_compose_associative_up_to_isomorphism():
@@ -379,6 +425,14 @@ def test_generator_alphabet_width_is_bounded(k, monkeypatch):
     monkeypatch.setattr(contexts, "_interface_pairs", unreachable)
     with pytest.raises(ContextError, match=r"arity in 1\.\.4"):
         enumerate_generators(k)
+
+
+def test_alphabet_walk_leaves_the_certificate_cache_alone():
+    # representatives are certified on index data, so the walk puts
+    # nothing into context_cert's process-wide cache
+    context_cert.cache_clear()
+    assert len(enumerate_generators.__wrapped__(3)) == 6939
+    assert context_cert.cache_info().currsize == 0
 
 
 def test_generator_alphabet_width_two_contains_all_small_contexts():
