@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .contexts import (
     ContextError,
@@ -178,12 +179,24 @@ def _cmd_pathwidth(args) -> int:
 
 def _cmd_generators(args) -> int:
     alphabet = enumerate_generators(args.arity)
-    lines = [f"{len(alphabet)} generators at arity {args.arity}"]
-    payload = []
-    for gid, w in zip(alphabet.ids, alphabet.contexts):
-        lines.append(f"{gid}: {len(w.vertices)} vertices, {len(w.edges)} edges")
-        payload.append({"id": gid, **context_to_json(w)})
-    _emit(args, lines, payload)
+    letters = zip(alphabet.ids, alphabet.contexts)
+    if not args.json:
+        print(f"{len(alphabet)} generators at arity {args.arity}")
+        for gid, w in letters:
+            print(f"{gid}: {len(w.vertices)} vertices, {len(w.edges)} edges")
+        return 0
+    # the text of json.dumps(payload, indent=2, sort_keys=True), written
+    # 1,000 letters at a time, so that no payload of all the letters is
+    # built: at width 4 that would be 471,228 dicts and one 230 MB string.
+    # A chunk encodes as "[\n  {...},\n  {...}\n]"; its items are the
+    # text between the bracket and the last newline.
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    payload = ({"id": gid, **context_to_json(w)} for gid, w in letters)
+    sep = "["
+    while chunk := list(islice(payload, 1000)):
+        sys.stdout.write(sep + encode(chunk)[1:-2])
+        sep = ","
+    print("[]" if sep == "[" else "\n]")
     return 0
 
 

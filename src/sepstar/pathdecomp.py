@@ -17,6 +17,7 @@ enough to be alphabet letters or strictly more persistent
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate, combinations, islice, product
 from typing import NamedTuple
 
@@ -126,7 +127,9 @@ def validate_decomposition(bags, vertices, edges, first=frozenset(), last=frozen
 #
 # where g[S] is the smallest largest bag over the orders of S (g of
 # the empty prefix is |first|) and cost[S] counts the bag that comes
-# after S too.  The pathwidth is g of the full set minus one.
+# after S too.  The pathwidth is g of the full set minus one.  This is
+# the vertex-ordering DP of Bodlaender, Fomin, Koster, Kratsch and
+# Thilikos (Theory Comput. Syst. 2012).
 #
 # Vertices are numbered with the free ones first, right ports before
 # the others and each group by name, and the left ports above them.  A
@@ -136,16 +139,37 @@ def validate_decomposition(bags, vertices, edges, first=frozenset(), last=frozen
 # them in early only lengthens the stretches where both interfaces are
 # pinned alive together.
 #
-# A vertex of S is active when it is a right port or lies in the
-# neighbourhood of the free vertices outside S, so active(S) costs two
-# lookups: one table holds the neighbourhood of every subset of the
-# low half of the free vertices, one that of the high half (2^(f/2)
-# entries each, where one table over all subsets would hold 2^f).
-# `_active_mask` computes the same set from its definition, once per
-# step when bags are rebuilt.  Nothing else is stored per subset: a
-# walk back from the full set recovers each step from `cost` as the
-# lowest-index vertex whose removal leaves the least cost, the vertex
-# the min above picks.
+# The costs are computed bit-parallel, on Python integers used as sets
+# of subsets: bit m stands for subset m.  S_v, the subsets holding free
+# vertex v, is the pattern of 2^v clear and 2^v set bits repeated; it
+# is built by doubling, since the closed form ALL // (2^(2^(v+1)) - 1)
+# is a big-integer division that costs more than all the rest at 18
+# vertices.  A vertex u is active in the subsets that hold it (all of
+# them for a left port) except those that also hold every free
+# neighbour of u; a right port is active wherever it is held.  Adding
+# the active sets one vertex at a time into a thermometer gives T_j,
+# the subsets with at least j active vertices.  The level
+# F_c = {S : cost[S] <= c} is then the closure
+#
+#     F <- ~T_c & (F | union over v of (F & ~S_v) << 2^v)
+#
+# from F_(c-1) and the empty prefix (c is never below |first|): S
+# costs at most c when its bag fits in c and some S - t costs at most
+# c.  Each level takes O(f^2) big-integer operations in place of the
+# f * 2^f interpreted steps of the recurrence run subset by subset.
+# The levels grow with c until they hold every subset, so every cost
+# is exact: cost[S] is the least c whose level holds S, and the
+# pathwidth is the least c at which a predecessor of the full set
+# enters F_c, minus one.
+#
+# `_Levels` reads cost[S] off the levels, one bit per level.
+# `_Table.active` gives active(S) in two lookups, one in a table of
+# the neighbourhood of every subset of the low half of the free
+# vertices and one for the high half, and `_active_mask` computes it
+# from its definition, once per step when bags are rebuilt.  Nothing
+# else is stored per subset: a walk back from the full set recovers
+# each step from `cost` as the lowest-index vertex whose removal
+# leaves the least cost, the vertex the min above picks.
 
 
 def _active_mask(smask, adj, rmask):
@@ -170,6 +194,37 @@ def _neighbourhoods(rows):
     return nb
 
 
+class _Levels(Sequence):
+    """cost[m] of the comment above for every free subset m, read off
+    the levels F_c for c = base, base + 1, ...; the last level holds
+    every subset."""
+
+    def __init__(self, base, levels, size):
+        self.base = base
+        self.levels = [level.to_bytes((size + 7) // 8, "little") for level in levels]
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, m):
+        if not 0 <= m < self.size:
+            raise IndexError(m)
+        byte, bit = m >> 3, m & 7
+        for c, level in enumerate(self.levels, self.base):
+            if level[byte] >> bit & 1:
+                return c
+
+    def within(self, c):
+        """The subsets m with cost[m] <= c, in increasing order."""
+        level = self.levels[c - self.base] if c >= self.base else b""
+        for byte, bits in enumerate(level):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                yield byte << 3 | low.bit_length() - 1
+
+
 class _Table(NamedTuple):
     verts: list[str]  # free vertices (right ports first), then left ports
     index: dict[str, int]
@@ -178,7 +233,7 @@ class _Table(NamedTuple):
     rmask: int
     free: list[str]  # the vertices outside `first`, verts[:len(free)]
     limit: int  # smallest largest bag over all orders: the width plus one
-    cost: list[int]  # per free-subset: cost[m] of the comment above
+    cost: _Levels  # per free-subset: cost[m] of the comment above
     lo: list[int]  # neighbourhood of each subset of the low free half
     hi: list[int]  # neighbourhood of each subset of the high free half
 
@@ -211,29 +266,53 @@ def _pathwidth_table(vertices, edges, first, last) -> _Table:
         )
 
     f = len(free)
+    size = 1 << f
+    full = size - 1
+    every = (1 << size) - 1  # the set of all subsets
+    holds = []  # holds[v] = S_v: 2^v clear bits, 2^v set bits, repeated
+    for v in range(f):
+        pattern, span = ((1 << (1 << v)) - 1) << (1 << v), 2 << v
+        while span < size:
+            pattern |= pattern << span
+            span <<= 1
+        holds.append(pattern)
+    at_least = [every]  # at_least[j]: the subsets with j or more active vertices
+    for u in range(len(verts)):
+        active = holds[u] if u < f else every
+        if not rmask >> u & 1:
+            nbrs = adj[u] & full
+            if not nbrs:
+                continue
+            covered = every  # the subsets holding every free neighbour of u
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                covered &= holds[low.bit_length() - 1]
+            active &= ~covered
+        at_least.append(at_least[-1] & active)
+        for j in range(len(at_least) - 2, 0, -1):
+            at_least[j] |= at_least[j - 1] & active
+    grow = [(every ^ s, 1 << v) for v, s in enumerate(holds)]
+
+    base = c = max(1, len(first))
+    level, levels = 0, []
+    while level != every:
+        fits = every ^ at_least[c] if c < len(at_least) else every
+        level |= 1 & fits
+        while True:
+            before = level
+            for out, step in grow:
+                level |= (level & out) << step & fits
+            if level == before:
+                break
+        levels.append(level)
+        c += 1
+    cost = _Levels(base, levels, size)
+    limit = min((cost[full ^ 1 << v] for v in range(f)), default=len(first))
     h = f // 2
     lo = _neighbourhoods(adj[:h])
     hi = _neighbourhoods(adj[h:f])
-    low_half = (1 << h) - 1
-    full = (1 << f) - 1
-    above = len(verts) + 2  # exceeds every cost
-    cost = [0] * (full + 1)
-    g = len(first)  # of the empty prefix
-    for m in range(full + 1):
-        if m:
-            g = above
-            bits = m
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                if cost[m ^ low] < g:
-                    g = cost[m ^ low]
-        out = full ^ m  # what follows inlines _Table.active(m)
-        active = (m | lmask) & (rmask | lo[out & low_half] | hi[out >> h])
-        bag = active.bit_count() + 1
-        cost[m] = g if g > bag else bag
-    # g is now that of the full set
-    return _Table(verts, index, adj, lmask, rmask, free, g, cost, lo, hi)
+    return _Table(verts, index, adj, lmask, rmask, free, limit, cost, lo, hi)
 
 
 def _best_removal(key, m):
@@ -329,8 +408,8 @@ def _low_overlap_decomposition(w: Context, table):
     above = (len(table.free) + 1) * len(pair_masks) + 1
     h = [above] * len(cost)
     h[0] = step(0)
-    for m in range(1, len(cost)):
-        if cost[m] <= limit:
+    for m in cost.within(limit):
+        if m:
             h[m] = h[m ^ _best_removal(h, m)] + step(m)
     return _decomposition(table, h, w.vertices, w.edges, *_interfaces(w))
 

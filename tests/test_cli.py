@@ -14,8 +14,10 @@ from sepstar.contexts import (
     Context,
     build_from_word,
     context_from_json,
+    context_to_json,
     crossing_context,
     dump_context,
+    enumerate_generators,
     hub_context,
     isomorphic_contexts,
 )
@@ -306,6 +308,31 @@ def test_generators_listing(capsys):
     data = json.loads(out)
     assert [item["id"] for item in data][:3] == ["g0", "g1", "g2"]
     assert len(data) == 14
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_generators_output_is_the_whole_payload_format(arity, capsys, monkeypatch):
+    # width 3 has 6,939 letters, so --json writes several chunks
+    from sepstar import cli
+
+    alphabet = enumerate_generators(arity)
+    letters = list(zip(alphabet.ids, alphabet.contexts))
+    lines = [f"{len(alphabet)} generators at arity {arity}"]
+    lines += [f"{gid}: {len(w.vertices)} vertices, {len(w.edges)} edges" for gid, w in letters]
+    payload = [{"id": gid, **context_to_json(w)} for gid, w in letters]
+
+    encoded = []
+
+    def counting(w):
+        encoded.append(w)
+        return context_to_json(w)
+
+    monkeypatch.setattr(cli, "context_to_json", counting)
+    code, out, _ = run(capsys, ["generators", "--arity", str(arity)])
+    assert (code, out, encoded) == (0, "\n".join(lines) + "\n", [])
+    code, out, _ = run(capsys, ["generators", "--arity", str(arity), "--json"])
+    assert (code, out) == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    assert len(encoded) == len(alphabet)
 
 
 def test_build_word_round_trips(tmp_path, capsys):

@@ -218,7 +218,7 @@ def test_subset_dp_matches_the_reference_table():
         ref = reference_pathwidth_table(verts, edges, first, last)
         *_, limit, cost, parent = ref
         table = pathdecomp._pathwidth_table(verts, edges, first, last)
-        assert (table.limit, table.cost) == (limit, cost)
+        assert (table.limit, list(table.cost)) == (limit, cost)
         bags = optimal_decomposition(verts, edges, first, last)
         assert bags == reference_decomposition(ref, parent, first)
         return ref, table, bags
@@ -247,6 +247,51 @@ def test_subset_dp_matches_the_reference_table():
         assert pathdecomp._low_overlap_decomposition(w, table) == low
 
 
+def _same_as_reference(verts, edges, first=frozenset(), last=frozenset()):
+    """The table's limit, every subset's cost and the bags equal those
+    of the reference DP."""
+    from sepstar import pathdecomp
+
+    ref = reference_pathwidth_table(verts, edges, first, last)
+    *_, limit, cost, parent = ref
+    table = pathdecomp._pathwidth_table(verts, edges, first, last)
+    assert (table.limit, list(table.cost)) == (limit, cost)
+    bags = optimal_decomposition(verts, edges, first, last)
+    assert bags == reference_decomposition(ref, parent, first)
+    return table.limit - 1
+
+
+def test_level_sets_on_edge_cases():
+    verts = [f"v{i}" for i in range(6)]
+    path = list(zip(verts, verts[1:]))
+    # no free vertices: the left interface is the one bag
+    assert _same_as_reference(verts, path, set(verts), set()) == 5
+    assert _same_as_reference(verts, path, set(verts), {"v2"}) == 5
+    # every vertex a right port, with and without left ports
+    assert _same_as_reference(verts, path, set(), set(verts)) == 5
+    assert _same_as_reference(verts, path, {"v0", "v5"}, set(verts)) == 5
+    # isolated vertices, alone and next to a path
+    assert _same_as_reference(verts, []) == 0
+    assert _same_as_reference(verts, path[:2], {"v5"}, {"v4"}) == 1
+    # one vertex in both interfaces
+    assert _same_as_reference(verts, path, {"v3"}, {"v3"}) == 2
+    assert _same_as_reference(verts, path, {"v0", "v3"}, {"v3", "v5"}) == 2
+    # one free vertex
+    assert _same_as_reference(["a", "b"], [("a", "b")], {"a"}, set()) == 1
+    assert _same_as_reference(["a"], [], set(), {"a"}) == 0
+
+
+def test_level_sets_on_larger_graphs():
+    rng = random.Random(419)
+    verts = [f"v{i:02}" for i in range(14)]
+    edges = [p for p in combinations(verts, 2) if rng.random() < 0.3]
+    _same_as_reference(verts, edges)
+    # 15 free vertices and three left ports, two of them right ports too
+    verts = [f"v{i:02}" for i in range(18)]
+    edges = [p for p in combinations(verts, 2) if rng.random() < 0.2]
+    _same_as_reference(verts, edges, {"v00", "v01", "v02"}, {"v01", "v02", "v10", "v17"})
+
+
 def test_exact_search_limit_counts_vertices_outside_the_left_interface():
     # 17 path vertices and 2 right-only ports: 19 vertices to order
     verts = [f"p{i:02}" for i in range(17)] + ["r1", "r2"]
@@ -256,6 +301,11 @@ def test_exact_search_limit_counts_vertices_outside_the_left_interface():
     assert str(err.value) == (
         "exact search handles at most 18 vertices outside the left interface, got 19"
     )
+    # left ports do not count: 18 free vertices are searched, 19 are not
+    ports = {"q1", "q2", "q3"}
+    assert pathwidth(verts[:18] + sorted(ports), edges[:17], first=ports) == 2
+    with pytest.raises(OutOfScopeError, match="got 19"):
+        pathwidth(verts + sorted(ports), edges, first=ports)
 
 
 def test_context_pathwidth_anchors():
