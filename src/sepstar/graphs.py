@@ -488,31 +488,79 @@ def _encode(n: int, adj: list[int], keys: list[str], perm: list[int]) -> bytes:
     return payload.encode()
 
 
+def _compositions(n: int):
+    """The tuples of positive sizes that add up to n."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first, *rest)
+
+
+def _class_orders(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every order of positions 0..n-1 that keeps the consecutive
+    classes of the given sizes in place, the first class varying
+    slowest and each class in `permutations` order."""
+    orders = [()]
+    start = 0
+    for size in sizes:
+        block = range(start, start + size)
+        orders = [o + p for o in orders for p in permutations(block)]
+        start += size
+    return orders
+
+
+# Up to five vertices the encoding is the minimum over every
+# colour-respecting order.  Such an order lists the colour classes in
+# key order, so the text before ``#`` is the same for all of them, and
+# the minimum is that of the upper-triangle bits read as one integer,
+# the first pair the most significant bit.  The orders are listed per
+# tuple of colour-class sizes (the compositions of n <= 5), and the
+# pairs with their bits per n.
+_SMALL_ORDERS = {
+    sizes: _class_orders(sizes) for n in range(6) for sizes in _compositions(n)
+}
+_SMALL_PAIRS = [
+    [
+        (i, j, 1 << (n * (n - 1) // 2 - 1 - bit))
+        for bit, (i, j) in enumerate(combinations(range(n), 2))
+    ]
+    for n in range(6)
+]
+
+
 def _search_canonical(
     n: int, adj: list[int], keys: list[str]
 ) -> tuple[bytes, list[int]]:
     """The canonical encoding and a vertex ordering that attains it:
-    the minimum over all orders up to five vertices, over the leaves
-    of the refinement search above that."""
+    the minimum over all orders up to five vertices (the first order in
+    `_SMALL_ORDERS` to reach it), over the leaves of the refinement
+    search above that."""
     base = {k: i for i, k in enumerate(sorted(set(keys)))}
     init = [base[k] for k in keys]
 
     if n <= 5:
-        # brute force over colour-respecting orders
-        best = None
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(init[v], []).append(v)
-        orders = [[]]
-        for c in sorted(groups):
-            orders = [
-                o + list(p) for o in orders for p in permutations(groups[c])
-            ]
-        for perm in orders:
-            enc = _encode(n, adj, keys, perm)
-            if best is None or enc < best[0]:
-                best = (enc, perm)
-        return best
+        # position p holds vertex pos[p]: the colour classes in key
+        # order, each in index order
+        pos = sorted(range(n), key=init.__getitem__)
+        sizes = tuple(init.count(c) for c in range(len(base)))
+        pairs = _SMALL_PAIRS[n]
+        padj = [0] * n  # adjacency bitmasks over positions
+        for i, j, _ in pairs:
+            if adj[pos[i]] >> pos[j] & 1:
+                padj[i] |= 1 << j
+                padj[j] |= 1 << i
+        best = order = None
+        for o in _SMALL_ORDERS[sizes]:
+            bits = 0
+            for i, j, bit in pairs:
+                if padj[o[i]] >> o[j] & 1:
+                    bits |= bit
+            if best is None or bits < best:
+                best, order = bits, o
+        tri = format(best, f"0{len(pairs)}b") if pairs else ""
+        enc = "|".join(keys[v] for v in pos) + "#" + tri
+        return enc.encode(), [pos[p] for p in order]
 
     best: tuple[bytes, list[int]] | None = None
 
@@ -558,10 +606,12 @@ def canonical_order(
     """Canonical vertex order for an arbitrary coloured graph, with its
     encoding: the keys in that order, ``#``, then the upper triangle of
     the adjacency matrix.  Up to five vertices the encoding is minimal
-    over all orders; above that it is the minimum over the leaves of
-    the colour-refinement search, which need not be the global minimum
-    but is still isomorphism-invariant, so two coloured graphs get
-    equal encodings iff they are isomorphic.
+    over all colour-respecting orders; the triangles are compared as
+    integers over a fixed table of orders, and the first order that
+    reaches the minimum is returned.  Above five vertices it is the
+    minimum over the leaves of the colour-refinement search, which need
+    not be the global minimum but is still isomorphism-invariant, so two
+    coloured graphs get equal encodings iff they are isomorphic.
 
     ``keys`` assigns each vertex a colour string; orderings may only
     mix vertices with equal keys.  Shared by graphs and contexts.
@@ -611,25 +661,24 @@ def _canonical_names(g, keys: dict[str, str]) -> dict[str, str]:
     return {v: f"v{i}" for i, v in enumerate(order)}
 
 
-def _graph_color_keys(g: PortGraph) -> dict[str, str]:
-    keys = {}
-    lab = dict(g.labels)
-    for v in g.vertices:
-        keys[v] = f"v:{lab.get(v, '')}"
-    for i, p in enumerate(g.ports):
-        keys[p] = f"P{i:03d}:{lab.get(p, '')}"
+def _graph_keys(vertices, ports, labels: dict) -> dict:
+    """The colour key of each vertex of a port graph, in the order of
+    ``vertices``: its port position, if any, and its label."""
+    keys = {v: f"v:{labels.get(v, '')}" for v in vertices}
+    for i, p in enumerate(ports):
+        keys[p] = f"P{i:03d}:{labels.get(p, '')}"
     return keys
 
 
 @lru_cache(maxsize=None)
 def canonical_cert(g: PortGraph) -> bytes:
     """A bytestring equal for two graphs iff they are isomorphic."""
-    return _certificate("g", g, _graph_color_keys(g))
+    return _certificate("g", g, _graph_keys(g.vertices, g.ports, g.label_map))
 
 
 def canonical_rename(g: PortGraph) -> PortGraph:
     """Isomorphic copy with vertices named v0..v{n-1} in canonical order."""
-    ren = _canonical_names(g, _graph_color_keys(g))
+    ren = _canonical_names(g, _graph_keys(g.vertices, g.ports, g.label_map))
     return PortGraph.build(
         ren.values(),
         [(ren[u], ren[v]) for (u, v) in g.edges],

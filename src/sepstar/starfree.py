@@ -12,7 +12,10 @@ width operations lifted to languages:
 Membership `member(g, e)` is decidable because every operation can be
 inverted on a concrete graph: a fuse can only arise by splitting the
 classes of non-port vertices and the port-port edges between the two
-operands, and there are finitely many such splits.
+operands, and there are finitely many such splits.  The inversion runs
+on index data (adjacency bitmasks and port indices), so no operand is
+built as a `PortGraph`; each is looked up by its canonical certificate,
+the same bytes `canonical_cert` gives, in the memo of each node.
 
 `compile_formula` translates separator-logic formulas (without label
 atoms) into equivalent expressions, so satisfaction of a formula can be
@@ -30,15 +33,12 @@ from itertools import product
 from .graphs import (
     GraphError,
     PortGraph,
+    _graph_keys,
+    _index_certificate,
     canonical_cert,
     canonical_rename,
-    drop_last_port,
-    fuse as fuse_graphs,
     graph_from_json,
     graph_to_json,
-    permute as permute_graph,
-    prime_factors,
-    with_port,
 )
 from .logic import (
     And as FAnd,
@@ -222,42 +222,88 @@ def expr_arity(e: Expr) -> int:
 
 # ---------------------------------------------------------------------------
 # membership
+#
+# Membership runs on index data: a graph is ``(adj, ports)``, the
+# adjacency bitmask of each vertex 0..n-1 and the port vertices in port
+# order.  Inverting an operation only moves masks and indices, and every
+# operand is certified on that data.  The certificate is the one
+# `canonical_cert` gives an isomorphic PortGraph, so node memos and the
+# certificates of finite literals agree.  Renumbering keeps the vertices
+# in index order, so the operands come in the order of their vertex
+# names in the input.
 
 
-def fusion_splits(g: PortGraph):
-    """All ways to present g as fuse(h1, h2), up to isomorphism.
+@lru_cache(maxsize=None)
+def _operand_cert(adj: tuple[int, ...], ports: tuple[int, ...]) -> bytes:
+    """The certificate of the unlabelled graph ``(adj, ports)``.  Kept
+    for the process: the nodes of every expression test the same few
+    thousand small operands over and over."""
+    keys = _graph_keys(range(len(adj)), ports, {})
+    return _index_certificate("g", len(ports), adj, list(keys.values()))
 
-    The non-port vertex classes of g must be distributed between the
-    operands and every port-port edge assigned to the left, the right,
-    or both.  Classes with isomorphic prime factors are
-    interchangeable, so only the multiplicity of each factor shape on
-    the left matters.
+
+def _induced(adj: tuple[int, ...], ports: tuple[int, ...], keep: int):
+    """The subgraph on the vertices of the mask ``keep``, numbered in
+    index order, with the given ports, which it must hold."""
+    old = [v for v in range(len(adj)) if keep >> v & 1]
+    new = {v: i for i, v in enumerate(old)}
+    sub = tuple(sum(1 << new[w] for w in old if adj[v] >> w & 1) for v in old)
+    return sub, tuple(new[p] for p in ports)
+
+
+def _fuse_splits(adj: tuple[int, ...], ports: tuple[int, ...]):
+    """All ways to present the graph as fuse(h1, h2), up to isomorphism.
+
+    The classes of non-port vertices (the components of the graph minus
+    its ports) must be distributed between the operands and every
+    port-port edge assigned to the left, the right, or both.  Classes
+    whose prime factors are isomorphic are interchangeable, so only the
+    multiplicity of each factor shape on the left matters.
     """
-    pset = set(g.ports)
-    groups: dict[bytes, list[frozenset[str]]] = {}
-    for factor in prime_factors(g):
-        groups.setdefault(canonical_cert(factor), []).append(factor.vertices - pset)
+    pmask = sum(1 << p for p in ports)
+    groups: dict[bytes, list[int]] = {}
+    rest = (1 << len(adj)) - 1 & ~pmask
+    while rest:
+        cls = todo = rest & -rest
+        while todo:
+            v = todo.bit_length() - 1
+            todo ^= 1 << v
+            grow = adj[v] & rest & ~cls
+            cls |= grow
+            todo |= grow
+        rest &= ~cls
+        cert = _operand_cert(*_induced(adj, ports, pmask | cls))
+        groups.setdefault(cert, []).append(cls)
     ordered = [groups[c] for c in sorted(groups)]
-    port_edges = sorted(e for e in g.edges if e[0] in pset and e[1] in pset)
-    class_edges = g.edges.difference(port_edges)
+    # the port-port edges in vertex order, as pairs of port positions
+    at = {p: i for i, p in enumerate(ports)}
+    edges = sorted((u, w) for u in ports for w in ports if u < w and adj[u] >> w & 1)
+    port_edges = [(at[u], at[w]) for u, w in edges]
+    base = tuple(a & ~pmask if pmask >> v & 1 else a for v, a in enumerate(adj))
 
-    def build(classes, side_edges):
-        keep = pset.union(*classes)
-        edges = {e for e in class_edges if e[0] in keep and e[1] in keep}
-        return PortGraph.build(keep, edges | side_edges, g.ports)
+    def with_edges(operand, sides, other):
+        """The operand plus the port-port edges not on the ``other``
+        side only."""
+        sub, sub_ports = operand
+        out = list(sub)
+        for (i, j), side in zip(port_edges, sides):
+            if side != other:
+                out[sub_ports[i]] |= 1 << sub_ports[j]
+                out[sub_ports[j]] |= 1 << sub_ports[i]
+        return tuple(out), sub_ports
 
     for takes in product(*(range(len(gr) + 1) for gr in ordered)):
         left = [c for gr, t in zip(ordered, takes) for c in gr[:t]]
         right = [c for gr, t in zip(ordered, takes) for c in gr[t:]]
-        if not (pset or left) or not (pset or right):
+        if not (ports or left) or not (ports or right):
             continue  # an operand would be the empty graph
-        # the first port-port edge's side varies fastest
+        lhs = _induced(base, ports, pmask | sum(left))
+        rhs = _induced(base, ports, pmask | sum(right))
+        # side 0 is the left only, 1 the right only, 2 both; the first
+        # port-port edge's side varies fastest
         for sides in product((0, 1, 2), repeat=len(port_edges)):
             sides = sides[::-1]
-            yield (
-                build(left, {e for e, s in zip(port_edges, sides) if s != 1}),
-                build(right, {e for e, s in zip(port_edges, sides) if s != 0}),
-            )
+            yield with_edges(lhs, sides, 1), with_edges(rhs, sides, 0)
 
 
 @_nesting_guard(ExprError, "expression")
@@ -268,11 +314,19 @@ def member(g: PortGraph, e: Expr) -> bool:
     k = _operand_arity(e)
     if g.arity != k:
         raise ExprError(f"graph has arity {g.arity}, expression has arity {k}")
-    return _member(g, e)
+    at = {v: i for i, v in enumerate(sorted(g.vertices))}
+    adj = [0] * len(at)
+    for u, v in g.edges:
+        adj[at[u]] |= 1 << at[v]
+        adj[at[v]] |= 1 << at[u]
+    return _holds(tuple(adj), tuple(at[p] for p in g.ports), e)
 
 
-def _member(g: PortGraph, e: Expr) -> bool:
-    cert = canonical_cert(g)
+def _holds(adj: tuple[int, ...], ports: tuple[int, ...], e: Expr) -> bool:
+    return _member(adj, ports, _operand_cert(adj, ports), e)
+
+
+def _member(adj: tuple[int, ...], ports: tuple[int, ...], cert: bytes, e: Expr) -> bool:
     hit = e.memo.get(cert)
     if hit is not None:
         return hit
@@ -280,31 +334,31 @@ def _member(g: PortGraph, e: Expr) -> bool:
         case Finite():
             res = cert in e.certs
         case Not(sub):
-            res = not _member(g, sub)
+            res = not _member(adj, ports, cert, sub)
         case And(a, b):
-            res = _member(g, a) and _member(g, b)
+            res = _member(adj, ports, cert, a) and _member(adj, ports, cert, b)
         case Or(a, b):
-            res = _member(g, a) or _member(g, b)
+            res = _member(adj, ports, cert, a) or _member(adj, ports, cert, b)
         case Fuse(a, b):
             res = any(
-                _member(h1, a) and _member(h2, b) for h1, h2 in fusion_splits(g)
+                _holds(*h1, a) and _holds(*h2, b) for h1, h2 in _fuse_splits(adj, ports)
             )
         case Forget(sub):
             res = any(
-                _member(with_port(g, v), sub)
-                for v in sorted(g.vertices - set(g.ports))
+                _holds(adj, ports + (v,), sub) for v in range(len(adj)) if v not in ports
             )
         case Add(sub):
-            last = g.ports[-1]
-            if g.neighbors(last) or len(g.vertices) == 1:
+            last = ports[-1]
+            if adj[last] or len(adj) == 1:
                 res = False
             else:
-                res = _member(drop_last_port(g), sub)
+                keep = (1 << len(adj)) - 1 & ~(1 << last)
+                res = _holds(*_induced(adj, ports[:-1], keep), sub)
         case Permute(perm, sub):
             inv = [0] * len(perm)
             for pos, val in enumerate(perm):
-                inv[val - 1] = pos + 1
-            res = _member(permute_graph(g, tuple(inv)), sub)
+                inv[val - 1] = pos
+            res = _holds(adj, tuple(ports[i] for i in inv), sub)
         case _:
             raise TypeError(f"not an expression: {e!r}")
     e.memo[cert] = res
@@ -319,7 +373,7 @@ def _member(g: PortGraph, e: Expr) -> bool:
 #   and     := fusion ('&' fusion)*
 #   fusion  := unary ('(+)' unary)*
 #   unary   := '!' unary | 'forget(' expr ')' | 'add(' expr ')'
-#            | 'perm[' N (',' N)* '](' expr ')'
+#            | 'perm[' [N (',' N)*] '](' expr ')'
 #            | 'finite@' N '{' [json (';' json)*] '}'
 #            | '(' expr ')'
 
@@ -354,7 +408,9 @@ class _ExprParser(_Scanner):
                 return node(e)
         if self.peek(5) == "perm[":
             self.take("perm[")
-            perm = tuple(map(int, self.listing(r"[0-9]+", "a number")))
+            perm = ()  # the arity-0 permutation is `perm[]`
+            if self.peek() != "]":
+                perm = tuple(map(int, self.listing(r"[0-9]+", "a number")))
             self.take("]")
             self.take("(")
             e = self.top()

@@ -524,3 +524,109 @@ def reference_alternation_start(values):
         if all(tail[i] != tail[i + 1] for i in range(len(tail) - 1)):
             return m0
     return None
+
+
+def reference_small_canonical(n: int, adj: list[int], keys: list[str]):
+    """The canonical encoding of a coloured graph on at most five
+    vertices, as text: every colour-respecting order is encoded as the
+    keys in that order, ``#`` and the upper triangle as ``0``/``1``
+    characters, and the first minimal encoding is kept with its order.
+    The reference for `graphs._search_canonical` up to five vertices."""
+    base = {k: i for i, k in enumerate(sorted(set(keys)))}
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(base[keys[v]], []).append(v)
+    orders = [[]]
+    for c in sorted(groups):
+        orders = [o + list(p) for o in orders for p in permutations(groups[c])]
+    best = None
+    for perm in orders:
+        bits = "".join(
+            "1" if adj[perm[i]] >> perm[j] & 1 else "0"
+            for i, j in combinations(range(n), 2)
+        )
+        enc = ("|".join(keys[v] for v in perm) + "#" + bits).encode()
+        if best is None or enc < best[0]:
+            best = (enc, perm)
+    return best
+
+
+def reference_fusion_splits(g: PortGraph):
+    """All ways to present g as fuse(h1, h2), up to isomorphism, as
+    built PortGraphs: non-port classes grouped by the certificate of
+    their prime factor, and each port-port edge on the left (0), the
+    right (1) or both (2), the first edge's side varying fastest."""
+    from itertools import product
+
+    from sepstar.graphs import canonical_cert, prime_factors
+
+    pset = set(g.ports)
+    groups: dict[bytes, list[frozenset[str]]] = {}
+    for factor in prime_factors(g):
+        groups.setdefault(canonical_cert(factor), []).append(factor.vertices - pset)
+    ordered = [groups[c] for c in sorted(groups)]
+    port_edges = sorted(e for e in g.edges if e[0] in pset and e[1] in pset)
+    class_edges = g.edges.difference(port_edges)
+
+    def build(classes, side_edges):
+        keep = pset.union(*classes)
+        edges = {e for e in class_edges if e[0] in keep and e[1] in keep}
+        return PortGraph.build(keep, edges | side_edges, g.ports)
+
+    for takes in product(*(range(len(gr) + 1) for gr in ordered)):
+        left = [c for gr, t in zip(ordered, takes) for c in gr[:t]]
+        right = [c for gr, t in zip(ordered, takes) for c in gr[t:]]
+        if not (pset or left) or not (pset or right):
+            continue
+        for sides in product((0, 1, 2), repeat=len(port_edges)):
+            sides = sides[::-1]
+            yield (
+                build(left, {e for e, s in zip(port_edges, sides) if s != 1}),
+                build(right, {e for e, s in zip(port_edges, sides) if s != 0}),
+            )
+
+
+def reference_member(g: PortGraph, e, memo: dict) -> bool:
+    """Membership decided on built PortGraphs: every operation is
+    inverted by building and validating each operand, which is then
+    certified with `canonical_cert`.  The reference for
+    `starfree.member`.  ``memo`` maps (id of node, certificate) to a
+    verdict, apart from the nodes' own memos."""
+    from sepstar.graphs import canonical_cert, drop_last_port, permute, with_port
+    from sepstar.starfree import Add, And, Finite, Forget, Fuse, Not, Or, Permute
+
+    key = (id(e), canonical_cert(g))
+    if key in memo:
+        return memo[key]
+    match e:
+        case Finite():
+            res = key[1] in e.certs
+        case Not(sub):
+            res = not reference_member(g, sub, memo)
+        case And(a, b):
+            res = reference_member(g, a, memo) and reference_member(g, b, memo)
+        case Or(a, b):
+            res = reference_member(g, a, memo) or reference_member(g, b, memo)
+        case Fuse(a, b):
+            res = any(
+                reference_member(h1, a, memo) and reference_member(h2, b, memo)
+                for h1, h2 in reference_fusion_splits(g)
+            )
+        case Forget(sub):
+            res = any(
+                reference_member(with_port(g, v), sub, memo)
+                for v in sorted(g.vertices - set(g.ports))
+            )
+        case Add(sub):
+            last = g.ports[-1]
+            if g.neighbors(last) or len(g.vertices) == 1:
+                res = False
+            else:
+                res = reference_member(drop_last_port(g), sub, memo)
+        case Permute(perm, sub):
+            inv = [0] * len(perm)
+            for pos, val in enumerate(perm):
+                inv[val - 1] = pos + 1
+            res = reference_member(permute(g, tuple(inv)), sub, memo)
+    memo[key] = res
+    return res

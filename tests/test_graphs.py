@@ -3,12 +3,14 @@ canonical forms (checked against a permutation-search oracle), JSON."""
 
 import json
 import random
+from itertools import combinations, product
 
 import pytest
 
 from sepstar.graphs import (
     GraphError,
     PortGraph,
+    _search_canonical,
     add_port,
     canonical_cert,
     canonical_rename,
@@ -36,6 +38,7 @@ from helpers import (
     graph_pool,
     graphs_on,
     path_graph,
+    reference_small_canonical,
     star_graph,
 )
 
@@ -289,3 +292,40 @@ def test_encode_word():
     # the anchor end is distinguishable: mirrored words differ
     assert not isomorphic(encode_word("ab"), encode_word("ba"))
     assert isomorphic(encode_word(""), PortGraph.build(["z"], [], (), {"z": "mark"}))
+
+
+def _adjacency(n: int, edge_bits: int) -> list[int]:
+    adj = [0] * n
+    for bit, (u, v) in enumerate(combinations(range(n), 2)):
+        if edge_bits >> bit & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+# colour keys whose sorted order is not the order listed
+PALETTE = ("v:", "P000:", "v:x", "P001:")
+
+
+def test_small_canonical_encoding_matches_the_string_search_exhaustively():
+    # up to four vertices: every adjacency and every colour vector
+    checked = 0
+    for n in range(5):
+        for edge_bits in range(1 << n * (n - 1) // 2):
+            adj = _adjacency(n, edge_bits)
+            for keys in product(PALETTE, repeat=n):
+                keys = list(keys)
+                assert _search_canonical(n, adj, keys) == reference_small_canonical(
+                    n, adj, keys
+                ), (adj, keys)
+                checked += 1
+    assert checked == 1 + 4 + 16 * 2 + 64 * 8 + 256 * 64
+
+
+def test_small_canonical_encoding_matches_the_string_search_on_five_vertices():
+    rng = random.Random(5)
+    for _ in range(2000):
+        adj = _adjacency(5, rng.getrandbits(10))
+        colours = PALETTE[: rng.randint(1, 4)]
+        keys = [rng.choice(colours) for _ in range(5)]
+        assert _search_canonical(5, adj, keys) == reference_small_canonical(5, adj, keys)

@@ -1,0 +1,142 @@
+"""Membership on index data: `member` against the reference that builds
+every operand as a PortGraph, on every graph with at most four
+vertices; and the expression syntax at arity 0."""
+
+import random
+
+from sepstar.graphs import PortGraph
+from sepstar.starfree import (
+    Add,
+    And,
+    Forget,
+    Fuse,
+    Not,
+    Or,
+    Permute,
+    all_graphs,
+    finite,
+    member,
+    parse_expr,
+    render_expr,
+)
+
+from helpers import graph_pool, graphs_on, reference_member
+
+
+def ports_only(k, edges=()):
+    names = [f"p{i}" for i in range(1, k + 1)]
+    return PortGraph.build(names, [(names[i - 1], names[j - 1]) for i, j in edges], names)
+
+
+def every_graph(arity, rng):
+    """Every graph on one to four vertices with the first names as
+    ports, and each again under shuffled names, so that ports also sit
+    between other vertices in name order."""
+    out = []
+    for n in range(max(arity, 1), 5):
+        for g in graphs_on(n, arity):
+            names = [f"m{i}" for i in range(n)]
+            rng.shuffle(names)
+            ren = dict(zip(sorted(g.vertices), names))
+            out.append(g)
+            out.append(
+                PortGraph.build(
+                    names,
+                    [(ren[u], ren[v]) for u, v in g.edges],
+                    [ren[p] for p in g.ports],
+                )
+            )
+    return out
+
+
+def fixed_expressions():
+    """Expressions whose verdicts hang on one split: each port-port edge
+    side of a fuse, forget/add/perm nested, and perm at arity 0."""
+    edge = finite(2, [ports_only(2, [(1, 2)])])
+    apart = finite(2, [ports_only(2)])
+    single = finite(0, [PortGraph.build(["a"])])
+    path = finite(3, [ports_only(3, [(1, 2), (2, 3)])])
+    one_edge = finite(3, [ports_only(3, [(1, 2)])])
+    return {
+        2: [
+            Fuse(edge, apart),  # the edge on the left only
+            Fuse(apart, edge),  # on the right only
+            Fuse(edge, edge),  # on both sides
+            Fuse(apart, apart),
+            Forget(Permute((2, 3, 1), Add(Fuse(edge, all_graphs(2))))),
+        ],
+        3: [
+            Fuse(one_edge, path),
+            Fuse(path, Add(apart)),
+            Permute((3, 1, 2), Add(Forget(Fuse(path, all_graphs(3))))),
+        ],
+        0: [
+            Permute((), Fuse(single, single)),
+            Forget(Forget(Permute((2, 1), Fuse(edge, Not(apart))))),
+        ],
+        1: [Forget(Or(Fuse(edge, apart), Add(Add(Forget(Add(single))))))],
+    }
+
+
+def random_expression(rng, arity, depth):
+    """A seeded expression in which fuses are three times as likely as
+    any other operation, over literals and their complements."""
+    if depth == 0 or rng.random() < 0.15:
+        pool = list(graph_pool(4, arity))
+        lit = finite(arity, rng.sample(pool, min(len(pool), rng.randrange(1, 4))))
+        return Not(lit) if rng.random() < 0.5 else lit
+    kind = rng.choice("!&|+++fap")
+    if kind == "f" and arity <= 2:
+        return Forget(random_expression(rng, arity + 1, depth - 1))
+    if kind == "a" and arity >= 1:
+        return Add(random_expression(rng, arity - 1, depth - 1))
+    if kind in "fap":
+        perm = list(range(1, arity + 1))
+        rng.shuffle(perm)
+        return Permute(tuple(perm), random_expression(rng, arity, depth - 1))
+    if kind == "!":
+        return Not(random_expression(rng, arity, depth - 1))
+    node = {"&": And, "|": Or, "+": Fuse}[kind]
+    lhs = random_expression(rng, arity, depth - 1)
+    return node(lhs, random_expression(rng, arity, depth - 1))
+
+
+def test_member_on_index_data_matches_the_portgraph_reference():
+    rng = random.Random(16)
+    fixed = fixed_expressions()
+    verdicts = {True: 0, False: 0}
+    for arity in range(4):
+        graphs = every_graph(arity, rng)
+        exprs = fixed[arity] + [random_expression(rng, arity, 4) for _ in range(10)]
+        for e in exprs:
+            memo = {}
+            for g in graphs:
+                got = member(g, e)
+                assert got == reference_member(g, e, memo), (render_expr(e), g)
+                verdicts[got] += 1
+    # 2,728 members and 4,814 non-members at this seed
+    assert min(verdicts.values()) > 2000, verdicts
+
+
+def test_each_port_edge_side_of_a_fuse_is_found():
+    left, right, both, neither, nested = fixed_expressions()[2]
+    wire = ports_only(2, [(1, 2)])
+    verdicts = [member(wire, e) for e in (left, right, both, neither)]
+    assert verdicts == [True, True, True, False]
+    assert not member(ports_only(2), left)
+    # a wire with a fresh isolated port, rotated to (2, 3, 1), and its
+    # first port forgotten: port 1 has one non-port neighbour and port 2
+    # none
+    assert member(PortGraph.build(["a", "b", "c"], [("a", "c")], ["a", "b"]), nested)
+    assert not member(wire, nested)
+    two_edges, _, _ = fixed_expressions()[3]
+    assert member(ports_only(3, [(1, 2), (2, 3)]), two_edges)
+    assert not member(ports_only(3, [(2, 3)]), two_edges)
+
+
+def test_arity_zero_permutation_round_trips():
+    for e in (Permute((), all_graphs(0)), Permute((), Fuse(all_graphs(0), all_graphs(0)))):
+        text = render_expr(e)
+        assert text.startswith("perm[](")
+        assert parse_expr(text) == e
+    assert parse_expr("perm[ ](!finite@0{})") == Permute((), all_graphs(0))

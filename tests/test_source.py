@@ -109,3 +109,47 @@ def test_every_private_name_is_used_in_the_library():
         if not any(name in names for other, names in reads if other is not stmt)
     ]
     assert trees and not unused, unused
+
+
+def test_certificate_caches_expose_cache_info():
+    # the benchmark worker reads the miss counts of both caches in
+    # every pass, so each must stay an lru_cache wrapper
+    from sepstar.contexts import context_cert
+    from sepstar.graphs import canonical_cert
+
+    for fn in (canonical_cert, context_cert):
+        assert fn.cache_info().maxsize is None
+
+
+def _unbounded_caches(tree):
+    """The functions decorated with ``lru_cache(maxsize=None)`` or
+    ``cache``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            if isinstance(dec, ast.Name) and dec.id == "cache":
+                yield node.name
+            elif (
+                isinstance(dec, ast.Call)
+                and isinstance(dec.func, ast.Name)
+                and dec.func.id == "lru_cache"
+                and any(
+                    kw.arg == "maxsize"
+                    and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is None
+                    for kw in dec.keywords
+                )
+            ):
+                yield node.name
+
+
+def test_unbounded_cache_count_is_pinned():
+    # an unbounded cache grows for the life of the process; adding one
+    # must be a visible edit of this number
+    found = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in _unbounded_caches(ast.parse(path.read_text(), str(path)))
+    ]
+    assert len(found) == 11, found
