@@ -25,8 +25,8 @@ moves every reference onto the node of its class in `compose`.
 
 A context is a vertex/edge core plus two interface tuples, so it runs
 on the graph core of `sepstar.graphs`: the same validation, core class
-with its per-object neighbour sets, disjoint-set helper, canonical
-ordering engine, certificate encoding and decoding, and JSON file
+with its per-object neighbour sets, component labelling, canonical
+search with its certificate encoding and decoding, and JSON file
 reader.  Only the interface handling and the colour keys that encode
 it live here; a context's canonical rename is read back from its
 certificate.
@@ -43,10 +43,10 @@ from .graphs import (
     CONTEXT_SHAPE,
     _certificate,
     _check_core,
+    _component_ids,
     _conform,
     _Core,
     _decode_certificate,
-    _DisjointSet,
     _index_certificate,
     _read_json,
 )
@@ -241,14 +241,12 @@ def inner_components(w: Context) -> tuple[frozenset[tuple[str, str]], ...]:
     """Partition the edges: two edges are together iff they are linked
     by shared non-port vertices (ports do not merge components).
     Components are ordered by their smallest edge."""
-    ports = w.port_vertices()
-    linked = _DisjointSet(w.edges)
-    touching: dict[str, tuple[str, str]] = {}
+    ids = _component_ids(w, w.port_vertices())
+    groups: dict = {}
     for e in w.edges:
-        for x in e:
-            if x not in ports:
-                linked.union(e, touching.setdefault(x, e))
-    return tuple(frozenset(c) for c in linked.classes())
+        # the component of a non-port endpoint, or a port-port edge alone
+        groups.setdefault(ids.get(e[0], ids.get(e[1], e)), set()).add(e)
+    return tuple(sorted(map(frozenset, groups.values()), key=min))
 
 
 def bridges(w: Context) -> tuple[frozenset[tuple[str, str]], ...]:
@@ -405,15 +403,10 @@ def reaches(rt: ReachType, p: PortRef, q: PortRef) -> bool:
 def beta(w: Context) -> ReachType:
     """The reachability type of a concrete context."""
     ports = w.port_vertices()
-    inner = _DisjointSet(w.vertices - ports)
-    for (x, y) in w.edges:
-        if x not in ports and y not in ports:
-            inner.union(x, y)
+    inner = _component_ids(w, ports)
     adj = w.adjacency
     # the inner components each port vertex touches
-    comp_sets = {
-        p: frozenset(inner.find(x) for x in adj[p] if x not in ports) for p in ports
-    }
+    comp_sets = {p: {inner[x] for x in adj[p] if x in inner} for p in ports}
 
     k = w.arity
     refs = [(a, v) for a, v in enumerate(w.left + w.right) if v is not None]

@@ -17,14 +17,16 @@ This module is also the graph core that contexts
 (`sepstar.contexts`) and path decompositions (`sepstar.pathdecomp`)
 reuse: vertex/edge validation, the `_Core` base class that holds the
 vertices and edges and computes each object's neighbour sets once, the
-disjoint-set helper, the canonical ordering engine with its
-certificate and rename helpers, and the JSON file reader all live here
-and take any object with ``vertices``, ``edges`` and ``arity``.
+component labelling, the canonical search with its certificate
+encoding and decoding, and the JSON file reader all live here and take
+any object with ``vertices``, ``edges`` and ``arity``.  A canonical
+rename is read back from the certificate.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -100,34 +102,6 @@ class _Core:
 
     def neighbors(self, v: str) -> frozenset[str]:
         return self.adjacency[v]
-
-
-class _DisjointSet:
-    """Union-find over hashable items, with path halving."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        """Merge the classes of a and b; False if they were one already."""
-        ra, rb = self.find(a), self.find(b)
-        self.parent[ra] = rb
-        return ra != rb
-
-    def classes(self) -> list[list]:
-        """Members of each class in insertion order, classes ordered by
-        their smallest member."""
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return sorted(out.values(), key=min)
 
 
 def _read_json(path: str, error):
@@ -262,6 +236,12 @@ class PortGraph(_Core):
             return False
         return ((u, v) if u < v else (v, u)) in self.edges
 
+    @cached_property
+    def _cut_components(self) -> dict[frozenset[str], dict[str, int]]:
+        """The `_component_ids` of the graph minus each cut that
+        `separator_holds` has been asked about, kept with the graph."""
+        return {}
+
     def __repr__(self) -> str:  # keep test failures readable
         return (
             f"PortGraph(n={len(self.vertices)}, m={len(self.edges)}, "
@@ -273,20 +253,20 @@ class PortGraph(_Core):
 # connectivity and separators
 
 
-@lru_cache(maxsize=None)
-def _component_ids(g: PortGraph, removed: frozenset[str]) -> dict[str, int]:
-    """Map each vertex outside `removed` to a component id."""
+def _component_ids(g: _Core, removed: frozenset[str]) -> dict[str, int]:
+    """Map each vertex outside `removed` to the id of its component in
+    g minus `removed`, the components numbered in the order of their
+    smallest vertex."""
     adj = g.adjacency
     ids: dict[str, int] = {}
     next_id = 0
-    for start in sorted(g.vertices):
-        if start in removed or start in ids:
+    for start in sorted(g.vertices - removed):
+        if start in ids:
             continue
         stack = [start]
         ids[start] = next_id
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
+            for w in adj[stack.pop()]:
                 if w not in removed and w not in ids:
                     ids[w] = next_id
                     stack.append(w)
@@ -294,17 +274,17 @@ def _component_ids(g: PortGraph, removed: frozenset[str]) -> dict[str, int]:
     return ids
 
 
-def connected_components(g: PortGraph) -> tuple[frozenset[str], ...]:
-    """Components as vertex sets, ordered by their smallest vertex name."""
-    ids = _component_ids(g, frozenset())
+def _grouped(ids: dict[str, int]) -> tuple[frozenset[str], ...]:
+    """The vertex sets of the components that `ids` labels, in id order."""
     groups: dict[int, set[str]] = {}
     for v, i in ids.items():
         groups.setdefault(i, set()).add(v)
-    return tuple(frozenset(groups[i]) for i in sorted(groups))
+    return tuple(map(frozenset, groups.values()))
 
 
-def is_connected(g: PortGraph) -> bool:
-    return len(connected_components(g)) == 1
+def connected_components(g: PortGraph) -> tuple[frozenset[str], ...]:
+    """Components as vertex sets, ordered by their smallest vertex name."""
+    return _grouped(_component_ids(g, frozenset()))
 
 
 def separator_holds(g: PortGraph, x: str, y: str, zs) -> bool:
@@ -322,7 +302,9 @@ def separator_holds(g: PortGraph, x: str, y: str, zs) -> bool:
             raise GraphError(f"unknown vertex {v!r}")
     if x in removed or y in removed:
         return True
-    ids = _component_ids(g, removed)
+    ids = g._cut_components.get(removed)
+    if ids is None:
+        ids = g._cut_components[removed] = _component_ids(g, removed)
     return ids[x] != ids[y]
 
 
@@ -429,12 +411,7 @@ def ports_only(g: PortGraph) -> PortGraph | None:
 def nonport_classes(g: PortGraph) -> tuple[frozenset[str], ...]:
     """Group non-port vertices: two are together iff connected in g minus
     ports.  Classes are ordered by their smallest vertex name."""
-    pset = set(g.ports)
-    classes = _DisjointSet(g.vertices - pset)
-    for (u, v) in g.edges:
-        if u not in pset and v not in pset:
-            classes.union(u, v)
-    return tuple(frozenset(c) for c in classes.classes())
+    return _grouped(_component_ids(g, frozenset(g.ports)))
 
 
 def prime_factors(g: PortGraph) -> tuple[PortGraph, ...]:
@@ -600,40 +577,13 @@ def _search_canonical(
     return best  # type: ignore[return-value]
 
 
-def canonical_order(
-    vertices: list[str], adj_sets: dict[str, frozenset[str]], keys: dict[str, str]
-) -> tuple[list[str], bytes]:
-    """Canonical vertex order for an arbitrary coloured graph, with its
-    encoding: the keys in that order, ``#``, then the upper triangle of
-    the adjacency matrix.  Up to five vertices the encoding is minimal
-    over all colour-respecting orders; the triangles are compared as
-    integers over a fixed table of orders, and the first order that
-    reaches the minimum is returned.  Above five vertices it is the
-    minimum over the leaves of the colour-refinement search, which need
-    not be the global minimum but is still isomorphism-invariant, so two
-    coloured graphs get equal encodings iff they are isomorphic.
-
-    ``keys`` assigns each vertex a colour string; orderings may only
-    mix vertices with equal keys.  Shared by graphs and contexts.
-    """
-    adj = _index_adjacency(vertices, adj_sets)
-    enc, perm = _search_canonical(len(vertices), adj, [keys[v] for v in vertices])
-    return [vertices[i] for i in perm], enc
-
-
-def _index_adjacency(
-    vertices: list[str], adj_sets: dict[str, frozenset[str]]
-) -> list[int]:
-    """The neighbour sets as one bitmask per vertex, vertex i being
-    ``vertices[i]``."""
-    idx = {v: i for i, v in enumerate(vertices)}
-    return [sum(1 << idx[w] for w in adj_sets[v]) for v in vertices]
-
-
 def _index_certificate(tag: str, arity: int, adj: list[int], keys: list[str]) -> bytes:
     """Certificate of the coloured graph on vertices 0..n-1 with
     adjacency bitmasks ``adj`` and colour keys ``keys``: ``tag;n;arity;``
-    then the canonical encoding."""
+    then the canonical encoding: the keys in canonical order joined by
+    ``|``, ``#``, then the upper triangle of the adjacency matrix in that
+    order.  `_search_canonical` makes it isomorphism-invariant, so two
+    coloured graphs get equal certificates iff they are isomorphic."""
     enc, _ = _search_canonical(len(keys), adj, keys)
     return f"{tag};{len(keys)};{arity};".encode() + enc
 
@@ -641,32 +591,36 @@ def _index_certificate(tag: str, arity: int, adj: list[int], keys: list[str]) ->
 def _certificate(tag: str, g, keys: dict[str, str]) -> bytes:
     """Certificate of a port graph or context coloured by ``keys``."""
     vertices = sorted(g.vertices)
-    adj = _index_adjacency(vertices, g.adjacency)
+    idx = {v: i for i, v in enumerate(vertices)}
+    adj = [sum(1 << idx[w] for w in g.adjacency[v]) for v in vertices]
     return _index_certificate(tag, g.arity, adj, [keys[v] for v in vertices])
 
 
 def _decode_certificate(cert: bytes) -> tuple[int, list[str], list[tuple[int, int]]]:
-    """Undo `_index_certificate` for keys free of ``|`` and ``#``: the arity,
-    the colour keys in canonical order, and the edges as pairs of
-    positions in that order."""
+    """Undo `_index_certificate`: the arity, the colour keys in canonical
+    order, and the edges as pairs of positions in that order.  No key
+    holds ``|`` or ``#``: `_graph_keys` escapes them in labels, and
+    `sepstar.contexts` writes port indices only."""
     _, n, arity, encoding = cert.decode().split(";", 3)
     keys, bits = encoding.split("#")
     pairs = combinations(range(int(n)), 2)
     return int(arity), keys.split("|"), [e for e, b in zip(pairs, bits) if b == "1"]
 
 
-def _canonical_names(g, keys: dict[str, str]) -> dict[str, str]:
-    """Rename vertices to v0..v{n-1} in canonical order."""
-    order, _ = canonical_order(sorted(g.vertices), g.adjacency, keys)
-    return {v: f"v{i}" for i, v in enumerate(order)}
+# A label goes into its colour key with ``\``, ``|`` and ``#`` escaped,
+# so that certificates split back into their keys, and the empty label
+# is written ``\e``, apart from no label at all.
+_LABEL_ESCAPES = str.maketrans({"\\": "\\\\", "|": "\\p", "#": "\\h"})
+_LABEL_UNESCAPES = {"\\": "\\", "p": "|", "h": "#", "e": ""}
 
 
 def _graph_keys(vertices, ports, labels: dict) -> dict:
     """The colour key of each vertex of a port graph, in the order of
-    ``vertices``: its port position, if any, and its label."""
-    keys = {v: f"v:{labels.get(v, '')}" for v in vertices}
+    ``vertices``: its port position, if any, and its escaped label."""
+    text = {v: c.translate(_LABEL_ESCAPES) if c else "\\e" for v, c in labels.items()}
+    keys = {v: f"v:{text.get(v, '')}" for v in vertices}
     for i, p in enumerate(ports):
-        keys[p] = f"P{i:03d}:{labels.get(p, '')}"
+        keys[p] = f"P{i:03d}:{text.get(p, '')}"
     return keys
 
 
@@ -677,14 +631,20 @@ def canonical_cert(g: PortGraph) -> bytes:
 
 
 def canonical_rename(g: PortGraph) -> PortGraph:
-    """Isomorphic copy with vertices named v0..v{n-1} in canonical order."""
-    ren = _canonical_names(g, _graph_keys(g.vertices, g.ports, g.label_map))
-    return PortGraph.build(
-        ren.values(),
-        [(ren[u], ren[v]) for (u, v) in g.edges],
-        tuple(ren[p] for p in g.ports),
-        {ren[v]: c for v, c in g.labels},
-    )
+    """Isomorphic copy with vertices named v0..v{n-1} in canonical order,
+    read back from its certificate."""
+    arity, keys, edges = _decode_certificate(canonical_cert(g))
+    names = [f"v{i}" for i in range(len(keys))]
+    ports = [""] * arity
+    labels = {}
+    for v, key in zip(names, keys):
+        head, text = key.split(":", 1)  # as `_graph_keys` wrote them
+        if head != "v":
+            ports[int(head[1:])] = v
+        if text:
+            labels[v] = re.sub(r"\\(.)", lambda m: _LABEL_UNESCAPES[m[1]], text)
+    edges = [(names[a], names[b]) for a, b in edges]
+    return PortGraph.build(names, edges, ports, labels)
 
 
 def isomorphic(g: PortGraph, h: PortGraph) -> bool:

@@ -458,4 +458,7 @@ def ef_equivalent(g1: PortGraph, g2: PortGraph, rank: int) -> bool:
         memo[key] = ok
         return ok
 
-    return play(g1.ports, g2.ports, rank)
+    try:
+        return play(g1.ports, g2.ports, rank)
+    finally:
+        del play  # the closure refers to itself; free the memo now

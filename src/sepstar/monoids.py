@@ -53,7 +53,7 @@ from .contexts import (
     linkage_type,
     reaches,
 )
-from .graphs import MONOID_SHAPE, RECOGNIZER_SHAPE, _conform, _DisjointSet, _read_json
+from .graphs import MONOID_SHAPE, RECOGNIZER_SHAPE, _conform, _read_json
 
 __all__ = [
     "MonoidError",
@@ -687,13 +687,23 @@ def _two_paths_hold(t: LinkageType) -> bool:
     s1, s2 = 0, 1
     t1, t2 = (i if t.masks >> 2 * k + i & 1 else k + i for i in (0, 1))
     for pattern in t.patterns:
-        parts = _DisjointSet({s1, s2, t1, t2}.union(*pattern))
-        for p, q in pattern:
-            parts.union(p, q)
-        one, two = parts.find(s1), parts.find(s2)
-        if one == parts.find(t1) and two == parts.find(t2) and one != two:
+        one = _path_component(pattern, s1)
+        if t1 in one and s2 not in one and t2 in _path_component(pattern, s2):
             return True
     return False
+
+
+def _path_component(pattern, start: int) -> set[int]:
+    """The positions on the path component of ``start`` in a linkage
+    pattern, grown over the pattern's pairs until it stops growing."""
+    comp = {start}
+    size = 0
+    while size != len(comp):
+        size = len(comp)
+        for p, q in pattern:
+            if p in comp or q in comp:
+                comp.update((p, q))
+    return comp
 
 
 def oracle_inner_reach(ctx: Context) -> bool:

@@ -29,7 +29,7 @@ from .contexts import (
     isomorphic_contexts,
     persistent_ports,
 )
-from .graphs import PortGraph, _DisjointSet
+from .graphs import PortGraph, connected_components
 
 __all__ = [
     "DecompositionError",
@@ -165,24 +165,10 @@ def validate_decomposition(bags, vertices, edges, first=frozenset(), last=frozen
 # `_Levels` reads cost[S] off the levels, one bit per level.
 # `_Table.active` gives active(S) in two lookups, one in a table of
 # the neighbourhood of every subset of the low half of the free
-# vertices and one for the high half, and `_active_mask` computes it
-# from its definition, once per step when bags are rebuilt.  Nothing
-# else is stored per subset: a walk back from the full set recovers
-# each step from `cost` as the lowest-index vertex whose removal
-# leaves the least cost, the vertex the min above picks.
-
-
-def _active_mask(smask, adj, rmask):
-    """The vertices of smask that must stay in the bag: right ports and
-    vertices with a neighbour outside smask."""
-    out = smask & rmask
-    bits = smask & ~rmask
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        if adj[low.bit_length() - 1] & ~smask:
-            out |= low
-    return out
+# vertices and one for the high half; bags are rebuilt from it too.
+# Nothing else is stored per subset: a walk back from the full set
+# recovers each step from `cost` as the lowest-index vertex whose
+# removal leaves the least cost, the vertex the min above picks.
 
 
 def _neighbourhoods(rows):
@@ -331,19 +317,18 @@ def _decomposition(table, key, vertices, edges, first, last):
     """Walk back from the full subset by `_best_removal` on the
     per-subset `key` to an introduction order and turn it into bags,
     checked against the table's width."""
-    verts, _, adj, lmask, rmask, _, limit = table[:7]
+    verts, limit = table.verts, table.limit
     order = []
     m = len(key) - 1
     while m:
         low = _best_removal(key, m)
-        order.append(low.bit_length() - 1)
+        order.append(low)
         m ^= low
     bags = [frozenset(first)]
-    smask = lmask
-    for i in reversed(order):
-        members = _active_mask(smask, adj, rmask) | 1 << i
+    for low in reversed(order):
+        members = table.active(m) | low
         bags.append(frozenset(v for j, v in enumerate(verts) if members >> j & 1))
-        smask |= 1 << i
+        m |= low
     bags = normalize(bags)
     validate_decomposition(bags, vertices, edges, first, last)
     if width(bags) != limit - 1:
@@ -417,9 +402,8 @@ def _low_overlap_decomposition(w: Context, table):
 def is_caterpillar_forest(g: PortGraph) -> bool:
     """Acyclic, and removing the leaves of each component leaves a
     path.  Equivalent to pathwidth at most 1."""
-    # an edge inside one component closes a cycle
-    forest = _DisjointSet(g.vertices)
-    if not all(forest.union(u, v) for u, v in g.edges):
+    # a graph is a forest iff each component has one edge fewer than vertices
+    if len(g.edges) != len(g.vertices) - len(connected_components(g)):
         return False
     adj = g.adjacency
     spine = {v for v in g.vertices if len(adj[v]) >= 2}

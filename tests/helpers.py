@@ -67,6 +67,34 @@ def graphs_on(n: int, arity: int, labels: tuple[str, ...] = ()) -> list[PortGrap
     return out
 
 
+class _DisjointSet:
+    """Union-find over hashable items, with path halving."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the classes of a and b; False if they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        self.parent[ra] = rb
+        return ra != rb
+
+    def classes(self) -> list[list]:
+        """Members of each class in insertion order, classes ordered by
+        their smallest member."""
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return sorted(out.values(), key=min)
+
+
 @lru_cache(maxsize=None)
 def graph_pool(max_n: int, arity: int) -> tuple[PortGraph, ...]:
     """Unlabelled graphs with arity ports and up to max_n vertices,
@@ -310,16 +338,28 @@ def brute_pathwidth(vertices, edges, first=frozenset(), last=frozenset()) -> int
     return best - 1
 
 
+def active_mask(smask, adj, rmask):
+    """The definition of the active set the exact-pathwidth DP reads:
+    the vertices of smask that must stay in the bag, right ports and
+    vertices with a neighbour outside smask."""
+    out = smask & rmask
+    bits = smask & ~rmask
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        if adj[low.bit_length() - 1] & ~smask:
+            out |= low
+    return out
+
+
 def reference_pathwidth_table(vertices, edges, first, last):
     """The exact-pathwidth subset DP in its plain form: every subset's
-    active set from `_active_mask`, the min over all free vertices, and
+    active set from `active_mask`, the min over all free vertices, and
     the vertex introduced last stored per subset in ``parent``.
 
     Returns ``(verts, index, adj, lmask, rmask, free, limit, cost,
     parent)`` with the library table's vertex numbering, so that costs
     and decompositions compare entry for entry."""
-    from sepstar.pathdecomp import _active_mask
-
     first = frozenset(first)
     last = frozenset(last)
     verts = sorted(vertices, key=lambda v: (v in first, v not in last, v))
@@ -342,7 +382,7 @@ def reference_pathwidth_table(vertices, edges, first, last):
                 if m >> t & 1 and (g is None or cost[m ^ 1 << t] < g):
                     g = cost[m ^ 1 << t]
                     parent[m] = t
-        cost[m] = max(g, _active_mask(m | lmask, adj, rmask).bit_count() + 1)
+        cost[m] = max(g, active_mask(m | lmask, adj, rmask).bit_count() + 1)
     return verts, index, adj, lmask, rmask, free, g, cost, parent
 
 
@@ -351,8 +391,6 @@ def reference_low_overlap_parent(w, table):
     each left port co-alive with the different right port of its slot
     for the fewest steps, lowest index first on ties; ``table`` is the
     context's `reference_pathwidth_table`."""
-    from sepstar.pathdecomp import _active_mask
-
     _, index, adj, lmask, rmask, free, limit, cost, _ = table
     left_map, right_map = w.left_map(), w.right_map()
     pair_masks = [
@@ -362,7 +400,7 @@ def reference_low_overlap_parent(w, table):
     ]
 
     def step(m):
-        a = _active_mask(m | lmask, adj, rmask)
+        a = active_mask(m | lmask, adj, rmask)
         return sum(1 for mu, mv in pair_masks if a & mu and a & mv)
 
     h = [step(0)] + [0] * (len(cost) - 1)
@@ -382,7 +420,7 @@ def reference_low_overlap_parent(w, table):
 def reference_decomposition(table, parent, first):
     """The bags of the introduction order that ``parent`` walks back
     from the full subset, normalised."""
-    from sepstar.pathdecomp import _active_mask, normalize
+    from sepstar.pathdecomp import normalize
 
     verts, _, adj, lmask, rmask, _, _, cost, _ = table
     order = []
@@ -393,7 +431,7 @@ def reference_decomposition(table, parent, first):
     bags = [frozenset(first)]
     smask = lmask
     for i in reversed(order):
-        members = _active_mask(smask, adj, rmask) | 1 << i
+        members = active_mask(smask, adj, rmask) | 1 << i
         bags.append(frozenset(v for j, v in enumerate(verts) if members >> j & 1))
         smask |= 1 << i
     return normalize(bags)
@@ -404,7 +442,6 @@ def reference_compose(u, v):
     building and validating each composite: the reference for the
     fold of `compose_all` on plain data."""
     from sepstar.contexts import Context, ContextError
-    from sepstar.graphs import _DisjointSet
 
     if u.arity != v.arity:
         raise ContextError(f"compose needs equal arities, got {u.arity}, {v.arity}")
@@ -437,7 +474,6 @@ def _glued_refs(r1, r2) -> dict[tuple, tuple[str, int]]:
     ("R", j).  Every other class is named ("~", n).
     """
     from sepstar.contexts import ContextError
-    from sepstar.graphs import _DisjointSet
 
     if r1.arity != r2.arity:
         raise ContextError("types must have equal arity")
@@ -524,6 +560,19 @@ def reference_alternation_start(values):
         if all(tail[i] != tail[i + 1] for i in range(len(tail) - 1)):
             return m0
     return None
+
+
+def reference_canonical_names(g, keys: dict[str, str]) -> dict[str, str]:
+    """The name v0..v{n-1} of each vertex of a port graph or context
+    coloured by ``keys``, in the order `graphs._search_canonical` finds
+    on its vertices numbered in name order."""
+    from sepstar.graphs import _search_canonical
+
+    vertices = sorted(g.vertices)
+    idx = {v: i for i, v in enumerate(vertices)}
+    adj = [sum(1 << idx[w] for w in g.adjacency[v]) for v in vertices]
+    _, order = _search_canonical(len(vertices), adj, [keys[v] for v in vertices])
+    return {vertices[i]: f"v{n}" for n, i in enumerate(order)}
 
 
 def reference_small_canonical(n: int, adj: list[int], keys: list[str]):

@@ -16,7 +16,7 @@ from sepstar.contexts import (
     enumerate_generators,
 )
 
-from helpers import brute_generators, random_context
+from helpers import brute_generators, random_context, reference_canonical_names
 
 # sha256 of the JSON list of letters, recorded from the brute-force
 # enumeration before the orbit-by-orbit one replaced it
@@ -50,7 +50,7 @@ def test_canonical_rename_reads_the_certificate():
     rng = random.Random(5)
     for _ in range(200):
         w = random_context(rng, 3, 7)
-        ren = graphs._canonical_names(w, contexts._ctx_color_keys(w))
+        ren = reference_canonical_names(w, contexts._ctx_color_keys(w))
         expected = Context.build(
             ren.values(),
             [(ren[x], ren[y]) for x, y in w.edges],
@@ -62,16 +62,16 @@ def test_canonical_rename_reads_the_certificate():
         assert context_cert(expected) == context_cert(w)
 
 
-def test_width_three_makes_at_most_two_canonical_orders_per_letter(monkeypatch):
+def test_width_three_makes_one_canonical_search_per_letter(monkeypatch):
     calls = []
-    order = graphs.canonical_order
+    search = graphs._search_canonical
 
     def counting(*args):
         calls.append(1)
-        return order(*args)
+        return search(*args)
 
-    monkeypatch.setattr(graphs, "canonical_order", counting)
+    monkeypatch.setattr(graphs, "_search_canonical", counting)
     contexts.context_cert.cache_clear()
     letters = len(enumerate_generators.__wrapped__(3))
     assert letters == 6939
-    assert len(calls) <= 2 * letters
+    assert len(calls) == letters

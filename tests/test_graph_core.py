@@ -3,8 +3,8 @@
 Certificate bytes are pinned: generator ids (and every recognizer
 ``gen_map`` written against them) follow the order of the context
 certificates, so any change to the canonical encoding renumbers the
-alphabet.  The disjoint-set sites are cross-checked against networkx on
-seeded random inputs.
+alphabet.  The component labelling sites are cross-checked against
+networkx on seeded random inputs.
 """
 
 import hashlib

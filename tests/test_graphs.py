@@ -3,6 +3,7 @@ canonical forms (checked against a permutation-search oracle), JSON."""
 
 import json
 import random
+import weakref
 from itertools import combinations, product
 
 import pytest
@@ -251,6 +252,43 @@ def test_canonical_rename_is_stable():
     assert r.vertices == {"v0", "v1", "v2"}
     assert isomorphic(r, g)
     assert canonical_rename(r) == r
+
+
+# labels holding the characters certificates are written with, the
+# empty label, and plain ones they could be confused with
+TRICKY_LABELS = [None, "", "x|v:y", "z", "x", "y|v:z", "#", "a#1", "\\", "\\p", "|", "\\e"]
+
+
+def _tricky_graphs():
+    for first, second in product(TRICKY_LABELS, repeat=2):
+        labels = {v: c for v, c in (("a", first), ("b", second)) if c is not None}
+        for edges, ports in product(([], [("a", "b")]), ((), ("a",))):
+            yield PortGraph.build(["a", "b"], edges, ports, labels)
+
+
+def test_certificates_are_injective_on_any_label():
+    # equal certificates mean isomorphic graphs, whatever the labels hold
+    graphs = list(_tricky_graphs())
+    certs = [canonical_cert(g) for g in graphs]
+    for (g, cg), (h, ch) in combinations(zip(graphs, certs), 2):
+        assert (cg == ch) == brute_isomorphic(g, h), (g.labels, h.labels)
+
+
+def test_canonical_rename_keeps_any_label():
+    for g in _tricky_graphs():
+        r = canonical_rename(g)
+        assert sorted(c for _, c in r.labels) == sorted(c for _, c in g.labels)
+        assert brute_isomorphic(r, g)
+        assert canonical_rename(r) == r
+
+
+def test_component_labellings_live_with_the_graph():
+    g = path_graph(5)
+    ref = weakref.ref(g)
+    assert separator_holds(g, "u0", "u4", {"u2"})
+    assert len(connected_components(g)) == 1
+    del g
+    assert ref() is None
 
 
 def test_isomorphic_quick_rejects():

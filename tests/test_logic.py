@@ -7,6 +7,7 @@ rank-1 equivalent iff the same port atomic type holds and the same set
 of extension types is realised.  We compute those type sets directly.
 """
 
+import gc
 import random
 
 import pytest
@@ -250,6 +251,17 @@ def test_equivalence_respects_isomorphism_and_rank_monotonicity():
         g, h = rng.choice(pool), rng.choice(pool)
         if ef_equivalent(g, h, 2):
             assert ef_equivalent(g, h, 1)
+
+
+def test_game_memo_is_freed_without_the_cycle_collector():
+    p5, c5 = path_graph(5), cycle_graph(5)
+    gc.collect()
+    gc.disable()
+    try:
+        ef_equivalent(p5, c5, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_game_arity_mismatch():

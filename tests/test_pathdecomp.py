@@ -40,6 +40,7 @@ from sepstar.pathdecomp import (
 )
 
 from helpers import (
+    active_mask,
     brute_pathwidth,
     complete_graph,
     cycle_graph,
@@ -179,13 +180,13 @@ def test_subset_dp_costs_one_lookup_per_subset(monkeypatch):
     from sepstar import pathdecomp
 
     calls = []
-    active = pathdecomp._active_mask
+    active = pathdecomp._Table.active
 
-    def counting(smask, adj, rmask):
-        calls.append(smask)
-        return active(smask, adj, rmask)
+    def counting(table, m):
+        calls.append(m)
+        return active(table, m)
 
-    monkeypatch.setattr(pathdecomp, "_active_mask", counting)
+    monkeypatch.setattr(pathdecomp._Table, "active", counting)
     rng = random.Random(417)
     verts = [f"v{i}" for i in range(10)]
     edges = [p for p in combinations(verts, 2) if rng.random() < 0.3]
@@ -195,7 +196,7 @@ def test_subset_dp_costs_one_lookup_per_subset(monkeypatch):
     pathdecomp._decomposition(table, table.cost, verts, edges, first, last)
     assert len(calls) <= len(table.free) + 1
     for m in range(1 << 8):
-        assert table.active(m) == active(m | table.lmask, table.adj, table.rmask)
+        assert table.active(m) == active_mask(m | table.lmask, table.adj, table.rmask)
 
 
 def _graph_as_context(rng, verts, edges, first, last):
