@@ -236,12 +236,6 @@ class PortGraph(_Core):
             return False
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    @cached_property
-    def _cut_components(self) -> dict[frozenset[str], dict[str, int]]:
-        """The `_component_ids` of the graph minus each cut that
-        `separator_holds` has been asked about, kept with the graph."""
-        return {}
-
     def __repr__(self) -> str:  # keep test failures readable
         return (
             f"PortGraph(n={len(self.vertices)}, m={len(self.edges)}, "
@@ -251,6 +245,32 @@ class PortGraph(_Core):
 
 # ---------------------------------------------------------------------------
 # connectivity and separators
+
+
+def _numbering(g: _Core) -> tuple[dict[str, int], tuple[int, ...]]:
+    """The index data of a graph core: its vertices numbered 0..n-1 in
+    sorted-name order, as the number of each name (in that order), and
+    the adjacency bitmask of each number."""
+    at = {v: i for i, v in enumerate(sorted(g.vertices))}
+    adj = [0] * len(at)
+    for u, v in g.edges:
+        adj[at[u]] |= 1 << at[v]
+        adj[at[v]] |= 1 << at[u]
+    return at, tuple(adj)
+
+
+def _flood(adj, seed: int, alive: int) -> int:
+    """The mask of the vertices that the vertices of the mask ``seed``
+    reach in the subgraph induced on the mask ``alive``, which holds
+    ``seed``: for one seed vertex, its component there."""
+    reached = todo = seed
+    while todo:
+        v = todo.bit_length() - 1
+        todo ^= 1 << v
+        grow = adj[v] & alive & ~reached
+        reached |= grow
+        todo |= grow
+    return reached
 
 
 def _component_ids(g: _Core, removed: frozenset[str]) -> dict[str, int]:
@@ -302,10 +322,9 @@ def separator_holds(g: PortGraph, x: str, y: str, zs) -> bool:
             raise GraphError(f"unknown vertex {v!r}")
     if x in removed or y in removed:
         return True
-    ids = g._cut_components.get(removed)
-    if ids is None:
-        ids = g._cut_components[removed] = _component_ids(g, removed)
-    return ids[x] != ids[y]
+    at, adj = _numbering(g)
+    alive = (1 << len(at)) - 1 & ~sum(1 << at[z] for z in removed)
+    return not _flood(adj, 1 << at[x], alive) >> at[y] & 1
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +609,8 @@ def _index_certificate(tag: str, arity: int, adj: list[int], keys: list[str]) ->
 
 def _certificate(tag: str, g, keys: dict[str, str]) -> bytes:
     """Certificate of a port graph or context coloured by ``keys``."""
-    vertices = sorted(g.vertices)
-    idx = {v: i for i, v in enumerate(vertices)}
-    adj = [sum(1 << idx[w] for w in g.adjacency[v]) for v in vertices]
-    return _index_certificate(tag, g.arity, adj, [keys[v] for v in vertices])
+    at, adj = _numbering(g)
+    return _index_certificate(tag, g.arity, adj, [keys[v] for v in at])
 
 
 def _decode_certificate(cert: bytes) -> tuple[int, list[str], list[tuple[int, int]]]:

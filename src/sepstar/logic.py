@@ -16,10 +16,11 @@ separator vocabulary rather than plain first-order logic.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
 
-from .graphs import PortGraph, separator_holds
+from .graphs import PortGraph, _flood, _numbering
 
 __all__ = [
     "Formula",
@@ -338,113 +339,228 @@ def _render_formula(f: Formula) -> str:
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# A formula is compiled once into nested closures, which run on index
+# data: the vertices numbered 0..n-1 in sorted-name order, with an
+# adjacency bitmask and a label per number, and an environment list
+# with one slot per free variable (in sorted order) and then one per
+# quantifier depth.  A quantifier takes the slot of its depth, not of
+# the number of names in scope, so a binder that shadows an outer one
+# of the same name gets a slot of its own.  The program is kept as long
+# as the formula object lives.
+
+
+class _Model:
+    """One graph on index data for one evaluation or one game: the
+    number of each vertex name, the adjacency bitmasks, the label of
+    each number, and the component labellings and position types asked
+    for so far."""
+
+    __slots__ = ("at", "adj", "labels", "cuts", "types")
+
+    def __init__(self, g: PortGraph):
+        self.at, self.adj = _numbering(g)
+        self.labels = [None] * len(self.adj)
+        for v, c in g.labels:
+            self.labels[self.at[v]] = c
+        self.cuts: dict[int, list[int]] = {}
+        self.types: dict[tuple[int, ...], tuple] = {}
+
+    def components(self, cut: int) -> list[int]:
+        """The labelling of the graph minus the vertices of the mask
+        ``cut``: each vertex outside it maps to the mask of its
+        component, each vertex in it to 0.  Made once per cut."""
+        comp = self.cuts.get(cut)
+        if comp is None:
+            adj = self.adj
+            comp = self.cuts[cut] = [0] * len(adj)
+            rest = (1 << len(adj)) - 1 & ~cut
+            while rest:
+                bits = reached = _flood(adj, rest & -rest, rest)
+                rest ^= reached
+                while bits:
+                    low = bits & -bits
+                    comp[low.bit_length() - 1] = reached
+                    bits ^= low
+        return comp
+
+    def position_type(self, pinned: tuple[int, ...]) -> tuple:
+        """The full atomic type of a tuple of pinned vertices: their
+        equalities, edges and labels, and every separator atom over
+        subsets of the tuple (as its negation, "linked")."""
+        hit = self.types.get(pinned)
+        if hit is None:
+            pairs = [(a, b) for i, a in enumerate(pinned) for b in pinned[i:]]
+            cuts = [0]
+            for v in pinned:
+                cuts += [cut | 1 << v for cut in cuts]
+            linked = []
+            for cut in cuts:
+                comp = self.components(cut)
+                linked += [
+                    not (cut >> a | cut >> b) & 1 and comp[a] == comp[b]
+                    for a, b in pairs
+                ]
+            hit = self.types[pinned] = (
+                tuple(a == b for a, b in pairs),
+                tuple(self.adj[a] >> b & 1 for a, b in pairs),
+                tuple(self.labels[v] for v in pinned),
+                tuple(linked),
+            )
+        return hit
+
+
+def _closure(f: Formula, scope: dict[str, int], depth: int, height: list[int]):
+    """f as a function of a `_Model` and an environment list that
+    returns a bool.  ``scope`` maps each variable in scope to its slot,
+    ``depth`` is the slot of the next quantifier, and ``height[0]``
+    grows to the length the environment needs."""
+    match f:
+        case Edge(x, y):
+            i, j = scope[x], scope[y]
+            return lambda m, env: m.adj[env[i]] >> env[j] & 1 == 1
+        case Eq(x, y):
+            i, j = scope[x], scope[y]
+            return lambda m, env: env[i] == env[j]
+        case Label(x, label):
+            i = scope[x]
+            return lambda m, env: m.labels[env[i]] == label
+        case Sep(x, y, zs):
+            i, j = scope[x], scope[y]
+            cut = tuple(scope[z] for z in zs)
+
+            def sep(m, env):
+                # as `separator_holds`: a cut holding x or y separates
+                a, b, mask = env[i], env[j], 0
+                for s in cut:
+                    mask |= 1 << env[s]
+                if (mask >> a | mask >> b) & 1:
+                    return True
+                comp = m.components(mask)
+                return comp[a] != comp[b]
+
+            return sep
+        case Not(sub):
+            run = _closure(sub, scope, depth, height)
+            return lambda m, env: not run(m, env)
+        case And(a, b):
+            lhs = _closure(a, scope, depth, height)
+            rhs = _closure(b, scope, depth, height)
+            return lambda m, env: lhs(m, env) and rhs(m, env)
+        case Or(a, b):
+            lhs = _closure(a, scope, depth, height)
+            rhs = _closure(b, scope, depth, height)
+            return lambda m, env: lhs(m, env) or rhs(m, env)
+        case Exists(var, sub) | Forall(var, sub):
+            height[0] = max(height[0], depth + 1)
+            run = _closure(sub, {**scope, var: depth}, depth + 1, height)
+            # exists stops at the first witness, forall at the first
+            # counterexample
+            stop = isinstance(f, Exists)
+
+            def quantify(m, env):
+                for v in range(len(m.adj)):
+                    env[depth] = v
+                    if run(m, env) is stop:
+                        return stop
+                return not stop
+
+            return quantify
+    raise TypeError(f"not a formula: {f!r}")
+
+
+_PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _program(f: Formula) -> tuple[tuple[str, ...], int, object]:
+    """f compiled: its free variables in sorted order, the length of its
+    environment, and its closure."""
+    prog = _PROGRAMS.get(f)
+    if prog is None:
+        free = tuple(sorted(_free_vars(f)))
+        height = [len(free)]
+        run = _closure(f, {v: i for i, v in enumerate(free)}, len(free), height)
+        prog = _PROGRAMS[f] = (free, height[0], run)
+    return prog
+
+
+def _run(g: PortGraph, prog, valuation: dict[str, str]) -> bool:
+    """Run a compiled formula on g, its free variables valued by name."""
+    free, height, run = prog
+    m = _Model(g)
+    env = [0] * height
+    for i, var in enumerate(free):
+        env[i] = m.at[valuation[var]]
+    return run(m, env)
 
 
 @_nesting_guard(FormulaError, "formula")
 def eval_formula(g: PortGraph, f: Formula, valuation=None) -> bool:
     """Evaluate f over g; `valuation` must cover the free variables."""
+    prog = _program(f)
     env = dict(valuation or {})
-    missing = _free_vars(f) - set(env)
+    missing = set(prog[0]) - set(env)
     if missing:
         raise FormulaError(f"unassigned free variables: {sorted(missing)}")
     for var, v in env.items():
-        if v not in g.vertices:
+        if not isinstance(v, str) or v not in g.vertices:
             raise FormulaError(f"valuation maps {var!r} to unknown vertex {v!r}")
-    return _eval(g, f, env)
-
-
-def _eval(g: PortGraph, f: Formula, env: dict[str, str]) -> bool:
-    match f:
-        case Edge(x, y):
-            return g.has_edge(env[x], env[y])
-        case Eq(x, y):
-            return env[x] == env[y]
-        case Label(x, label):
-            return g.label_of(env[x]) == label
-        case Sep(x, y, zs):
-            return separator_holds(g, env[x], env[y], {env[z] for z in zs})
-        case Not(sub):
-            return not _eval(g, sub, env)
-        case And(a, b):
-            return _eval(g, a, env) and _eval(g, b, env)
-        case Or(a, b):
-            return _eval(g, a, env) or _eval(g, b, env)
-        case Exists(var, sub):
-            return any(_eval(g, sub, {**env, var: v}) for v in sorted(g.vertices))
-        case Forall(var, sub):
-            return all(_eval(g, sub, {**env, var: v}) for v in sorted(g.vertices))
-    raise TypeError(f"not a formula: {f!r}")
+    return _run(g, prog, env)
 
 
 @_nesting_guard(FormulaError, "formula")
 def sentence_holds(g: PortGraph, f: Formula) -> bool:
-    if _free_vars(f):
+    prog = _program(f)
+    if prog[0]:
         raise FormulaError("not a sentence; free variables present")
-    return _eval(g, f, {})
+    return _run(g, prog, {})
 
 
 @_nesting_guard(FormulaError, "formula")
 def language_member(g: PortGraph, f: Formula) -> bool:
     """Membership of g in the language of f, with free variable x{i}
     interpreted as port i of g."""
-    allowed = {f"x{i + 1}" for i in range(g.arity)}
-    stray = _free_vars(f) - allowed
+    prog = _program(f)
+    env = {f"x{i + 1}": p for i, p in enumerate(g.ports)}
+    stray = set(prog[0]).difference(env)
     if stray:
         raise FormulaError(
             f"free variables {sorted(stray)} not of the form x1..x{g.arity}"
         )
-    env = {f"x{i + 1}": p for i, p in enumerate(g.ports)}
-    return _eval(g, f, {v: env[v] for v in _free_vars(f)})
+    return _run(g, prog, env)
 
 
 # ---------------------------------------------------------------------------
 # rank-r equivalence game
 
 
-@lru_cache(maxsize=None)
-def _position_type(g: PortGraph, pinned: tuple[str, ...]) -> tuple:
-    """Full atomic type of a tuple of pinned vertices, including every
-    separator atom over subsets of the pinned tuple."""
-    n = len(pinned)
-    eqs = tuple(
-        pinned[i] == pinned[j] for i in range(n) for j in range(i + 1, n)
-    )
-    edges = tuple(
-        g.has_edge(pinned[i], pinned[j]) for i in range(n) for j in range(i + 1, n)
-    )
-    labels = tuple(g.label_of(v) for v in pinned)
-    seps = []
-    for zbits in range(1 << n):
-        cut = frozenset(pinned[t] for t in range(n) if zbits >> t & 1)
-        for i in range(n):
-            for j in range(i, n):
-                seps.append(separator_holds(g, pinned[i], pinned[j], cut))
-    return (eqs, edges, labels, tuple(seps))
-
-
 def ef_equivalent(g1: PortGraph, g2: PortGraph, rank: int) -> bool:
     """Duplicator wins the rank-`rank` game from the port position.
 
-    Positions are memoised by the pinned correspondence as a *set* of
-    vertex pairs, which is sound: everything the rest of the game can
-    observe depends only on which vertices are pinned to which, not on
-    the order or multiplicity of the pinning moves.
+    Both graphs play on index data, and the atomic type of each tuple
+    of pinned vertices is read from one component labelling per cut
+    and kept for the rest of the call.  Positions are memoised by the
+    pinned correspondence as a *set* of vertex pairs, which is sound:
+    everything the rest of the game can observe depends only on which
+    vertices are pinned to which, not on the order or multiplicity of
+    the pinning moves.
     """
     if g1.arity != g2.arity:
         raise FormulaError("graphs must have equal arity")
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise FormulaError(f"rank must be an integer, got {rank!r}")
     if rank < 0:
         raise FormulaError("rank must be nonnegative")
+    m1, m2 = _Model(g1), _Model(g2)
+    v1, v2 = range(len(m1.adj)), range(len(m2.adj))
     memo: dict[tuple, bool] = {}
 
-    v1 = sorted(g1.vertices)
-    v2 = sorted(g2.vertices)
-
-    def play(p1: tuple[str, ...], p2: tuple[str, ...], r: int) -> bool:
+    def play(p1: tuple[int, ...], p2: tuple[int, ...], r: int) -> bool:
         key = (frozenset(zip(p1, p2)), r)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if _position_type(g1, p1) != _position_type(g2, p2):
+        if m1.position_type(p1) != m2.position_type(p2):
             memo[key] = False
             return False
         if r == 0:
@@ -459,6 +575,8 @@ def ef_equivalent(g1: PortGraph, g2: PortGraph, rank: int) -> bool:
         return ok
 
     try:
-        return play(g1.ports, g2.ports, rank)
+        return play(
+            tuple(m1.at[p] for p in g1.ports), tuple(m2.at[p] for p in g2.ports), rank
+        )
     finally:
         del play  # the closure refers to itself; free the memo now

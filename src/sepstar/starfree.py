@@ -33,8 +33,10 @@ from itertools import product
 from .graphs import (
     GraphError,
     PortGraph,
+    _flood,
     _graph_keys,
     _index_certificate,
+    _numbering,
     canonical_cert,
     canonical_rename,
     graph_from_json,
@@ -264,13 +266,7 @@ def _fuse_splits(adj: tuple[int, ...], ports: tuple[int, ...]):
     groups: dict[bytes, list[int]] = {}
     rest = (1 << len(adj)) - 1 & ~pmask
     while rest:
-        cls = todo = rest & -rest
-        while todo:
-            v = todo.bit_length() - 1
-            todo ^= 1 << v
-            grow = adj[v] & rest & ~cls
-            cls |= grow
-            todo |= grow
+        cls = _flood(adj, rest & -rest, rest)
         rest &= ~cls
         cert = _operand_cert(*_induced(adj, ports, pmask | cls))
         groups.setdefault(cert, []).append(cls)
@@ -314,12 +310,8 @@ def member(g: PortGraph, e: Expr) -> bool:
     k = _operand_arity(e)
     if g.arity != k:
         raise ExprError(f"graph has arity {g.arity}, expression has arity {k}")
-    at = {v: i for i, v in enumerate(sorted(g.vertices))}
-    adj = [0] * len(at)
-    for u, v in g.edges:
-        adj[at[u]] |= 1 << at[v]
-        adj[at[v]] |= 1 << at[u]
-    return _holds(tuple(adj), tuple(at[p] for p in g.ports), e)
+    at, adj = _numbering(g)
+    return _holds(adj, tuple(at[p] for p in g.ports), e)
 
 
 def _holds(adj: tuple[int, ...], ports: tuple[int, ...], e: Expr) -> bool:

@@ -679,3 +679,84 @@ def reference_member(g: PortGraph, e, memo: dict) -> bool:
             res = reference_member(permute(g, tuple(inv)), sub, memo)
     memo[key] = res
     return res
+
+
+def reference_eval(g: PortGraph, f, env: dict[str, str]) -> bool:
+    """Evaluate a formula by walking its tree on vertex names, copying
+    the environment at every quantifier step and asking
+    `separator_holds` once per separator atom.  The reference for the
+    compiled evaluator of `sepstar.logic`."""
+    from sepstar.graphs import separator_holds
+    from sepstar.logic import And, Edge, Eq, Exists, Forall, Label, Not, Or, Sep
+
+    match f:
+        case Edge(x, y):
+            return g.has_edge(env[x], env[y])
+        case Eq(x, y):
+            return env[x] == env[y]
+        case Label(x, label):
+            return g.label_of(env[x]) == label
+        case Sep(x, y, zs):
+            return separator_holds(g, env[x], env[y], {env[z] for z in zs})
+        case Not(sub):
+            return not reference_eval(g, sub, env)
+        case And(a, b):
+            return reference_eval(g, a, env) and reference_eval(g, b, env)
+        case Or(a, b):
+            return reference_eval(g, a, env) or reference_eval(g, b, env)
+        case Exists(var, sub):
+            return any(reference_eval(g, sub, {**env, var: v}) for v in sorted(g.vertices))
+        case Forall(var, sub):
+            return all(reference_eval(g, sub, {**env, var: v}) for v in sorted(g.vertices))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+@lru_cache(maxsize=None)
+def _reference_position_type(g: PortGraph, pinned: tuple[str, ...]) -> tuple:
+    """Full atomic type of a tuple of pinned vertices, including every
+    separator atom over subsets of the pinned tuple."""
+    from sepstar.graphs import separator_holds
+
+    n = len(pinned)
+    eqs = tuple(
+        pinned[i] == pinned[j] for i in range(n) for j in range(i + 1, n)
+    )
+    edges = tuple(
+        g.has_edge(pinned[i], pinned[j]) for i in range(n) for j in range(i + 1, n)
+    )
+    labels = tuple(g.label_of(v) for v in pinned)
+    seps = []
+    for zbits in range(1 << n):
+        cut = frozenset(pinned[t] for t in range(n) if zbits >> t & 1)
+        for i in range(n):
+            for j in range(i, n):
+                seps.append(separator_holds(g, pinned[i], pinned[j], cut))
+    return (eqs, edges, labels, tuple(seps))
+
+
+def reference_ef_equivalent(g1: PortGraph, g2: PortGraph, rank: int) -> bool:
+    """The rank-`rank` back-and-forth game played on vertex names, each
+    position type computed by `separator_holds` calls.  The reference
+    for `sepstar.logic.ef_equivalent`."""
+    memo: dict[tuple, bool] = {}
+    v1 = sorted(g1.vertices)
+    v2 = sorted(g2.vertices)
+
+    def play(p1: tuple[str, ...], p2: tuple[str, ...], r: int) -> bool:
+        key = (frozenset(zip(p1, p2)), r)
+        if key in memo:
+            return memo[key]
+        if _reference_position_type(g1, p1) != _reference_position_type(g2, p2):
+            ok = False
+        elif r == 0:
+            ok = True
+        else:
+            ok = all(
+                any(play(p1 + (a,), p2 + (b,), r - 1) for b in v2) for a in v1
+            ) and all(
+                any(play(p1 + (a,), p2 + (b,), r - 1) for a in v1) for b in v2
+            )
+        memo[key] = ok
+        return ok
+
+    return play(g1.ports, g2.ports, rank)

@@ -9,6 +9,7 @@ of extension types is realised.  We compute those type sets directly.
 
 import gc
 import random
+import weakref
 
 import pytest
 
@@ -34,7 +35,13 @@ from sepstar.logic import (
     sentence_holds,
 )
 
-from helpers import cycle_graph, graphs_on, path_graph
+from helpers import (
+    cycle_graph,
+    graphs_on,
+    path_graph,
+    reference_ef_equivalent,
+    reference_eval,
+)
 
 
 # --- syntax ----------------------------------------------------------------
@@ -177,6 +184,135 @@ def test_language_member_uses_ports():
         language_member(g, parse_formula("exists y. E(x2,y)"))
 
 
+def test_eval_valuation_to_a_non_name_is_an_unknown_vertex():
+    g = path_graph(2)
+    for bad in (["u0"], 0, None, ("u0",)):
+        with pytest.raises(FormulaError, match="to unknown vertex"):
+            eval_formula(g, parse_formula("E(x,y)"), {"x": bad, "y": "u1"})
+
+
+def test_shadowing_quantifier_takes_its_own_slot():
+    # the inner x shadows the outer one; were both given one slot, z
+    # would overwrite the outer x's vertex
+    g = PortGraph.build(["a", "b", "c"], [("a", "b")])
+    f = parse_formula(
+        "exists y. exists x. exists x. exists z. (E(x,y) & !(z = x) & !E(z,y))"
+    )
+    assert sentence_holds(g, f) is True
+    assert reference_eval(g, f, {}) is True
+    g = PortGraph.build(["a", "b"], [("a", "b")])
+    f = parse_formula("exists x. forall x. exists y. E(x,y)")
+    assert sentence_holds(g, f) is True
+
+
+def _random_formula(rng, scope, depth, binders=("x", "y", "z")):
+    """A seeded formula over the variables in ``scope``: every atom kind,
+    cuts that repeat a variable or hold x or y, and binders that often
+    shadow a variable already in scope."""
+    if depth == 0 or rng.random() < 0.15:
+        x, y = rng.choice(scope), rng.choice(scope)
+        kind = rng.randrange(7)
+        if kind == 0:
+            return Edge(x, y)
+        if kind == 1:
+            return Eq(x, y)
+        if kind == 2:
+            return Label(x, rng.choice("ab"))
+        if kind == 3:
+            return Sep(x, y, ())
+        if kind == 4:
+            return Sep(x, y, (rng.choice(scope),))
+        if kind == 5:
+            z = rng.choice(scope)
+            return Sep(x, y, (z, z))
+        return Sep(x, y, (rng.choice((x, y)), rng.choice(scope)))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Not(_random_formula(rng, scope, depth - 1, binders))
+    if kind in (1, 2):
+        node = And if kind == 1 else Or
+        return node(
+            _random_formula(rng, scope, depth - 1, binders),
+            _random_formula(rng, scope, depth - 1, binders),
+        )
+    var = rng.choice(binders)
+    body = _random_formula(rng, scope + [var], depth - 1, binders)
+    return (Exists if kind % 2 else Forall)(var, body)
+
+
+def _formulas(seed, scope, count, rank):
+    """``count`` seeded formulas of quantifier rank at most ``rank``."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        f = _random_formula(rng, scope, rng.randrange(2, 7))
+        if quantifier_rank(f) <= rank:
+            out.append(f)
+    return out
+
+
+# every graph on at most four vertices, unlabelled or with label "a" on
+# any set of vertices
+SMALL_LABELLED = [g for n in range(1, 5) for g in graphs_on(n, 0, ("a",))]
+
+
+def test_sentences_match_the_reference_on_all_small_graphs():
+    sentences = [
+        (Exists if i % 2 else Forall)("x", f)
+        for i, f in enumerate(_formulas(31, ["x"], 40, 2))
+    ]
+    sentences.append(parse_formula(
+        "exists y. exists x. exists x. exists z. (E(x,y) & !(z = x) & !E(z,y))"
+    ))
+    assert sum(bool(g.labels) for g in SMALL_LABELLED) > len(SMALL_LABELLED) // 2
+    verdicts = set()
+    for f in sentences:
+        for g in SMALL_LABELLED:
+            got = sentence_holds(g, f)
+            assert got == reference_eval(g, f, {}), (render_formula(f), g)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_eval_formula_matches_the_reference_under_valuations():
+    rng = random.Random(37)
+    formulas = _formulas(41, ["x", "y", "u"], 60, 3)
+    graphs = [g for n in range(1, 4) for g in graphs_on(n, 0, ("a",))]
+    for f in formulas:
+        free = sorted(free_vars(f))
+        for g in graphs:
+            names = sorted(g.vertices)
+            valuation = {v: rng.choice(names) for v in free}
+            # entries for variables that are not free are checked as
+            # vertices and otherwise ignored, bound or not
+            valuation["x"] = valuation.get("x", rng.choice(names))
+            valuation["unused"] = rng.choice(names)
+            got = eval_formula(g, f, valuation)
+            assert got == reference_eval(g, f, valuation), (render_formula(f), g, valuation)
+
+
+def test_language_member_matches_the_reference_with_ports_under_quantifiers():
+    for k in (1, 2):
+        ports = [f"x{i}" for i in range(1, k + 1)]
+        formulas = _formulas(43 + k, ports, 40, 3)
+        graphs = [g for n in range(k, 5) for g in graphs_on(n, k, ("a",) if n < 4 else ())]
+        for f in formulas:
+            for g in graphs:
+                env = dict(zip(ports, g.ports))
+                assert language_member(g, f) == reference_eval(g, f, env), (
+                    render_formula(f), g)
+
+
+def test_compiled_program_lives_as_long_as_its_formula():
+    f = parse_formula("exists y. S1(y,y|y) & forall z. E(y,z) | y = z | S1(y,z|y)")
+    assert sentence_holds(path_graph(3), f)
+    assert sentence_holds(path_graph(3), parse_formula(render_formula(f)))
+    dead = weakref.ref(f)
+    del f
+    gc.collect()
+    assert dead() is None
+
+
 # --- the equivalence game --------------------------------------------------
 
 
@@ -267,3 +403,42 @@ def test_game_memo_is_freed_without_the_cycle_collector():
 def test_game_arity_mismatch():
     with pytest.raises(FormulaError):
         ef_equivalent(path_graph(2, arity=1), path_graph(2), 1)
+
+
+def _random_five(rng, arity, edges, labelled):
+    """A 5-vertex graph with the given number of edges, names in random
+    order so that index order differs from graph to graph."""
+    names = [f"n{i}" for i in range(5)]
+    rng.shuffle(names)
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
+    labels = {v: "a" for v in names[:2]} if labelled else {}
+    return PortGraph.build(names, rng.sample(pairs, edges), names[-arity:][:arity], labels)
+
+
+def test_game_matches_the_reference_on_five_vertex_pairs():
+    rng = random.Random(47)
+    outcomes = set()
+    for trial in range(16):
+        # equal edge counts and labels, so that many pairs survive the
+        # first rounds; every fourth pair is a graph and itself
+        arity, edges, labelled = trial % 3, rng.randrange(3, 8), trial % 5 == 1
+        g = _random_five(rng, arity, edges, labelled)
+        h = g if trial % 4 == 0 else _random_five(rng, arity, edges, labelled)
+        for rank in range(4):
+            want = reference_ef_equivalent(g, h, rank)
+            assert ef_equivalent(g, h, rank) == want, (g, h, rank)
+            assert ef_equivalent(h, g, rank) == want, (h, g, rank)
+            outcomes.add((rank, want))
+    assert {(r, w) for r in (1, 2) for w in (True, False)} <= outcomes
+
+
+@pytest.mark.parametrize("rank", [1.5, 2.0, True, False, "2", None])
+def test_game_rank_must_be_an_integer(rank):
+    one_edge = path_graph(2)
+    with pytest.raises(FormulaError, match="rank must be an integer"):
+        ef_equivalent(one_edge, one_edge, rank)
+
+
+def test_game_rank_must_be_nonnegative():
+    with pytest.raises(FormulaError, match="nonnegative"):
+        ef_equivalent(path_graph(2), path_graph(2), -1)

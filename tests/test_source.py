@@ -152,4 +152,4 @@ def test_unbounded_cache_count_is_pinned():
         for path in SOURCES
         for name in _unbounded_caches(ast.parse(path.read_text(), str(path)))
     ]
-    assert len(found) == 10, found
+    assert len(found) == 9, found
