@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 
 from .contexts import (
     ContextError,
@@ -26,6 +25,7 @@ from .contexts import (
     build_from_word,
     context_from_json,
     context_to_json,
+    dump_alphabet,
     dump_context,
     enumerate_generators,
     load_context,
@@ -179,24 +179,12 @@ def _cmd_pathwidth(args) -> int:
 
 def _cmd_generators(args) -> int:
     alphabet = enumerate_generators(args.arity)
-    letters = zip(alphabet.ids, alphabet.contexts)
-    if not args.json:
-        print(f"{len(alphabet)} generators at arity {args.arity}")
-        for gid, w in letters:
-            print(f"{gid}: {len(w.vertices)} vertices, {len(w.edges)} edges")
+    if args.json:
+        sys.stdout.writelines(dump_alphabet(alphabet))
         return 0
-    # the text of json.dumps(payload, indent=2, sort_keys=True), written
-    # 1,000 letters at a time, so that no payload of all the letters is
-    # built: at width 4 that would be 471,228 dicts and one 230 MB string.
-    # A chunk encodes as "[\n  {...},\n  {...}\n]"; its items are the
-    # text between the bracket and the last newline.
-    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
-    payload = ({"id": gid, **context_to_json(w)} for gid, w in letters)
-    sep = "["
-    while chunk := list(islice(payload, 1000)):
-        sys.stdout.write(sep + encode(chunk)[1:-2])
-        sep = ","
-    print("[]" if sep == "[" else "\n]")
+    print(f"{len(alphabet)} generators at arity {args.arity}")
+    for gid, (n, m) in zip(alphabet.ids, alphabet.sizes()):
+        print(f"{gid}: {n} vertices, {m} edges")
     return 0
 
 

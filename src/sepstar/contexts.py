@@ -35,8 +35,9 @@ certificate.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 
 from .graphs import (
@@ -78,6 +79,7 @@ __all__ = [
     "context_to_json",
     "context_from_json",
     "dump_context",
+    "dump_alphabet",
     "load_context",
 ]
 
@@ -711,6 +713,14 @@ def _context_from_cert(cert: bytes) -> Context:
     ... in canonical order, each with the ports its colour key names."""
     arity, keys, edges = _decode_certificate(cert)
     names = [f"v{i}" for i in range(len(keys))]
+    left, right = _key_ports(names, keys)
+    edges = [(names[a], names[b]) for a, b in edges]
+    return Context.build(names, edges, arity, left, right)
+
+
+def _key_ports(names, keys) -> tuple[dict[int, str], dict[int, str]]:
+    """The left and the right interface, as index-to-name maps, that the
+    colour keys of the vertices ``names`` describe."""
     left, right = {}, {}
     for v, key in zip(names, keys):
         i, j = map(int, key[1:].split("R"))  # as `_port_keys` wrote them
@@ -718,8 +728,7 @@ def _context_from_cert(cert: bytes) -> Context:
             left[i] = v
         if j:
             right[j] = v
-    edges = [(names[a], names[b]) for a, b in edges]
-    return Context.build(names, edges, arity, left, right)
+    return left, right
 
 
 def canonical_rename_context(w: Context) -> Context:
@@ -737,17 +746,48 @@ def isomorphic_contexts(u: Context, v: Context) -> bool:
 # the generator alphabet
 
 
+class _Letters(Sequence):
+    """The contexts that a tuple of certificates describes, read-only
+    and indexed like a tuple; each is built on first access and kept."""
+
+    def __init__(self, certs: tuple[bytes, ...]):
+        self._certs = certs
+        self._built: list[Context | None] = [None] * len(certs)
+
+    def __len__(self) -> int:
+        return len(self._certs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self._certs))[i]))
+        w = self._built[i]
+        if w is None:
+            w = self._built[i] = _context_from_cert(self._certs[i])
+        return w
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._certs)))
+
+
 @dataclass(frozen=True)
 class GeneratorAlphabet:
     """Contexts with at most arity+1 vertices, one per isomorphism
-    class, in a stable order with ids g0, g1, ..."""
+    class, in a stable order with ids g0, g1, ...
+
+    ``certs`` holds each letter's certificate.  A letter is built as a
+    `Context` only when `by_id` or ``contexts`` asks for it, and is then
+    kept for the alphabet's lifetime."""
 
     arity: int
-    contexts: tuple[Context, ...]
+    certs: tuple[bytes, ...]
 
-    @property
+    @cached_property
+    def contexts(self) -> Sequence[Context]:
+        return _Letters(self.certs)
+
+    @cached_property
     def ids(self) -> tuple[str, ...]:
-        return tuple(f"g{i}" for i in range(len(self.contexts)))
+        return tuple(f"g{i}" for i in range(len(self.certs)))
 
     def by_id(self, gid: str) -> Context:
         """The letter with id ``gid``, exactly as `ids` writes it: no
@@ -756,12 +796,18 @@ class GeneratorAlphabet:
             idx = int(gid[1:])
         except (TypeError, ValueError):
             idx = -1
-        if not 0 <= idx < len(self.contexts) or gid != f"g{idx}":
+        if not 0 <= idx < len(self.certs) or gid != f"g{idx}":
             raise ContextError(f"unknown generator id {gid!r}")
         return self.contexts[idx]
 
+    def sizes(self) -> Iterator[tuple[int, int]]:
+        """Each letter's vertex and edge count, read off its certificate."""
+        for cert in self.certs:
+            _, keys, edges = _decode_certificate(cert)
+            yield len(keys), len(edges)
+
     def __len__(self) -> int:
-        return len(self.contexts)
+        return len(self.certs)
 
 
 def _orbits(items, group, act):
@@ -822,9 +868,10 @@ def enumerate_generators(k: int) -> GeneratorAlphabet:
     an automorphism carries one pair of interfaces onto the other, so
     these orbits are the isomorphism classes.  Each representative is
     certified once on its index data (adjacency bitmasks and colour
-    keys), never built as a Context, and replaced by the canonical
-    context its certificate describes; letters are ordered by vertex
-    count, then certificate.
+    keys), never built as a Context; the alphabet keeps the
+    certificates, ordered by vertex count, then certificate, and a
+    letter becomes the canonical context its certificate describes
+    only when asked for.
     A width outside 1..4 raises ContextError before anything is built.
     """
     if not 1 <= k <= _MAX_ALPHABET_WIDTH:
@@ -849,7 +896,7 @@ def enumerate_generators(k: int) -> GeneratorAlphabet:
                 keys = list(_port_keys(range(n), lt, rt).values())
                 certs.append((n, _index_certificate("c", k, adj, keys)))
     certs.sort()
-    return GeneratorAlphabet(k, tuple(_context_from_cert(c) for _, c in certs))
+    return GeneratorAlphabet(k, tuple(c for _, c in certs))
 
 
 def build_from_word(k: int, word) -> Context:
@@ -926,6 +973,65 @@ def context_from_json(data) -> Context:
 
 def dump_context(w: Context) -> str:
     return json.dumps(context_to_json(w), indent=2, sort_keys=True) + "\n"
+
+
+def _json_block(items: list[str], indent: str, brackets: str) -> str:
+    """Encoded ``items`` between ``brackets``, laid out as
+    ``json.dumps(..., indent=2)`` lays out a list or object whose
+    closing bracket is indented by ``indent``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _edges_json(edges) -> str:
+    """The laid-out "edges" value of a letter whose edges join vertex
+    positions in canonical order."""
+    pairs = sorted(sorted((f"v{a}", f"v{b}")) for a, b in edges)
+    rows = [_json_block([f'"{x}"', f'"{y}"'], "      ", "[]") for x, y in pairs]
+    return _json_block(rows, "    ", "[]")
+
+
+def _keys_json(keys) -> str:
+    """The laid-out "left", "right" and "vertices" fields of a letter
+    whose vertices have these colour keys in canonical order."""
+    names = [f"v{i}" for i in range(len(keys))]
+    sides = [
+        _json_block([f'"{i}": "{v}"' for i, v in sorted((str(i), v) for i, v in side.items())],
+                    "    ", "{}")
+        for side in _key_ports(names, keys)
+    ]
+    vertices = _json_block([f'"{v}"' for v in sorted(names)], "    ", "[]")
+    return f'"left": {sides[0]},\n    "right": {sides[1]},\n    "vertices": {vertices}'
+
+
+def dump_alphabet(alphabet: GeneratorAlphabet) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``
+    and a newline, in one piece per letter, for the payload
+    ``[{"id": gid, **context_to_json(letter)}, ...]``.  Each piece is
+    read off the letter's certificate, so no letter is built as a
+    `Context`, no payload is held, and json's indented encoder, which
+    is pure Python, does not run.  Letters share edge sets and lists of
+    colour keys (the 471,228 letters of width 4 have 1,024 and 1,263),
+    so each is laid out once."""
+    edge_text: dict[tuple, str] = {}
+    key_text: dict[tuple, str] = {}
+    sep = "[\n  "
+    for gid, cert in zip(alphabet.ids, alphabet.certs):
+        arity, keys, edges = _decode_certificate(cert)
+        keys, edges = tuple(keys), tuple(edges)
+        if edges not in edge_text:
+            edge_text[edges] = _edges_json(edges)
+        if keys not in key_text:
+            key_text[keys] = _keys_json(keys)
+        # the fields in sorted order, as sort_keys writes them
+        yield (
+            f'{sep}{{\n    "arity": {arity},\n    "edges": {edge_text[edges]},\n'
+            f'    "id": "{gid}",\n    {key_text[keys]}\n  }}'
+        )
+        sep = ",\n  "
+    yield "\n]\n" if alphabet.certs else "[]\n"
 
 
 def load_context(path: str) -> Context:

@@ -16,8 +16,7 @@ separator vocabulary rather than plain first-order logic.
 from __future__ import annotations
 
 import re
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import wraps
 
 from .graphs import PortGraph, _flood, _numbering
@@ -49,10 +48,16 @@ class FormulaError(ValueError):
     """Raised for syntax errors and ill-formed evaluations."""
 
 
+@dataclass(frozen=True)
 class Formula:
-    """Base class; subclasses are frozen dataclasses and hashable."""
+    """Base class; subclasses are frozen dataclasses and hashable.
 
-    __slots__ = ()
+    ``program`` is the formula compiled by `_program`, set on its first
+    evaluation.  Equality and hashing do not see it: a formula's value
+    is what it was built from.
+    """
+
+    program: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -469,18 +474,16 @@ def _closure(f: Formula, scope: dict[str, int], depth: int, height: list[int]):
     raise TypeError(f"not a formula: {f!r}")
 
 
-_PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _program(f: Formula) -> tuple[tuple[str, ...], int, object]:
-    """f compiled: its free variables in sorted order, the length of its
-    environment, and its closure."""
-    prog = _PROGRAMS.get(f)
+    """f compiled, once per formula object: its free variables in sorted
+    order, the length of its environment, and its closure."""
+    prog = f.program
     if prog is None:
         free = tuple(sorted(_free_vars(f)))
         height = [len(free)]
         run = _closure(f, {v: i for i, v in enumerate(free)}, len(free), height)
-        prog = _PROGRAMS[f] = (free, height[0], run)
+        prog = (free, height[0], run)
+        object.__setattr__(f, "program", prog)
     return prog
 
 

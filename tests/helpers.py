@@ -192,7 +192,8 @@ def brute_generators(k: int):
     """The width-k generator alphabet by brute force: every labelled
     context on at most k+1 vertices is certified, and the first of each
     certificate is kept, canonically renamed, ordered by vertex count
-    and then certificate."""
+    and then certificate; the alphabet holds the certificate of each
+    renamed letter."""
     from sepstar.contexts import (
         Context,
         GeneratorAlphabet,
@@ -220,7 +221,7 @@ def brute_generators(k: int):
                     if cert not in seen:
                         seen[cert] = canonical_rename_context(w)
     ordered = sorted(seen.values(), key=lambda w: (len(w.vertices), context_cert(w)))
-    return GeneratorAlphabet(k, tuple(ordered))
+    return GeneratorAlphabet(k, tuple(context_cert(w) for w in ordered))
 
 
 def brute_two_disjoint_paths(ctx) -> bool:

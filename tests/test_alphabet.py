@@ -10,9 +10,13 @@ import pytest
 from sepstar import contexts, graphs
 from sepstar.contexts import (
     Context,
+    GeneratorAlphabet,
+    build_from_word,
     canonical_rename_context,
+    compose_all,
     context_cert,
     context_to_json,
+    dump_alphabet,
     enumerate_generators,
 )
 
@@ -75,3 +79,50 @@ def test_width_three_makes_one_canonical_search_per_letter(monkeypatch):
     letters = len(enumerate_generators.__wrapped__(3))
     assert letters == 6939
     assert len(calls) == letters
+
+
+def _counting_builds(monkeypatch):
+    """The certificates `_context_from_cert` is called on from now on."""
+    built = []
+    decode = contexts._context_from_cert
+
+    def counting(cert):
+        built.append(cert)
+        return decode(cert)
+
+    monkeypatch.setattr(contexts, "_context_from_cert", counting)
+    return built
+
+
+def test_letters_are_built_on_demand_and_kept(monkeypatch):
+    alphabet = enumerate_generators.__wrapped__(2)
+    whole = tuple(contexts._context_from_cert(c) for c in alphabet.certs)
+    built = _counting_builds(monkeypatch)
+    g = alphabet.by_id("g7")
+    assert alphabet.by_id("g7") is g is alphabet.contexts[7]
+    assert (g, built) == (whole[7], [alphabet.certs[7]])
+    # the letters index, slice and iterate like a tuple of all of them
+    letters = alphabet.contexts
+    for i in (0, 5, 218, -1, -219):
+        assert letters[i] == whole[i]
+    for part in (slice(None, 5), slice(-3, None), slice(10, 2, -3), slice(None, None, 50),
+                 slice(300, 400)):
+        assert letters[part] == whole[part]
+    for i in (219, -220):
+        with pytest.raises(IndexError):
+            letters[i]
+    assert (len(letters), tuple(letters)) == (219, whole)
+    assert letters[7] is g
+
+
+def test_build_from_word_builds_only_its_letters(monkeypatch):
+    alphabet = enumerate_generators.__wrapped__(2)
+    monkeypatch.setattr(contexts, "enumerate_generators", lambda k: alphabet)
+    built = _counting_builds(monkeypatch)
+    w = build_from_word(2, ["g5", "g40", "g5"])
+    assert built == [alphabet.certs[5], alphabet.certs[40]]
+    assert w == compose_all([alphabet.contexts[i] for i in (5, 40, 5)])
+
+
+def test_an_empty_alphabet_dumps_as_json_does():
+    assert "".join(dump_alphabet(GeneratorAlphabet(1, ()))) == json.dumps([], indent=2) + "\n"

@@ -312,8 +312,9 @@ def test_generators_listing(capsys):
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_generators_output_is_the_whole_payload_format(arity, capsys, monkeypatch):
-    # width 3 has 6,939 letters, so --json writes several chunks
-    from sepstar import cli
+    # both formats are read off the certificates of a fresh alphabet,
+    # whose letters no earlier caller has built
+    from sepstar import cli, contexts
 
     alphabet = enumerate_generators(arity)
     letters = list(zip(alphabet.ids, alphabet.contexts))
@@ -321,18 +322,20 @@ def test_generators_output_is_the_whole_payload_format(arity, capsys, monkeypatc
     lines += [f"{gid}: {len(w.vertices)} vertices, {len(w.edges)} edges" for gid, w in letters]
     payload = [{"id": gid, **context_to_json(w)} for gid, w in letters]
 
-    encoded = []
+    built = []
+    decode = contexts._context_from_cert
 
-    def counting(w):
-        encoded.append(w)
-        return context_to_json(w)
+    def counting(cert):
+        built.append(cert)
+        return decode(cert)
 
-    monkeypatch.setattr(cli, "context_to_json", counting)
+    monkeypatch.setattr(contexts, "_context_from_cert", counting)
+    monkeypatch.setattr(cli, "enumerate_generators", enumerate_generators.__wrapped__)
     code, out, _ = run(capsys, ["generators", "--arity", str(arity)])
-    assert (code, out, encoded) == (0, "\n".join(lines) + "\n", [])
+    assert (code, out, built) == (0, "\n".join(lines) + "\n", [])
     code, out, _ = run(capsys, ["generators", "--arity", str(arity), "--json"])
     assert (code, out) == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    assert len(encoded) == len(alphabet)
+    assert built == []
 
 
 def test_build_word_round_trips(tmp_path, capsys):
