@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .contexts import (
     ContextError,
@@ -344,7 +345,11 @@ def _cmd_encode_word(args) -> int:
 # parser wiring
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and kept for
+    the process.  It holds no handlers: `main` looks each up by command
+    name when it runs."""
     parser = argparse.ArgumentParser(
         prog="sepstar",
         description="separator logic, star-free expressions, and the "
@@ -352,74 +357,90 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, handler, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(func=handler)
         return p
 
-    p = add("eval-formula", _cmd_eval_formula, "evaluate a formula on a graph")
+    p = add("eval-formula", "evaluate a formula on a graph")
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("formula", help="formula file or literal text")
 
-    p = add("eval-expr", _cmd_eval_expr, "test expression membership of a graph")
+    p = add("eval-expr", "test expression membership of a graph")
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("expr", help="expression file or literal text")
 
-    p = add("compile", _cmd_compile, "compile a formula to an expression")
+    p = add("compile", "compile a formula to an expression")
     p.add_argument("formula", help="formula file or literal text")
     p.add_argument("--arity", type=int, required=True)
 
-    p = add("beta", _cmd_beta, "reachability type of a context")
+    p = add("beta", "reachability type of a context")
     p.add_argument("context", help="context JSON file")
 
-    p = add("bridges", _cmd_bridges, "bridges of a context")
+    p = add("bridges", "bridges of a context")
     p.add_argument("context", help="context JSON file")
 
-    p = add("pathwidth", _cmd_pathwidth, "exact pathwidth of a graph or context")
+    p = add("pathwidth", "exact pathwidth of a graph or context")
     p.add_argument("input", help="graph or context JSON file")
 
-    p = add("generators", _cmd_generators, "list the generator alphabet")
+    p = add("generators", "list the generator alphabet")
     p.add_argument("--arity", type=int, required=True)
 
-    p = add("build-word", _cmd_build_word, "compose generators by id")
+    p = add("build-word", "compose generators by id")
     p.add_argument("--arity", type=int, required=True)
     p.add_argument("ids", nargs="+", help="generator ids, e.g. g0 g3")
 
-    p = add("decide", _cmd_decide, "decide aperiodicity modulo reachability")
+    p = add("decide", "decide aperiodicity modulo reachability")
     p.add_argument("--recognizer", required=True, help="recognizer JSON file")
     p.add_argument("--arity", type=int, help="cross-check the recognizer arity")
 
-    p = add("certify", _cmd_certify, "search for a non-star-freeness certificate")
+    p = add("certify", "search for a non-star-freeness certificate")
     p.add_argument("--oracle", required=True, choices=sorted(_ORACLE_NAMES))
     p.add_argument("--context", required=True, help="the pumped context w")
     p.add_argument("--left", help="context composed on the left of the powers")
     p.add_argument("--right", help="context composed on the right of the powers")
     p.add_argument("--max-power", type=int, default=8)
 
-    p = add("dealternate", _cmd_dealternate, "reorder a decomposition's classes")
+    p = add("dealternate", "reorder a decomposition's classes")
     p.add_argument("decomposition", help="JSON file with a 'bags' list")
     p.add_argument("context", help="context JSON file")
     p.add_argument("--split", required=True, help="JSON file with 'x' and 'y' lists")
 
-    p = add("two-bridge", _cmd_two_bridge, "factor a context with two bridges")
+    p = add("two-bridge", "factor a context with two bridges")
     p.add_argument("context", help="context JSON file")
     p.add_argument("--width", type=int, help="cross-check the algebra width")
 
-    p = add("encode-word", _cmd_encode_word, "encode a word as a labelled path")
+    p = add("encode-word", "encode a word as a labelled path")
     p.add_argument("letters", help="the word, e.g. abba")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
+    if args.command is None:
         parser.print_help()
         return 2
+    # read at each call, so that a replaced `_cmd_*` function is the one
+    # that runs
+    handler = {
+        "eval-formula": _cmd_eval_formula,
+        "eval-expr": _cmd_eval_expr,
+        "compile": _cmd_compile,
+        "beta": _cmd_beta,
+        "bridges": _cmd_bridges,
+        "pathwidth": _cmd_pathwidth,
+        "generators": _cmd_generators,
+        "build-word": _cmd_build_word,
+        "decide": _cmd_decide,
+        "certify": _cmd_certify,
+        "dealternate": _cmd_dealternate,
+        "two-bridge": _cmd_two_bridge,
+        "encode-word": _cmd_encode_word,
+    }[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

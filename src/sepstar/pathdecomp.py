@@ -94,17 +94,27 @@ def validate_decomposition(bags, vertices, edges, first=frozenset(), last=frozen
     if not bags:
         raise DecompositionError("a decomposition needs at least one bag")
     vertices = frozenset(vertices)
-    seen = frozenset().union(*bags)
-    if seen - vertices:
-        raise DecompositionError(f"unknown vertices in bags: {sorted(seen - vertices)}")
-    if vertices - seen:
-        raise DecompositionError(f"vertices not covered: {sorted(vertices - seen)}")
+    # one pass over the bags: each vertex's first and last bag and how
+    # many bags hold it
+    start, end, count = {}, {}, {}
+    for i, bag in enumerate(bags):
+        for v in bag:
+            start.setdefault(v, i)
+            end[v] = i
+            count[v] = count.get(v, 0) + 1
+    unknown, missing = count.keys() - vertices, vertices - count.keys()
+    if unknown:
+        raise DecompositionError(f"unknown vertices in bags: {sorted(unknown)}")
+    if missing:
+        raise DecompositionError(f"vertices not covered: {sorted(missing)}")
     for v in vertices:
-        hits = [i for i, b in enumerate(bags) if v in b]
-        if hits[-1] - hits[0] + 1 != len(hits):
+        if end[v] - start[v] + 1 != count[v]:
             raise DecompositionError(f"vertex {v!r} appears in a broken interval")
+    # the intervals are unbroken, so a bag holds both ends of an edge
+    # exactly when the ends' intervals overlap
     for u, v in edges:
-        if not any(u in b and v in b for b in bags):
+        latest_start = max(start.get(u, len(bags)), start.get(v, len(bags)))
+        if latest_start > min(end.get(u, -1), end.get(v, -1)):
             raise DecompositionError(f"edge {(u, v)!r} is not covered by any bag")
     if not frozenset(first) <= bags[0]:
         raise DecompositionError("left ports must be in the first bag")
@@ -157,10 +167,15 @@ def validate_decomposition(bags, vertices, edges, first=frozenset(), last=frozen
 # costs at most c when its bag fits in c and some S - t costs at most
 # c.  Each level takes O(f^2) big-integer operations in place of the
 # f * 2^f interpreted steps of the recurrence run subset by subset.
-# The levels grow with c until they hold every subset, so every cost
-# is exact: cost[S] is the least c whose level holds S, and the
-# pathwidth is the least c at which a predecessor of the full set
-# enters F_c, minus one.
+# cost[S] is the least c whose level holds S.  The levels stop at the
+# first c at which a predecessor of the full set enters F_c (at
+# c = |first| when no vertex is free): that c is g of the full set,
+# the width plus one, and no later level changes the answer.  So a
+# cost up to the width plus one is exact, and a higher one reads as
+# the width plus two.  The cap moves no choice of the walk back: a
+# nonempty S of cost at most c has a predecessor of cost at most c,
+# so along the walk the least cost among the predecessors is always
+# read exactly.
 #
 # `_Levels` reads cost[S] off the levels, one bit per level.
 # `_Table.active` gives active(S) in two lookups, one in a table of
@@ -182,8 +197,9 @@ def _neighbourhoods(rows):
 
 class _Levels(Sequence):
     """cost[m] of the comment above for every free subset m, read off
-    the levels F_c for c = base, base + 1, ...; the last level holds
-    every subset."""
+    the levels F_c for c = base, base + 1, ... up to the table's limit;
+    a subset in none of them reads base + len(levels), the limit plus
+    one."""
 
     def __init__(self, base, levels, size):
         self.base = base
@@ -200,9 +216,15 @@ class _Levels(Sequence):
         for c, level in enumerate(self.levels, self.base):
             if level[byte] >> bit & 1:
                 return c
+        return self.base + len(self.levels)
 
     def within(self, c):
-        """The subsets m with cost[m] <= c, in increasing order."""
+        """The subsets m with cost[m] <= c, in increasing order, for c
+        up to the last stored level."""
+        if c >= self.base + len(self.levels):
+            raise ValueError(
+                f"levels are stored up to {self.base + len(self.levels) - 1}, not {c}"
+            )
         level = self.levels[c - self.base] if c >= self.base else b""
         for byte, bits in enumerate(level):
             while bits:
@@ -219,7 +241,7 @@ class _Table(NamedTuple):
     rmask: int
     free: list[str]  # the vertices outside `first`, verts[:len(free)]
     limit: int  # smallest largest bag over all orders: the width plus one
-    cost: _Levels  # per free-subset: cost[m] of the comment above
+    cost: _Levels  # per free subset: cost[m] of the comment above, capped at limit + 1
     lo: list[int]  # neighbourhood of each subset of the low free half
     hi: list[int]  # neighbourhood of each subset of the high free half
 
@@ -280,9 +302,11 @@ def _pathwidth_table(vertices, edges, first, last) -> _Table:
             at_least[j] |= at_least[j - 1] & active
     grow = [(every ^ s, 1 << v) for v, s in enumerate(holds)]
 
+    # bit full ^ 2^v for each free v: the subsets one step short of all
+    preds = sum(1 << (full ^ 1 << v) for v in range(f))
     base = c = max(1, len(first))
     level, levels = 0, []
-    while level != every:
+    while not level & preds if f else c <= len(first):
         fits = every ^ at_least[c] if c < len(at_least) else every
         level |= 1 & fits
         while True:
@@ -294,7 +318,7 @@ def _pathwidth_table(vertices, edges, first, last) -> _Table:
         levels.append(level)
         c += 1
     cost = _Levels(base, levels, size)
-    limit = min((cost[full ^ 1 << v] for v in range(f)), default=len(first))
+    limit = base + len(levels) - 1
     h = f // 2
     lo = _neighbourhoods(adj[:h])
     hi = _neighbourhoods(adj[h:f])
@@ -304,12 +328,14 @@ def _pathwidth_table(vertices, edges, first, last) -> _Table:
 def _best_removal(key, m):
     """The lowest bit of m whose removal leaves the least key."""
     best = m & -m
+    least = key[m ^ best]
     bits = m ^ best
     while bits:
         low = bits & -bits
         bits ^= low
-        if key[m ^ low] < key[m ^ best]:
-            best = low
+        k = key[m ^ low]
+        if k < least:
+            best, least = low, k
     return best
 
 

@@ -438,6 +438,34 @@ def reference_decomposition(table, parent, first):
     return normalize(bags)
 
 
+def reference_validate_decomposition(bags, vertices, edges, first, last):
+    """`validate_decomposition` in its plain form, scanning every bag
+    per vertex and per edge; raises `DecompositionError` with the same
+    message on the same first fault."""
+    from sepstar.pathdecomp import DecompositionError
+
+    bags = [frozenset(b) for b in bags]
+    if not bags:
+        raise DecompositionError("a decomposition needs at least one bag")
+    vertices = frozenset(vertices)
+    seen = frozenset().union(*bags)
+    if seen - vertices:
+        raise DecompositionError(f"unknown vertices in bags: {sorted(seen - vertices)}")
+    if vertices - seen:
+        raise DecompositionError(f"vertices not covered: {sorted(vertices - seen)}")
+    for v in vertices:
+        hits = [i for i, b in enumerate(bags) if v in b]
+        if hits[-1] - hits[0] + 1 != len(hits):
+            raise DecompositionError(f"vertex {v!r} appears in a broken interval")
+    for u, v in edges:
+        if not any(u in b and v in b for b in bags):
+            raise DecompositionError(f"edge {(u, v)!r} is not covered by any bag")
+    if not frozenset(first) <= bags[0]:
+        raise DecompositionError("left ports must be in the first bag")
+    if not frozenset(last) <= bags[-1]:
+        raise DecompositionError("right ports must be in the last bag")
+
+
 def reference_compose(u, v):
     """`compose` as a union-find over the operands' tagged vertices,
     building and validating each composite: the reference for the

@@ -579,6 +579,40 @@ def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch):
     assert err == "internal error: RuntimeError: table out of step\n"
 
 
+def test_parser_is_built_once_and_reads_handlers_at_each_call(capsys, monkeypatch):
+    from sepstar import cli
+
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    def replaced(args):
+        print(f"replaced {args.letters}")
+        return 0
+
+    cli._parser.cache_clear()
+    # a handler replaced before the parser exists is the one that runs
+    monkeypatch.setattr(cli, "_cmd_encode_word", replaced)
+    assert run(capsys, ["encode-word", "ab"]) == (0, "replaced ab\n", "")
+    monkeypatch.undo()
+    fresh_help, fresh_error = run(capsys, []), usage_error()
+    # and so is one replaced after
+    monkeypatch.setattr(cli, "_cmd_encode_word", replaced)
+    assert run(capsys, ["encode-word", "ba"]) == (0, "replaced ba\n", "")
+    monkeypatch.undo()
+    assert (run(capsys, []), usage_error()) == (fresh_help, fresh_error)
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+    code, out, err = fresh_help
+    assert code == 2 and err == "" and out.startswith("usage: sepstar [-h] command ...")
+    code, out, err = fresh_error
+    assert code == 2 and out == "" and err.startswith("usage: sepstar [-h] command ...")
+    assert "invalid choice: 'no-such-command'" in err
+
+
 def parallel_wires_file(tmp_path):
     w = Context.build(
         ["a", "b", "c", "d", "p", "q", "r", "s"],

@@ -50,6 +50,7 @@ from helpers import (
     reference_decomposition,
     reference_low_overlap_parent,
     reference_pathwidth_table,
+    reference_validate_decomposition,
     star_graph,
     two_bridge_corpus,
 )
@@ -76,22 +77,67 @@ def test_width_and_normalize():
 
 
 def test_validate_decomposition_errors():
-    verts = ["a", "b", "c"]
-    edges = [("a", "b"), ("b", "c")]
-    good = [{"a", "b"}, {"b", "c"}]
-    validate_decomposition(good, verts, edges)
-    with pytest.raises(DecompositionError):
-        validate_decomposition([{"a", "b"}], verts, edges)  # c missing
-    with pytest.raises(DecompositionError):
-        validate_decomposition([{"a", "b"}, {"b", "c"}, {"a"}], verts, edges)
-    with pytest.raises(DecompositionError):
-        validate_decomposition([{"a"}, {"b"}, {"c"}], verts, edges)  # edge lost
-    with pytest.raises(DecompositionError):
-        validate_decomposition(good, verts, edges, first={"c"})
-    with pytest.raises(DecompositionError):
-        validate_decomposition(good, verts, edges, last={"a"})
-    with pytest.raises(DecompositionError):
-        validate_decomposition([{"a", "x"}], ["a"], [])
+    verts = ["a", "b", "c", "d"]
+    edges = [("a", "b"), ("b", "c"), ("c", "d")]
+
+    def message(bags, edges=edges, first=(), last=()):
+        with pytest.raises(DecompositionError) as err:
+            validate_decomposition(bags, verts, edges, first, last)
+        return str(err.value)
+
+    assert message([]) == "a decomposition needs at least one bag"
+    unknown = [{"a", "b", "x", "y"}, {"c", "d"}]
+    assert message(unknown) == "unknown vertices in bags: ['x', 'y']"
+    assert message([{"a", "b"}, {"b", "c"}]) == "vertices not covered: ['d']"
+    broken = [{"a", "b"}, {"b"}, {"a", "c", "d"}]
+    assert message(broken) == "vertex 'a' appears in a broken interval"
+    # the first uncovered edge in the given order is the one reported
+    bags = [{"a"}, {"b"}, {"c"}, {"d"}]
+    assert message(bags) == "edge ('a', 'b') is not covered by any bag"
+    assert message(bags, edges[::-1]) == "edge ('c', 'd') is not covered by any bag"
+    # intervals that touch share a bag, intervals that only abut do not
+    assert message([{"a", "b"}, {"b", "c"}, {"d"}]) == (
+        "edge ('c', 'd') is not covered by any bag"
+    )
+    # an edge end outside the vertex set is in no bag
+    assert message([{"a", "b", "c", "d"}], [("a", "z")]) == (
+        "edge ('a', 'z') is not covered by any bag"
+    )
+    good = [{"a", "b"}, {"b", "c"}, {"c", "d"}]
+    assert message(good, first={"c"}) == "left ports must be in the first bag"
+    assert message(good, last={"b"}) == "right ports must be in the last bag"
+    validate_decomposition(good, verts, edges, {"a", "b"}, {"d"})
+
+
+def test_validate_decomposition_matches_the_reference():
+    rng = random.Random(423)
+    verts = [f"v{i}" for i in range(6)]
+    outcomes = set()
+    for _ in range(2000):
+        edges = [p for p in combinations(verts, 2) if rng.random() < 0.3]
+        # each vertex on a random interval of bags, then a few bits flipped
+        bags = [set() for _ in range(rng.randint(0, 5))]
+        for v in verts:
+            if bags:
+                i, j = sorted(rng.randrange(len(bags)) for _ in range(2))
+                for bag in bags[i : j + 1]:
+                    bag.add(v)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            if bags:
+                rng.choice(bags).symmetric_difference_update({rng.choice(verts + ["x"])})
+        first = set(rng.sample(verts, rng.randint(0, 2)))
+        last = set(rng.sample(verts, rng.randint(0, 2)))
+        results = []
+        for check in (validate_decomposition, reference_validate_decomposition):
+            try:
+                check(bags, verts, edges, first, last)
+                results.append(None)
+            except DecompositionError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], (bags, edges, first, last)
+        outcomes.add(results[0].split(" ")[0] if results[0] else None)
+    # every kind of fault, and valid decompositions, came up
+    assert outcomes == {None, "a", "unknown", "vertices", "vertex", "edge", "left", "right"}
 
 
 def test_graph_pathwidth_anchors():
@@ -212,19 +258,27 @@ def _graph_as_context(rng, verts, edges, first, last):
     return Context.build(verts, edges, len(verts), left, right)
 
 
+def _check_against_reference(verts, edges, first, last):
+    """The table's limit, every subset's cost up to the width plus one
+    (a higher cost reads as the width plus two) and the bags equal those
+    of the reference DP, and no level above the width is stored."""
+    from sepstar import pathdecomp
+
+    ref = reference_pathwidth_table(verts, edges, first, last)
+    *_, limit, cost, parent = ref
+    table = pathdecomp._pathwidth_table(verts, edges, first, last)
+    capped = [min(c, limit + 1) for c in cost]
+    assert (table.limit, list(table.cost)) == (limit, capped)
+    assert len(table.cost.levels) == table.limit - table.cost.base + 1
+    bags = optimal_decomposition(verts, edges, first, last)
+    assert bags == reference_decomposition(ref, parent, first)
+    return ref, table, bags
+
+
 def test_subset_dp_matches_the_reference_table():
     from sepstar import pathdecomp
 
-    def check(verts, edges, first, last):
-        ref = reference_pathwidth_table(verts, edges, first, last)
-        *_, limit, cost, parent = ref
-        table = pathdecomp._pathwidth_table(verts, edges, first, last)
-        assert (table.limit, list(table.cost)) == (limit, cost)
-        bags = optimal_decomposition(verts, edges, first, last)
-        assert bags == reference_decomposition(ref, parent, first)
-        return ref, table, bags
-
-    _, _, bags = check([], [], set(), set())
+    _, _, bags = _check_against_reference([], [], set(), set())
     assert bags == [frozenset()] and pathwidth([], []) == -1
     rng = random.Random(418)
     for case in range(300):
@@ -241,7 +295,7 @@ def test_subset_dp_matches_the_reference_table():
             first, last = set(), set()
         elif case % 4 == 3:  # no free vertices
             first = set(verts)
-        ref, table, bags = check(verts, edges, first, last)
+        ref, table, bags = _check_against_reference(verts, edges, first, last)
         w = _graph_as_context(rng, verts, edges, first, last)
         assert context_decomposition(w) == bags
         low = reference_decomposition(ref, reference_low_overlap_parent(w, ref), first)
@@ -249,16 +303,8 @@ def test_subset_dp_matches_the_reference_table():
 
 
 def _same_as_reference(verts, edges, first=frozenset(), last=frozenset()):
-    """The table's limit, every subset's cost and the bags equal those
-    of the reference DP."""
-    from sepstar import pathdecomp
-
-    ref = reference_pathwidth_table(verts, edges, first, last)
-    *_, limit, cost, parent = ref
-    table = pathdecomp._pathwidth_table(verts, edges, first, last)
-    assert (table.limit, list(table.cost)) == (limit, cost)
-    bags = optimal_decomposition(verts, edges, first, last)
-    assert bags == reference_decomposition(ref, parent, first)
+    """The pathwidth, once `_check_against_reference` holds."""
+    _, table, _ = _check_against_reference(verts, edges, first, last)
     return table.limit - 1
 
 
@@ -280,6 +326,25 @@ def test_level_sets_on_edge_cases():
     # one free vertex
     assert _same_as_reference(["a", "b"], [("a", "b")], {"a"}, set()) == 1
     assert _same_as_reference(["a"], [], set(), {"a"}) == 0
+
+
+def test_levels_stop_at_the_width():
+    from sepstar import pathdecomp
+
+    verts = [f"v{i}" for i in range(6)]
+    path = list(zip(verts, verts[1:]))
+    table = pathdecomp._pathwidth_table(verts, path, set(), set())
+    cost = table.cost
+    assert (table.limit, cost.base, len(cost.levels)) == (2, 1, 2)
+    # v0, v2 and v4 all wait for a neighbour: the reference cost is 4,
+    # and above the width every cost reads as the width plus two
+    assert reference_pathwidth_table(verts, path, set(), set())[7][0b10101] == 4
+    assert cost[0b10101] == table.limit + 1
+    assert list(cost.within(table.limit)) == [m for m in range(64) if cost[m] <= 2]
+    with pytest.raises(ValueError, match="stored up to 2"):
+        list(cost.within(table.limit + 1))
+    with pytest.raises(IndexError):
+        cost[64]
 
 
 def test_level_sets_on_larger_graphs():
