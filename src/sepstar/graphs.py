@@ -385,32 +385,12 @@ def add_port(g: PortGraph, name: str | None = None) -> PortGraph:
     )
 
 
-def with_port(g: PortGraph, v: str) -> PortGraph:
-    """Promote an existing non-port vertex to a new last port."""
-    if v not in g.vertices or v in g.ports:
-        raise GraphError(f"{v!r} is not a promotable vertex")
-    return PortGraph.build(g.vertices, g.edges, g.ports + (v,), dict(g.labels))
-
-
 def permute(g: PortGraph, perm: tuple[int, ...]) -> PortGraph:
     """Reorder ports: new port i is old port perm[i] (1-based)."""
     if sorted(perm) != list(range(1, g.arity + 1)):
         raise GraphError(f"{perm!r} is not a permutation of 1..{g.arity}")
     ports = tuple(g.ports[i - 1] for i in perm)
     return PortGraph.build(g.vertices, g.edges, ports, dict(g.labels))
-
-
-def drop_last_port(g: PortGraph) -> PortGraph:
-    """Delete the last port vertex entirely (inverse of add_port)."""
-    if g.arity == 0:
-        raise GraphError("no port to drop")
-    v = g.ports[-1]
-    rest = g.vertices - {v}
-    if not rest:
-        raise GraphError("dropping the port would empty the graph")
-    edges = {e for e in g.edges if v not in e}
-    labels = {w: c for w, c in g.labels if w != v}
-    return PortGraph.build(rest, edges, g.ports[:-1], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -484,79 +464,82 @@ def _encode(n: int, adj: list[int], keys: list[str], perm: list[int]) -> bytes:
     return payload.encode()
 
 
-def _compositions(n: int):
-    """The tuples of positive sizes that add up to n."""
-    if n == 0:
-        yield ()
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first, *rest)
-
-
-def _class_orders(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every order of positions 0..n-1 that keeps the consecutive
-    classes of the given sizes in place, the first class varying
-    slowest and each class in `permutations` order."""
-    orders = [()]
-    start = 0
-    for size in sizes:
-        block = range(start, start + size)
-        orders = [o + p for o in orders for p in permutations(block)]
-        start += size
-    return orders
-
-
 # Up to five vertices the encoding is the minimum over every
 # colour-respecting order.  Such an order lists the colour classes in
 # key order, so the text before ``#`` is the same for all of them, and
-# the minimum is that of the upper-triangle bits read as one integer,
-# the first pair the most significant bit.  The orders are listed per
-# tuple of colour-class sizes (the compositions of n <= 5), and the
-# pairs with their bits per n.
-_SMALL_ORDERS = {
-    sizes: _class_orders(sizes) for n in range(6) for sizes in _compositions(n)
-}
-_SMALL_PAIRS = [
-    [
-        (i, j, 1 << (n * (n - 1) // 2 - 1 - bit))
-        for bit, (i, j) in enumerate(combinations(range(n), 2))
-    ]
-    for n in range(6)
-]
+# the minimum is that of the upper triangle read as one integer, the
+# first pair the most significant bit.  `_small_minimum` takes it over
+# all orders at once, through tables filled on first use, one per tuple
+# of colour-class sizes (a composition of n <= 5, 32 in all).
+_SMALL_PAIRS = [list(combinations(range(n), 2)) for n in range(6)]
+_SMALL_TABLES: dict[tuple[int, ...], tuple[list, list[list[int]]]] = {}
+
+
+def _small_table(sizes: tuple[int, ...]) -> tuple[list, list[list[int]]]:
+    """The colour-respecting orders for these class sizes, the first
+    class varying slowest and each in `permutations` order, and a row
+    for each output pair of `_SMALL_PAIRS`: at the two-bit mask of any
+    two positions, the mask of the orders that put them at that pair."""
+    table = _SMALL_TABLES.get(sizes)
+    if table is None:
+        orders = [()]
+        for size in sizes:
+            block = range(len(orders[0]), len(orders[0]) + size)
+            orders = [o + p for o in orders for p in permutations(block)]
+        n = len(orders[0])
+        masks = [[0] * (1 << n) for _ in _SMALL_PAIRS[n]]
+        for bit, o in enumerate(orders):
+            for row, (a, b) in zip(masks, _SMALL_PAIRS[n]):
+                row[1 << o[a] | 1 << o[b]] |= 1 << bit
+        table = _SMALL_TABLES[sizes] = orders, masks
+    return table
+
+
+def _small_minimum(
+    adj: list[int], pos: list[int], sizes: tuple[int, ...]
+) -> tuple[str, list[int]]:
+    """The least upper triangle over the colour-respecting orders of a
+    graph on at most five vertices, as ``0``/``1`` text, and the first
+    order to reach it, as vertices.  Position p holds vertex pos[p],
+    the colour classes of the given sizes in key order.  One mask holds
+    the orders still minimal; walking the pairs from the first, a
+    pair's bit is 0 if some of them give it no edge, and they narrow
+    to those."""
+    orders, masks = _small_table(sizes)
+    pairs = _SMALL_PAIRS[len(pos)]
+    edges = [1 << i | 1 << j for i, j in pairs if adj[pos[i]] >> pos[j] & 1]
+    alive = (1 << len(orders)) - 1
+    tri = []
+    for row in masks:
+        if not alive & alive - 1:
+            break  # one order is left, and the rest is read off it
+        ones = 0
+        for t in edges:
+            ones |= row[t]
+        zero = alive & ~ones  # the minimal orders that give no edge
+        tri.append("0" if zero else "1")
+        alive = zero or alive
+    order = [pos[p] for p in orders[(alive & -alive).bit_length() - 1]]
+    tri += ("1" if adj[order[a]] >> order[b] & 1 else "0" for a, b in pairs[len(tri) :])
+    return "".join(tri), order
 
 
 def _search_canonical(
     n: int, adj: list[int], keys: list[str]
 ) -> tuple[bytes, list[int]]:
     """The canonical encoding and a vertex ordering that attains it:
-    the minimum over all orders up to five vertices (the first order in
-    `_SMALL_ORDERS` to reach it), over the leaves of the refinement
-    search above that."""
+    the minimum over all colour-respecting orders up to five vertices
+    (the first such order to reach it), over the leaves of the
+    refinement search above that."""
     base = {k: i for i, k in enumerate(sorted(set(keys)))}
     init = [base[k] for k in keys]
 
     if n <= 5:
-        # position p holds vertex pos[p]: the colour classes in key
-        # order, each in index order
+        # the colour classes in key order, each in index order
         pos = sorted(range(n), key=init.__getitem__)
         sizes = tuple(init.count(c) for c in range(len(base)))
-        pairs = _SMALL_PAIRS[n]
-        padj = [0] * n  # adjacency bitmasks over positions
-        for i, j, _ in pairs:
-            if adj[pos[i]] >> pos[j] & 1:
-                padj[i] |= 1 << j
-                padj[j] |= 1 << i
-        best = order = None
-        for o in _SMALL_ORDERS[sizes]:
-            bits = 0
-            for i, j, bit in pairs:
-                if padj[o[i]] >> o[j] & 1:
-                    bits |= bit
-            if best is None or bits < best:
-                best, order = bits, o
-        tri = format(best, f"0{len(pairs)}b") if pairs else ""
-        enc = "|".join(keys[v] for v in pos) + "#" + tri
-        return enc.encode(), [pos[p] for p in order]
+        tri, order = _small_minimum(adj, pos, sizes)
+        return ("|".join(keys[v] for v in pos) + "#" + tri).encode(), order
 
     best: tuple[bytes, list[int]] | None = None
 
@@ -639,6 +622,22 @@ def _graph_keys(vertices, ports, labels: dict) -> dict:
     for i, p in enumerate(ports):
         keys[p] = f"P{i:03d}:{text.get(p, '')}"
     return keys
+
+
+def _port_certificate(adj, ports) -> bytes:
+    """The certificate of the unlabelled port graph on vertices 0..n-1
+    with adjacency bitmasks ``adj`` and the given port indices, as
+    `canonical_cert` gives it.  Up to five vertices it is written
+    straight from the colour classes of `_graph_keys`, in key order:
+    each port alone, in port order, then every other vertex."""
+    n, k = len(adj), len(ports)
+    if n > 5:
+        keys = _graph_keys(range(n), ports, {})
+        return _index_certificate("g", k, adj, list(keys.values()))
+    pos = ports + tuple(v for v in range(n) if v not in ports)
+    tri, _ = _small_minimum(adj, pos, (1,) * k + ((n - k,) if n > k else ()))
+    keys = "|".join([f"P{i:03d}:" for i in range(k)] + ["v:"] * (n - k))
+    return f"g;{n};{k};{keys}#{tri}".encode()
 
 
 @lru_cache(maxsize=None)

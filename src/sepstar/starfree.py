@@ -34,9 +34,8 @@ from .graphs import (
     GraphError,
     PortGraph,
     _flood,
-    _graph_keys,
-    _index_certificate,
     _numbering,
+    _port_certificate,
     canonical_cert,
     canonical_rename,
     graph_from_json,
@@ -240,8 +239,7 @@ def _operand_cert(adj: tuple[int, ...], ports: tuple[int, ...]) -> bytes:
     """The certificate of the unlabelled graph ``(adj, ports)``.  Kept
     for the process: the nodes of every expression test the same few
     thousand small operands over and over."""
-    keys = _graph_keys(range(len(adj)), ports, {})
-    return _index_certificate("g", len(ports), adj, list(keys.values()))
+    return _port_certificate(adj, ports)
 
 
 def _induced(adj: tuple[int, ...], ports: tuple[int, ...], keep: int):

@@ -11,7 +11,7 @@ import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from sepstar.graphs import PortGraph
+from sepstar.graphs import GraphError, PortGraph
 
 
 def brute_isomorphic(g: PortGraph, h: PortGraph) -> bool:
@@ -664,13 +664,33 @@ def reference_fusion_splits(g: PortGraph):
             )
 
 
+def with_port(g: PortGraph, v: str) -> PortGraph:
+    """Promote an existing non-port vertex to a new last port."""
+    if v not in g.vertices or v in g.ports:
+        raise GraphError(f"{v!r} is not a promotable vertex")
+    return PortGraph.build(g.vertices, g.edges, g.ports + (v,), dict(g.labels))
+
+
+def drop_last_port(g: PortGraph) -> PortGraph:
+    """Delete the last port vertex entirely (inverse of add_port)."""
+    if g.arity == 0:
+        raise GraphError("no port to drop")
+    v = g.ports[-1]
+    rest = g.vertices - {v}
+    if not rest:
+        raise GraphError("dropping the port would empty the graph")
+    edges = {e for e in g.edges if v not in e}
+    labels = {w: c for w, c in g.labels if w != v}
+    return PortGraph.build(rest, edges, g.ports[:-1], labels)
+
+
 def reference_member(g: PortGraph, e, memo: dict) -> bool:
     """Membership decided on built PortGraphs: every operation is
     inverted by building and validating each operand, which is then
     certified with `canonical_cert`.  The reference for
     `starfree.member`.  ``memo`` maps (id of node, certificate) to a
     verdict, apart from the nodes' own memos."""
-    from sepstar.graphs import canonical_cert, drop_last_port, permute, with_port
+    from sepstar.graphs import canonical_cert, permute
     from sepstar.starfree import Add, And, Finite, Forget, Fuse, Not, Or, Permute
 
     key = (id(e), canonical_cert(g))

@@ -16,7 +16,6 @@ from sepstar.graphs import (
     canonical_cert,
     canonical_rename,
     connected_components,
-    drop_last_port,
     dump_graph,
     encode_word,
     forget,
@@ -29,18 +28,19 @@ from sepstar.graphs import (
     ports_only,
     prime_factors,
     separator_holds,
-    with_port,
 )
 
 from helpers import (
     brute_isomorphic,
     complete_graph,
     cycle_graph,
+    drop_last_port,
     graph_pool,
     graphs_on,
     path_graph,
     reference_small_canonical,
     star_graph,
+    with_port,
 )
 
 
@@ -367,3 +367,34 @@ def test_small_canonical_encoding_matches_the_string_search_on_five_vertices():
         colours = PALETTE[: rng.randint(1, 4)]
         keys = [rng.choice(colours) for _ in range(5)]
         assert _search_canonical(5, adj, keys) == reference_small_canonical(5, adj, keys)
+
+
+def _compositions(n: int):
+    """The tuples of positive sizes that add up to n."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first, *rest)
+
+
+# five colour keys whose sorted order is not the order listed
+FIVE_KEYS = ("v:", "P000:", "v:x", "P001:", "P002:")
+
+
+def test_small_canonical_encoding_matches_the_string_search_on_every_five_vertex_graph():
+    # every adjacency against one colour vector per tuple of class
+    # sizes, the classes dealt to the vertices out of index order
+    deal = (3, 0, 4, 1, 2)
+    ranked = sorted(FIVE_KEYS)
+    colourings = []
+    for sizes in _compositions(5):
+        classes = [c for c, size in enumerate(sizes) for _ in range(size)]
+        colourings.append([ranked[classes[deal[v]]] for v in range(5)])
+    assert len(colourings) == 16
+    for edge_bits in range(1 << 10):
+        adj = _adjacency(5, edge_bits)
+        for keys in colourings:
+            assert _search_canonical(5, adj, keys) == reference_small_canonical(
+                5, adj, keys
+            ), (adj, keys)

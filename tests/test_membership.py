@@ -1,10 +1,12 @@
 """Membership on index data: `member` against the reference that builds
 every operand as a PortGraph, on every graph with at most four
-vertices; and the expression syntax at arity 0."""
+vertices; operand certificates against `canonical_cert`; and the
+expression syntax at arity 0."""
 
 import random
+from itertools import combinations, permutations
 
-from sepstar.graphs import PortGraph
+from sepstar.graphs import PortGraph, canonical_cert
 from sepstar.starfree import (
     Add,
     And,
@@ -13,6 +15,7 @@ from sepstar.starfree import (
     Not,
     Or,
     Permute,
+    _operand_cert,
     all_graphs,
     finite,
     member,
@@ -140,3 +143,39 @@ def test_arity_zero_permutation_round_trips():
         assert text.startswith("perm[](")
         assert parse_expr(text) == e
     assert parse_expr("perm[ ](!finite@0{})") == Permute((), all_graphs(0))
+
+
+def _operand_matches_canonical_cert(n, edges, ports):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    names = [f"x{v}" for v in range(n)]
+    g = PortGraph.build(
+        names, [(names[u], names[v]) for u, v in edges], [names[p] for p in ports]
+    )
+    assert _operand_cert.__wrapped__(tuple(adj), ports) == canonical_cert.__wrapped__(
+        g
+    ), (n, edges, ports)
+
+
+def test_operand_certificate_matches_canonical_cert():
+    # every graph on one to four vertices with every tuple of ports,
+    # edges between ports included
+    checked = 0
+    for n in range(1, 5):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+            for k in range(n + 1):
+                for ports in permutations(range(n), k):
+                    _operand_matches_canonical_cert(n, edges, ports)
+                    checked += 1
+    assert checked == 2 + 2 * 5 + 8 * 16 + 64 * 65
+    # a seeded sample on five vertices, and a few above, where the
+    # refinement search certifies
+    rng = random.Random(21)
+    for n in [5] * 600 + [6, 7] * 20:
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+        ports = tuple(rng.sample(range(n), rng.randint(0, n)))
+        _operand_matches_canonical_cert(n, edges, ports)
