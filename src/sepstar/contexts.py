@@ -14,14 +14,17 @@ the underlying graphs, which is what the recognizer machinery in
 `sepstar.monoids` exploits.  Each type is also a small integer code:
 three k-bit masks (left-defined, right-defined, persistent) and one
 2k-bit reach row per reference.  `ReachType` carries its code, so
-equality and hashing are integer work, and `sepstar.monoids` runs its
-closures and searches on the codes alone.  The linkage type is the
-finer abstraction behind the disjoint-paths oracle: every linear forest
-over the port vertices whose edges are inner paths with disjoint
-interiors.  It carries the same three masks and names each port vertex
-by a reference position, the numbering of the code's rows.  Both types
-compose by one gluing, `_gluing`, which reads the operands' masks and
-moves every reference onto the node of its class in `compose`.
+equality and hashing are integer work.  Each generator alphabet keeps
+one type graph: its words' types numbered as they are met, and each
+type's product with each letter type composed once, on first use, so
+the closures and searches of `sepstar.monoids` multiply types by
+lookup.  The linkage type is the finer abstraction behind the
+disjoint-paths oracle: every linear forest over the port vertices
+whose edges are inner paths with disjoint interiors.  It carries the
+same three masks and names each port vertex by a reference position,
+the numbering of the code's rows.  Both types compose by one gluing,
+`_gluing`, which reads the operands' masks and moves every reference
+onto the node of its class in `compose`.
 
 A context is a vertex/edge core plus two interface tuples, so it runs
 on the graph core of `sepstar.graphs`: the same validation, core class
@@ -786,6 +789,12 @@ class GeneratorAlphabet:
         return _Letters(self.certs)
 
     @cached_property
+    def types(self) -> "_TypeGraph":
+        """The reachability types of this alphabet's words, with their
+        products by letters filled in as they are first asked for."""
+        return _TypeGraph(self)
+
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(f"g{i}" for i in range(len(self.certs)))
 
@@ -808,6 +817,80 @@ class GeneratorAlphabet:
 
     def __len__(self) -> int:
         return len(self.certs)
+
+
+class _TypeGraph:
+    """The right Cayley graph of an alphabet's reachability types over
+    its letter types (Froidure & Pin, 1997), filled on first use.
+
+    Types are numbered in the order they are met: ``codes[t]`` is the
+    code of type t, and ``letters[i]`` the type of letter i.  The
+    distinct letter types come first, as types 0..generators-1, so a
+    letter type is also a column.  ``right[t][g]`` is the type of t times
+    letter type g: -1 until `step` first composes it, and a row is None
+    until its type is first multiplied, so a search touches only the
+    types it reaches.  Each later type t was first met as
+    ``parent[t - generators]``, a (type, letter type) pair, which spells
+    a word for it."""
+
+    def __init__(self, alphabet: GeneratorAlphabet):
+        self.arity = alphabet.arity
+        self.codes: list[int] = []
+        self._index: dict[int, int] = {}
+        self.letters = tuple(self._number(beta(w)._code) for w in alphabet.contexts)
+        self.generators = len(self.codes)
+        self.right: list[list[int] | None] = [None] * self.generators
+        self.parent: list[tuple[int, int]] = []
+        self._idempotent: list[bool | None] = [None] * self.generators
+
+    def _number(self, code: int) -> int:
+        t = self._index.setdefault(code, len(self.codes))
+        if t == len(self.codes):
+            self.codes.append(code)
+        return t
+
+    def step(self, t: int, g: int) -> int:
+        """The type of type t times letter type g, composed only the
+        first time it is asked for."""
+        row = self.right[t]
+        if row is None:
+            row = self.right[t] = [-1] * self.generators
+        u = row[g]
+        if u < 0:
+            new = len(self.codes)
+            u = row[g] = self._number(_reach_compose(self.codes[t], self.codes[g], self.arity))
+            if u == new:
+                self.right.append(None)
+                self.parent.append((t, g))
+                self._idempotent.append(None)
+        return u
+
+    def idempotent(self, t: int) -> bool:
+        """Whether t times t is t, found by walking t's word from t."""
+        flag = self._idempotent[t]
+        if flag is None:
+            word = []
+            first = t
+            while first >= self.generators:
+                first, g = self.parent[first - self.generators]
+                word.append(g)
+            x = self.step(t, first)
+            for g in reversed(word):
+                x = self.step(x, g)
+            flag = self._idempotent[t] = x == t
+        return flag
+
+    def record(self, types, table) -> None:
+        """Fill every row from a whole multiplication table: ``types[e]``
+        is the type of element e, or None for an adjoined identity, and
+        ``table[a][b]`` the element of a times b."""
+        element = {t: e for e, t in enumerate(types)}
+        columns = [element[g] for g in range(self.generators)]
+        for e, t in enumerate(types):
+            if t is not None:
+                row = table[e]
+                self.right[t] = [types[row[c]] for c in columns]
+                self._idempotent[t] = row[e] == e
 
 
 def _orbits(items, group, act):

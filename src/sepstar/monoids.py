@@ -15,12 +15,16 @@ Every monoid with a table is built by ``_right_cayley``, a closure
 under right multiplication that takes its generators one at a time
 and keeps only those the earlier ones do not already generate
 (Froidure & Pin, 1997); the table is read off the right Cayley graph
-it records.  The reachability-type recognizer runs it on the integer
-codes of `sepstar.contexts`, so at width 2 it keeps 30 of the 77 letter
-types.  The lazy searches (the decision procedure over (element, type
-code) pairs, shortest words) run ``_closure``, one breadth-first search
-over every generator, so that their words stay shortest over the whole
-alphabet.
+it records.  The reachability-type recognizer runs it through the
+alphabet's type graph (``GeneratorAlphabet.types`` in
+`sepstar.contexts`), which composes a type with a letter type the
+first time any search at that width asks for it and looks the product
+up after that; at width 2 the closure keeps 30 of the 77 letter types,
+and its finished table fills the graph.  The lazy searches (the
+decision procedure over (element, type) pairs, shortest words) run
+``_closure``, one breadth-first search over every generator, so that
+their words stay shortest over the whole alphabet; the decision
+procedure multiplies types through the same graph.
 
 `certify_non_star_free` complements the decision procedure on the
 semantic side: it pumps a context with idempotent reachability type
@@ -46,8 +50,6 @@ from .contexts import (
     beta,
     beta_compose,
     build_from_word,
-    compose,
-    context_cert,
     enumerate_generators,
     linkage_compose,
     linkage_type,
@@ -74,8 +76,6 @@ __all__ = [
     "parity_recognizer",
     "Verdict",
     "decide_aperiodic_mod_reachability",
-    "audit_well_defined",
-    "classify_infix_classes",
     "Certificate",
     "certify_non_star_free",
     "oracle_inner_reach",
@@ -475,22 +475,26 @@ def reach_type_recognizer(k: int) -> Recognizer:
     """The reachability-type recognizer: elements are the closure of the
     generator types under composition plus an adjoined identity, element
     0 (no concrete context acts neutrally on all others, so the closure
-    itself has no unit).  Built by `_cayley_monoid` on type codes, over
-    the letter types that earlier ones do not already generate (30 of
-    the 77 at width 2), so the composition of codes runs once per
-    (element, kept type).  Accepting: types linking left 1 to right 1."""
+    itself has no unit).  Built by `_cayley_monoid` through the
+    alphabet's type graph, over the letter types that earlier ones do not
+    already generate (30 of the 77 at width 2), so types are composed
+    once per (element, kept type), and only on the first build at a
+    width.  The finished table is then written into every row of the
+    graph, so a later `decide_aperiodic_mod_reachability` at this width
+    composes nothing.  Accepting: types linking left 1 to right 1."""
     alphabet = enumerate_generators(k)
-    letter_types = [beta(w)._code for w in alphabet.contexts]
+    graph = alphabet.types
     # None stands for the adjoined identity
     position, monoid = _cayley_monoid(
         None,
-        letter_types,
-        lambda a, g: g if a is None else _reach_compose(a, g, k),
+        graph.letters,
+        lambda a, g: g if a is None else graph.step(a, g),
     )
-    gen_map = {gid: position[c] for gid, c in zip(alphabet.ids, letter_types)}
+    graph.record(list(position), monoid.table)
+    gen_map = {gid: position[t] for gid, t in zip(alphabet.ids, graph.letters)}
     linked = 1 << _reach_bit(k, ("L", 1), ("R", 1))
     accepting = frozenset(
-        i for c, i in position.items() if c is not None and c & linked
+        i for t, i in position.items() if t is not None and graph.codes[t] & linked
     )
     return Recognizer.build(monoid, k, gen_map, accepting)
 
@@ -538,9 +542,10 @@ def decide_aperiodic_mod_reachability(rec: Recognizer) -> Verdict:
 
     Generators with equal (image, type) pairs act identically, so the
     search runs over one representative per pair; the witness is then
-    a genuinely shortest word.  Types are codes here: the search runs
-    over (element, code) pairs, and a type is decoded only to re-check
-    a witness."""
+    a genuinely shortest word.  Types are numbers in the alphabet's type
+    graph: a type times a letter is one entry of the graph, composed the
+    first time any search at this width asks for it and looked up after
+    that, and a type's code is decoded only to re-check a witness."""
     k = rec.arity
     alphabet = enumerate_generators(k)
     gm = rec.gen_dict()
@@ -555,108 +560,41 @@ def decide_aperiodic_mod_reachability(rec: Recognizer) -> Verdict:
             raise MonoidError(f"recognizer {problem} {gids[:4]}{more}")
     m = rec.monoid
     table = m.table
+    graph = alphabet.types
+    step = graph.step
     # one letter per (image, type) pair, the first by generator index
     letters: dict[tuple[int, int], str] = {}
-    for gid, w in zip(alphabet.ids, alphabet.contexts):
-        letters.setdefault((gm[gid], beta(w)._code), gid)
+    for gid, t in zip(alphabet.ids, graph.letters):
+        letters.setdefault((gm[gid], t), gid)
 
     def mul(pair, letter):
-        return table[pair[0]][letter[0]], _reach_compose(pair[1], letter[1], k)
+        return table[pair[0]][letter[0]], step(pair[1], letter[1])
 
     words: dict[tuple[int, int], tuple[str, ...]] = {}
     gens = [(gid, key) for key, gid in letters.items()]
     for pair, parent, gid in _closure(letters, gens, mul):
         words[pair] = (letters[pair],) if gid is None else words[parent] + (gid,)
-        el, code = pair
-        if _reach_compose(code, code, k) == code and not is_aperiodic_element(m, el):
+        el, t = pair
+        if not is_aperiodic_element(m, el) and graph.idempotent(t):
             # every letter pair counts as explored before the first is tested
             explored = max(len(words), len(letters))
-            return _violation_verdict(rec, words[pair], pair, explored)
+            return _violation_verdict(rec, words[pair], (el, graph.codes[t]), explored)
     return Verdict(True, rec.arity, None, None, len(words))
 
 
 def _violation_verdict(rec, word, pair, explored) -> Verdict:
+    """The verdict for a witness word of the (element, type code) pair,
+    re-checked on the concrete semantics.  A failed re-check is a fault
+    of the search, not of its input, so it raises RuntimeError."""
     el, code = pair
     rt = ReachType._of_code(rec.arity, code)
-    # re-verify the witness against the concrete semantics
     if beta(build_from_word(rec.arity, word)) != rt:
-        raise MonoidError("witness type mismatch")
+        raise RuntimeError("witness type mismatch")
     if recognizer_image(rec, word) != el:
-        raise MonoidError("witness image mismatch")
+        raise RuntimeError("witness image mismatch")
     if beta_compose(rt, rt) != rt or is_aperiodic_element(rec.monoid, el):
-        raise MonoidError("witness is not a violation")
+        raise RuntimeError("witness is not a violation")
     return Verdict(False, rec.arity, tuple(word), el, explored)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def audit_well_defined(rec: Recognizer, max_len: int):
-    """Do isomorphic products get the same monoid image?
-
-    Enumerates all generator words up to max_len (by length, then
-    lexicographically) and reports pairs of words whose composed
-    contexts are isomorphic but whose images differ.  An empty report
-    means the recognizer factors through context isomorphism on this
-    range."""
-    alphabet = enumerate_generators(rec.arity)
-    gm = rec.gen_dict()
-    ids = [gid for gid in alphabet.ids if gid in gm]
-    seen: dict[bytes, tuple[tuple[str, ...], int]] = {}
-    conflicts = []
-    level: list[tuple[tuple[str, ...], Context, int]] = []
-    for gid in ids:
-        w = alphabet.by_id(gid)
-        level.append(((gid,), w, gm[gid]))
-    for _ in range(max_len):
-        next_level = []
-        for word, ctx, el in level:
-            cert = context_cert(ctx)
-            if cert in seen:
-                prev_word, prev_el = seen[cert]
-                if prev_el != el:
-                    conflicts.append((prev_word, word))
-            else:
-                seen[cert] = (word, el)
-            if len(word) < max_len:
-                for gid in ids:
-                    g = alphabet.by_id(gid)
-                    next_level.append(
-                        (word + (gid,), compose(ctx, g), rec.monoid.mul(el, gm[gid]))
-                    )
-        level = next_level
-    return conflicts
-
-
-def classify_infix_classes(rec: Recognizer):
-    """Summary of each infix (two-sided) class of the recognizer's
-    monoid: size, whether it contains an idempotent, whether its
-    group-like part is trivial, and whether the class is reachable as
-    the image of a generator word."""
-    m = rec.monoid
-    green = green_classes(m)
-    reachable = set()
-    words = generated_submonoid(m, rec.gen_dict())
-    for el in words:
-        reachable.add(green.j_class[el])
-    out = []
-    n_classes = max(green.j_class) + 1
-    for j in range(n_classes):
-        members = [a for a in range(m.size) if green.j_class[a] == j]
-        idems = [a for a in members if a in green.idempotents]
-        aperiodic = all(is_aperiodic_element(m, a) for a in members)
-        out.append(
-            {
-                "class": j,
-                "size": len(members),
-                "members": members,
-                "idempotents": idems,
-                "aperiodic": aperiodic,
-                "reachable": j in reachable,
-            }
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -809,3 +809,74 @@ def reference_ef_equivalent(g1: PortGraph, g2: PortGraph, rank: int) -> bool:
         return ok
 
     return play(g1.ports, g2.ports, rank)
+
+
+def audit_well_defined(rec, max_len: int):
+    """Do isomorphic products get the same monoid image?
+
+    Enumerates all generator words up to max_len (by length, then
+    lexicographically) and reports pairs of words whose composed
+    contexts are isomorphic but whose images differ.  An empty report
+    means the recognizer factors through context isomorphism on this
+    range."""
+    from sepstar.contexts import Context, compose, context_cert, enumerate_generators
+
+    alphabet = enumerate_generators(rec.arity)
+    gm = rec.gen_dict()
+    ids = [gid for gid in alphabet.ids if gid in gm]
+    seen: dict[bytes, tuple[tuple[str, ...], int]] = {}
+    conflicts = []
+    level: list[tuple[tuple[str, ...], Context, int]] = []
+    for gid in ids:
+        w = alphabet.by_id(gid)
+        level.append(((gid,), w, gm[gid]))
+    for _ in range(max_len):
+        next_level = []
+        for word, ctx, el in level:
+            cert = context_cert(ctx)
+            if cert in seen:
+                prev_word, prev_el = seen[cert]
+                if prev_el != el:
+                    conflicts.append((prev_word, word))
+            else:
+                seen[cert] = (word, el)
+            if len(word) < max_len:
+                for gid in ids:
+                    g = alphabet.by_id(gid)
+                    next_level.append(
+                        (word + (gid,), compose(ctx, g), rec.monoid.mul(el, gm[gid]))
+                    )
+        level = next_level
+    return conflicts
+
+
+def classify_infix_classes(rec):
+    """Summary of each infix (two-sided) class of the recognizer's
+    monoid: size, whether it contains an idempotent, whether its
+    group-like part is trivial, and whether the class is reachable as
+    the image of a generator word."""
+    from sepstar.monoids import generated_submonoid, green_classes, is_aperiodic_element
+
+    m = rec.monoid
+    green = green_classes(m)
+    reachable = set()
+    words = generated_submonoid(m, rec.gen_dict())
+    for el in words:
+        reachable.add(green.j_class[el])
+    out = []
+    n_classes = max(green.j_class) + 1
+    for j in range(n_classes):
+        members = [a for a in range(m.size) if green.j_class[a] == j]
+        idems = [a for a in members if a in green.idempotents]
+        aperiodic = all(is_aperiodic_element(m, a) for a in members)
+        out.append(
+            {
+                "class": j,
+                "size": len(members),
+                "members": members,
+                "idempotents": idems,
+                "aperiodic": aperiodic,
+                "reachable": j in reachable,
+            }
+        )
+    return out

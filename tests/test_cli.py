@@ -377,6 +377,33 @@ def test_decide_exit_codes(tmp_path, capsys):
     assert code == 2 and "arity" in err
 
 
+# `sepstar decide` output, byte for byte, recorded before types were
+# multiplied through the alphabet's type graph
+DECIDE_OUTPUTS = [
+    ("trivial", [], 0, "aperiodic modulo reachability\npairs explored: 126\n"),
+    ("trivial", ["--json"], 0,
+     '{\n  "aperiodic_mod_reachability": true,\n  "arity": 2,\n  "element": null,\n'
+     '  "pairs_explored": 126,\n  "witness": null\n}\n'),
+    ("parity", [], 1,
+     "violation found\nwitness word: g0 g181\nmonoid element: 1\npairs explored: 78\n"),
+    ("parity", ["--json"], 1,
+     '{\n  "aperiodic_mod_reachability": false,\n  "arity": 2,\n  "element": 1,\n'
+     '  "pairs_explored": 78,\n  "witness": [\n    "g0",\n    "g181"\n  ]\n}\n'),
+]
+
+
+@pytest.mark.parametrize("name, flags, code, out", DECIDE_OUTPUTS)
+def test_decide_output_is_pinned(tmp_path, capsys, name, flags, code, out):
+    ids = enumerate_generators(2).ids
+    recognizers = {
+        "trivial": {"monoid": {"table": [[0]], "identity": 0}, "arity": 2,
+                    "gen_map": dict.fromkeys(ids, 0), "accepting": [0]},
+        "parity": json.loads(dump_recognizer(parity_recognizer(2, ["g181", "g193"]))),
+    }
+    rec = graph_file(tmp_path, "rec.json", recognizers[name])
+    assert run(capsys, ["decide", "--recognizer", rec, *flags]) == (code, out, "")
+
+
 PARITY = json.loads(dump_recognizer(parity_recognizer(1, ["g5"])))
 
 

@@ -31,9 +31,7 @@ from sepstar.monoids import (
     MonoidError,
     Recognizer,
     Verdict,
-    audit_well_defined,
     certify_non_star_free,
-    classify_infix_classes,
     decide_aperiodic_mod_reachability,
     generated_submonoid,
     green_classes,
@@ -54,7 +52,12 @@ from sepstar.monoids import (
     validate_monoid,
 )
 
-from helpers import brute_two_disjoint_paths, reference_alternation_start
+from helpers import (
+    audit_well_defined,
+    brute_two_disjoint_paths,
+    classify_infix_classes,
+    reference_alternation_start,
+)
 
 Z2 = FiniteMonoid.build([[0, 1], [1, 0]], 0)
 # two-element semilattice: 1 absorbs
@@ -322,20 +325,88 @@ def test_reach_type_recognizer_matches_all_pairs_reference(k, size):
     assert rec.accepting == linked
 
 
-def test_reach_type_recognizer_composes_once_per_element_and_generator(monkeypatch):
+@pytest.fixture
+def fresh_alphabets():
+    """Alphabets built for this test alone: their type graphs start
+    empty, and whatever the test does to them stays in the test."""
+    enumerate_generators.cache_clear()
+    yield
+    enumerate_generators.cache_clear()
+
+
+def count_compositions(monkeypatch):
+    """A list that grows by one per type composition; the type graph
+    composes through `contexts._reach_compose`."""
     calls = []
-    compose_codes = monoids._reach_compose
+    compose_codes = contexts._reach_compose
 
     def counting(a, b, k):
         calls.append(1)
         return compose_codes(a, b, k)
 
-    monkeypatch.setattr(monoids, "_reach_compose", counting)
+    monkeypatch.setattr(contexts, "_reach_compose", counting)
+    return calls
+
+
+def test_reach_type_recognizer_composes_once_per_element_and_generator(
+    monkeypatch, fresh_alphabets
+):
+    calls = count_compositions(monkeypatch)
     rec = reach_type_recognizer(2)
     assert rec.monoid.size == 127
     # 126 non-identity elements times the 30 letter types kept of 77;
     # all 77 took 9,702 calls and composing every pair 44,892
     assert len(calls) == 126 * 30
+    # the recognizer writes its table into the type graph
+    calls.clear()
+    assert decide_aperiodic_mod_reachability(rec).aperiodic
+    assert calls == []
+
+
+def test_decide_composes_each_type_and_letter_once(monkeypatch, fresh_alphabets):
+    calls = count_compositions(monkeypatch)
+    ids = enumerate_generators(2).ids
+    trivial = Recognizer.build(FiniteMonoid(((0,),), 0), 2, dict.fromkeys(ids, 0), {0})
+    verdict = decide_aperiodic_mod_reachability(trivial)
+    assert verdict == Verdict(True, 2, None, None, 126)
+    # at most once per (type or identity, letter type); the closure
+    # from scratch made 9,828 calls
+    assert len(calls) <= 127 * 77
+    calls.clear()
+    assert decide_aperiodic_mod_reachability(trivial) == verdict
+    assert calls == []
+
+
+def test_decide_at_width_3_composes_no_more_than_it_explores(
+    monkeypatch, fresh_alphabets
+):
+    # the width-3 type monoid has 27,143 elements and takes about a
+    # minute to close, so a search must not close it up front
+    calls = count_compositions(monkeypatch)
+    verdict = decide_aperiodic_mod_reachability(parity_recognizer(3, ["g0"]))
+    assert verdict == Verdict(False, 3, ("g0",), 1, 2351)
+    assert len(calls) <= verdict.pairs_explored
+
+
+def test_a_failed_witness_check_is_an_internal_error(tmp_path, capsys, fresh_alphabets):
+    from sepstar.cli import main
+
+    rec = parity_recognizer(2, ["g181", "g193"])
+    graph = enumerate_generators(2).types
+    g0, g181 = graph.letters[0], graph.letters[181]
+    # one wrong entry: g0 g181, the first witness of this recognizer, now
+    # gets the idempotent type of g0 alone
+    graph.step(g0, g181)
+    graph.right[g0][g181] = g0
+    with pytest.raises(Exception) as failure:
+        decide_aperiodic_mod_reachability(rec)
+    assert not isinstance(failure.value, MonoidError)
+    assert str(failure.value) == "witness type mismatch"
+    path = tmp_path / "parity.json"
+    path.write_text(monoids.dump_recognizer(rec))
+    assert main(["decide", "--recognizer", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: ")
 
 
 def test_syntactic_quotient_collapses_irrelevant_structure():
@@ -558,7 +629,8 @@ def test_certify_composes_no_context(monkeypatch):
         raise AssertionError("certify composed a concrete context")
 
     monkeypatch.setattr(contexts, "compose", refuse)
-    monkeypatch.setattr(monoids, "compose", refuse)
+    # monoids imports no `compose` now; the patch still guards one added back
+    monkeypatch.setattr(monoids, "compose", refuse, raising=False)
     for x, y in ((None, None), (identity_context(2), crossing_context())):
         cert = certify_non_star_free(hub_context(), "two-disjoint-paths", x, y, max_power=8)
         assert cert is not None and cert.threshold <= 2
