@@ -41,17 +41,19 @@ import json
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 from .graphs import (
     CONTEXT_SHAPE,
     _certificate,
     _check_core,
-    _component_ids,
+    _components,
     _conform,
     _Core,
     _decode_certificate,
-    _index_certificate,
+    _flood,
+    _keyed_certificates,
+    _numbering,
     _read_json,
 )
 
@@ -95,8 +97,9 @@ class ContextError(ValueError):
 # input from asking for gigabytes
 _MAX_ARITY = 1024
 # the alphabet grows by orders of magnitude with the width: 6,939
-# letters at width 3 and 471,228 at width 4, while width 5 has millions
-# of interface pairs per vertex count before any letter is found
+# letters at width 3 and 471,228 at width 4.  A width-k letter has at
+# most k+1 vertices, so up to width 4 n <= 5, and the bit-parallel
+# `graphs._small_minimum` always finds its canonical triangles
 _MAX_ALPHABET_WIDTH = 4
 
 
@@ -246,7 +249,7 @@ def inner_components(w: Context) -> tuple[frozenset[tuple[str, str]], ...]:
     """Partition the edges: two edges are together iff they are linked
     by shared non-port vertices (ports do not merge components).
     Components are ordered by their smallest edge."""
-    ids = _component_ids(w, w.port_vertices())
+    ids = {v: i for i, comp in enumerate(_components(w, w.port_vertices())) for v in comp}
     groups: dict = {}
     for e in w.edges:
         # the component of a non-port endpoint, or a port-port edge alone
@@ -407,32 +410,42 @@ def reaches(rt: ReachType, p: PortRef, q: PortRef) -> bool:
 
 def beta(w: Context) -> ReachType:
     """The reachability type of a concrete context."""
-    ports = w.port_vertices()
-    inner = _component_ids(w, ports)
-    adj = w.adjacency
-    # the inner components each port vertex touches
-    comp_sets = {p: {inner[x] for x in adj[p] if x in inner} for p in ports}
+    at, adj = _numbering(w)
+    left, right = ([None if v is None else at[v] for v in side] for side in (w.left, w.right))
+    return ReachType._of_code(w.arity, _type_code(adj, left, right))
 
-    k = w.arity
-    refs = [(a, v) for a, v in enumerate(w.left + w.right) if v is not None]
-    rows = [0] * (2 * k)
-    for n, (a, vp) in enumerate(refs):
-        for b, vq in refs[n:]:
-            if vp == vq or vq in adj[vp] or comp_sets[vp] & comp_sets[vq]:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    code = _interface_masks(w)
-    for a, row in enumerate(rows):
+
+def _type_code(adj, left, right) -> int:
+    """The type code of the context on vertices 0..n-1 with adjacency
+    bitmasks ``adj`` and the interface lists ``left`` and ``right``, a
+    vertex or None per index.  Two references are linked when they are
+    one vertex, adjacent, or both next to one component of the
+    non-port vertices."""
+    k = len(left)
+    refs = [(a, v) for a, v in enumerate(left + right) if v is not None]
+    inner = (1 << len(adj)) - 1 & ~sum({1 << v for _, v in refs})
+    code = _interface_masks(left, right)
+    for a, v in refs:
+        near = 1 << v | adj[v]
+        touched = _flood(adj, adj[v] & inner, inner)
+        while touched:
+            x = touched.bit_length() - 1
+            touched ^= 1 << x
+            near |= adj[x]
+        row = 0
+        for b, u in refs:
+            row |= (near >> u & 1) << b
         code |= row << 3 * k + 2 * k * a
-    return ReachType._of_code(k, code)
+    return code
 
 
-def _interface_masks(w: Context) -> int:
-    """Bits 0..3k-1 of the type code of an arity-k context: its
-    left-defined, right-defined and persistent indices."""
-    k = w.arity
+def _interface_masks(left, right) -> int:
+    """Bits 0..3k-1 of the type code of a context whose interfaces
+    ``left`` and ``right`` hold a vertex or None for each of k indices:
+    its left-defined, right-defined and persistent indices."""
+    k = len(left)
     masks = 0
-    for i, (x, y) in enumerate(zip(w.left, w.right)):
+    for i, (x, y) in enumerate(zip(left, right)):
         if x is not None:
             masks |= 1 << i | (x == y) << 2 * k + i
         if y is not None:
@@ -649,7 +662,7 @@ def linkage_type(w: Context) -> LinkageType:
     pos.update({v: i for i, v in enumerate(w.left) if v is not None})
     return LinkageType(
         k,
-        _interface_masks(w),
+        _interface_masks(w.left, w.right),
         frozenset(
             frozenset(tuple(sorted((pos[a], pos[b]))) for a, b in p) for p in patterns
         ),
@@ -768,9 +781,6 @@ class _Letters(Sequence):
             w = self._built[i] = _context_from_cert(self._certs[i])
         return w
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self._certs)))
-
 
 @dataclass(frozen=True)
 class GeneratorAlphabet:
@@ -819,6 +829,19 @@ class GeneratorAlphabet:
         return len(self.certs)
 
 
+def _cert_code(cert: bytes) -> int:
+    """The type code of the context a certificate describes, read off
+    its index data: no `Context` is built."""
+    k, keys, edges = _decode_certificate(cert)
+    adj = [0] * len(keys)
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    left, right = _key_ports(range(len(keys)), keys)
+    return _type_code(adj, [left.get(i) for i in range(1, k + 1)],
+                      [right.get(i) for i in range(1, k + 1)])
+
+
 class _TypeGraph:
     """The right Cayley graph of an alphabet's reachability types over
     its letter types (Froidure & Pin, 1997), filled on first use.
@@ -837,7 +860,7 @@ class _TypeGraph:
         self.arity = alphabet.arity
         self.codes: list[int] = []
         self._index: dict[int, int] = {}
-        self.letters = tuple(self._number(beta(w)._code) for w in alphabet.contexts)
+        self.letters = tuple(self._number(_cert_code(c)) for c in alphabet.certs)
         self.generators = len(self.codes)
         self.right: list[list[int] | None] = [None] * self.generators
         self.parent: list[tuple[int, int]] = []
@@ -893,43 +916,17 @@ class _TypeGraph:
                 self._idempotent[t] = row[e] == e
 
 
-def _orbits(items, group, act):
-    """One representative per orbit of the permutation ``group`` on
-    ``items``, each with its stabiliser: the first member of an orbit to
-    come up is its representative, and every image of it is marked seen."""
-    seen = set()
-    for x in items:
-        if x not in seen:
-            images = [act(p, x) for p in group]
-            seen.update(images)
-            yield x, [p for p, y in zip(group, images) if y == x]
-
-
-def _edge_image(p, edges):
-    return frozenset((p[a], p[b]) if p[a] < p[b] else (p[b], p[a]) for a, b in edges)
-
-
-def _interface_image(p, sides):
-    return tuple(tuple(None if v is None else p[v] for v in side) for side in sides)
-
-
-def _interface_pairs(k: int, n: int) -> list:
-    """All (left, right) pairs of partial injections from port slots
-    0..k-1 into vertices 0..n-1, None marking an undefined slot, in
-    which no vertex is left port i and right port j for i != j."""
-    sides = []
-    for side in product([None, *range(n)], repeat=k):
-        defined = [v for v in side if v is not None]
-        if len(set(defined)) == len(defined):
-            sides.append(side)
-    return [
-        (left, right)
-        for left in sides
-        for right in sides
-        if all(
-            v is None or v not in right or right[i] == v for i, v in enumerate(left)
-        )
-    ]
+def _port_key_sets(k: int) -> list[list[str]]:
+    """Every set of colour keys that the port vertices of an arity-k
+    interface pair take, each sorted.  Index i is unused, only a left
+    port, only a right port, both on two vertices, or both on one, the
+    one way a vertex can hold a left and a right index, so no two port
+    vertices share a key."""
+    sets: list[list[str]] = [[]]
+    for i in range(1, k + 1):
+        left, right, both = f"L{i:03d}R000", f"L000R{i:03d}", f"L{i:03d}R{i:03d}"
+        sets = [s + c for s in sets for c in ([], [left], [right], [left, right], [both])]
+    return [sorted(s) for s in sets]
 
 
 @lru_cache(maxsize=None)
@@ -940,46 +937,28 @@ def enumerate_generators(k: int) -> GeneratorAlphabet:
     k+1 vertices each); conversely any product of them has pathwidth at
     most k.
 
-    The alphabet is generated orbit by orbit, so only one context per
-    isomorphism class is ever canonicalised.  For each n <= k+1 the edge
-    sets on vertices 0..n-1 are split into orbits under all n!
-    relabellings, and each orbit's representative keeps its automorphism
-    group.  For each such graph, the conflict-free pairs of partial
-    injective interfaces (no vertex is left port i and right port j for
-    i != j) are split into orbits under that group.  Two contexts on the
-    same vertex count are isomorphic exactly when their graphs are and
-    an automorphism carries one pair of interfaces onto the other, so
-    these orbits are the isomorphism classes.  Each representative is
-    certified once on its index data (adjacency bitmasks and colour
-    keys), never built as a Context; the alphabet keeps the
-    certificates, ordered by vertex count, then certificate, and a
-    letter becomes the canonical context its certificate describes
-    only when asked for.
-    A width outside 1..4 raises ContextError before anything is built.
+    Each letter's certificate is written from its canonical form, so
+    no context is certified, built or compared.  A letter on n <= k+1
+    vertices holds a set of distinct port keys (`_port_key_sets`) and
+    n minus that many inner keys ``L000R000``, which sort first; each
+    triangle least under the orders of its inner vertices
+    (`graphs._keyed_certificates`) gives one isomorphism class.  The
+    alphabet keeps the certificates, ordered by vertex count, then
+    certificate, and builds a letter only when it is asked for.  A
+    width outside 1..4 raises ContextError before anything is listed.
     """
     if not 1 <= k <= _MAX_ALPHABET_WIDTH:
         raise ContextError(
             f"generator alphabets need arity in 1..{_MAX_ALPHABET_WIDTH}, got {k}"
         )
+    triangles: dict = {}
     certs = []
-    for n in range(1, k + 2):
-        pairs = list(combinations(range(n), 2))
-        edge_sets = (
-            frozenset(e for i, e in enumerate(pairs) if bits >> i & 1)
-            for bits in range(1 << len(pairs))
-        )
-        interfaces = _interface_pairs(k, n)
-        group = list(permutations(range(n)))
-        for edges, automorphisms in _orbits(edge_sets, group, _edge_image):
-            adj = [0] * n
-            for a, b in edges:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            for (lt, rt), _ in _orbits(interfaces, automorphisms, _interface_image):
-                keys = list(_port_keys(range(n), lt, rt).values())
-                certs.append((n, _index_certificate("c", k, adj, keys)))
-    certs.sort()
-    return GeneratorAlphabet(k, tuple(c for _, c in certs))
+    for ports in _port_key_sets(k):
+        for n in range(max(len(ports), 1), k + 2):
+            keys = ["L000R000"] * (n - len(ports)) + ports
+            certs += _keyed_certificates("c", k, keys, triangles)
+    certs.sort()  # by vertex count first: it is one digit, after "c;"
+    return GeneratorAlphabet(k, tuple(certs))
 
 
 def build_from_word(k: int, word) -> Context:
@@ -1058,35 +1037,10 @@ def dump_context(w: Context) -> str:
     return json.dumps(context_to_json(w), indent=2, sort_keys=True) + "\n"
 
 
-def _json_block(items: list[str], indent: str, brackets: str) -> str:
-    """Encoded ``items`` between ``brackets``, laid out as
-    ``json.dumps(..., indent=2)`` lays out a list or object whose
-    closing bracket is indented by ``indent``."""
-    if not items:
-        return brackets
-    inner = indent + "  "
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
-
-
-def _edges_json(edges) -> str:
-    """The laid-out "edges" value of a letter whose edges join vertex
-    positions in canonical order."""
-    pairs = sorted(sorted((f"v{a}", f"v{b}")) for a, b in edges)
-    rows = [_json_block([f'"{x}"', f'"{y}"'], "      ", "[]") for x, y in pairs]
-    return _json_block(rows, "    ", "[]")
-
-
-def _keys_json(keys) -> str:
-    """The laid-out "left", "right" and "vertices" fields of a letter
-    whose vertices have these colour keys in canonical order."""
-    names = [f"v{i}" for i in range(len(keys))]
-    sides = [
-        _json_block([f'"{i}": "{v}"' for i, v in sorted((str(i), v) for i, v in side.items())],
-                    "    ", "{}")
-        for side in _key_ports(names, keys)
-    ]
-    vertices = _json_block([f'"{v}"' for v in sorted(names)], "    ", "[]")
-    return f'"left": {sides[0]},\n    "right": {sides[1]},\n    "vertices": {vertices}'
+def _field_json(value) -> str:
+    """``value`` laid out as ``json.dumps(..., indent=2, sort_keys=True)``
+    lays out a field of an object in a list."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 
 def dump_alphabet(alphabet: GeneratorAlphabet) -> Iterator[str]:
@@ -1094,10 +1048,10 @@ def dump_alphabet(alphabet: GeneratorAlphabet) -> Iterator[str]:
     and a newline, in one piece per letter, for the payload
     ``[{"id": gid, **context_to_json(letter)}, ...]``.  Each piece is
     read off the letter's certificate, so no letter is built as a
-    `Context`, no payload is held, and json's indented encoder, which
-    is pure Python, does not run.  Letters share edge sets and lists of
-    colour keys (the 471,228 letters of width 4 have 1,024 and 1,263),
-    so each is laid out once."""
+    `Context` and no payload is held.  Letters share edge sets and lists
+    of colour keys (the 471,228 letters of width 4 have 1,024 and
+    1,263), so json's indented encoder, which is pure Python, lays out
+    each once."""
     edge_text: dict[tuple, str] = {}
     key_text: dict[tuple, str] = {}
     sep = "[\n  "
@@ -1105,9 +1059,14 @@ def dump_alphabet(alphabet: GeneratorAlphabet) -> Iterator[str]:
         arity, keys, edges = _decode_certificate(cert)
         keys, edges = tuple(keys), tuple(edges)
         if edges not in edge_text:
-            edge_text[edges] = _edges_json(edges)
+            pairs = sorted(sorted((f"v{a}", f"v{b}")) for a, b in edges)
+            edge_text[edges] = _field_json(pairs)
         if keys not in key_text:
-            key_text[keys] = _keys_json(keys)
+            names = [f"v{i}" for i in range(len(keys))]
+            left, right = (_field_json({str(i): v for i, v in side.items()})
+                           for side in _key_ports(names, keys))
+            key_text[keys] = (f'"left": {left},\n    "right": {right},\n'
+                              f'    "vertices": {_field_json(sorted(names))}')
         # the fields in sorted order, as sort_keys writes them
         yield (
             f'{sep}{{\n    "arity": {arity},\n    "edges": {edge_text[edges]},\n'

@@ -30,7 +30,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations, product
 
 __all__ = [
     "GraphError",
@@ -273,38 +273,22 @@ def _flood(adj, seed: int, alive: int) -> int:
     return reached
 
 
-def _component_ids(g: _Core, removed: frozenset[str]) -> dict[str, int]:
-    """Map each vertex outside `removed` to the id of its component in
-    g minus `removed`, the components numbered in the order of their
-    smallest vertex."""
-    adj = g.adjacency
-    ids: dict[str, int] = {}
-    next_id = 0
-    for start in sorted(g.vertices - removed):
-        if start in ids:
-            continue
-        stack = [start]
-        ids[start] = next_id
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in removed and w not in ids:
-                    ids[w] = next_id
-                    stack.append(w)
-        next_id += 1
-    return ids
-
-
-def _grouped(ids: dict[str, int]) -> tuple[frozenset[str], ...]:
-    """The vertex sets of the components that `ids` labels, in id order."""
-    groups: dict[int, set[str]] = {}
-    for v, i in ids.items():
-        groups.setdefault(i, set()).add(v)
-    return tuple(map(frozenset, groups.values()))
+def _components(g: _Core, removed=()) -> tuple[frozenset[str], ...]:
+    """The vertex sets of the components of g minus the vertices
+    ``removed``, ordered by their smallest vertex name."""
+    at, adj = _numbering(g)
+    alive = (1 << len(at)) - 1 & ~sum({1 << at[v] for v in removed})
+    out = []
+    while alive:
+        comp = _flood(adj, alive & -alive, alive)
+        alive &= ~comp
+        out.append(frozenset(v for v, i in at.items() if comp >> i & 1))
+    return tuple(out)
 
 
 def connected_components(g: PortGraph) -> tuple[frozenset[str], ...]:
     """Components as vertex sets, ordered by their smallest vertex name."""
-    return _grouped(_component_ids(g, frozenset()))
+    return _components(g)
 
 
 def separator_holds(g: PortGraph, x: str, y: str, zs) -> bool:
@@ -410,7 +394,7 @@ def ports_only(g: PortGraph) -> PortGraph | None:
 def nonport_classes(g: PortGraph) -> tuple[frozenset[str], ...]:
     """Group non-port vertices: two are together iff connected in g minus
     ports.  Classes are ordered by their smallest vertex name."""
-    return _grouped(_component_ids(g, frozenset(g.ports)))
+    return _components(g, g.ports)
 
 
 def prime_factors(g: PortGraph) -> tuple[PortGraph, ...]:
@@ -638,6 +622,32 @@ def _port_certificate(adj, ports) -> bytes:
     tri, _ = _small_minimum(adj, pos, (1,) * k + ((n - k,) if n > k else ()))
     keys = "|".join([f"P{i:03d}:" for i in range(k)] + ["v:"] * (n - k))
     return f"g;{n};{k};{keys}#{tri}".encode()
+
+
+def _keyed_certificates(tag: str, arity: int, keys: list[str], triangles: dict) -> list[bytes]:
+    """The certificate of each coloured graph, up to isomorphism, on the
+    n <= 5 vertices whose colour keys, sorted, are ``keys``: the keys,
+    ``#``, and each triangle that `_small_minimum` keeps, least among
+    its images under the orders that permute each colour class.  The
+    triangles depend only on the class sizes; ``triangles`` keeps them."""
+    n = len(keys)
+    sizes = tuple(len(list(run)) for _, run in groupby(keys))
+    if sizes not in triangles:
+        pairs = _SMALL_PAIRS[n]
+        tris = ["".join(bits) for bits in product("01", repeat=len(pairs))]
+        if len(sizes) < n:  # else there is one order, and it keeps them all
+            kept = []
+            for tri in tris:
+                adj = [0] * n
+                for (a, b), bit in zip(pairs, tri):
+                    adj[a] |= int(bit) << b
+                    adj[b] |= int(bit) << a
+                if _small_minimum(adj, range(n), sizes)[0] == tri:
+                    kept.append(tri)
+            tris = kept
+        triangles[sizes] = [tri.encode() for tri in tris]
+    head = f"{tag};{n};{arity};{'|'.join(keys)}#".encode()
+    return [head + tri for tri in triangles[sizes]]
 
 
 @lru_cache(maxsize=None)

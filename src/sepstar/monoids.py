@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .contexts import (
     Context,
@@ -219,46 +221,22 @@ class GreenData:
 
 
 def green_classes(m: FiniteMonoid) -> GreenData:
-    n = m.size
-    right = []
-    left = []
-    for a in range(n):
-        r = 0
-        l_ = 0
-        row = m.table[a]
-        for x in range(n):
-            r |= 1 << row[x]
-            l_ |= 1 << m.table[x][a]
-        right.append(r)
-        left.append(l_)
-    two = []
-    for a in range(n):
-        mask = 0
-        bits = right[a]
-        while bits:
-            b = (bits & -bits).bit_length() - 1
-            mask |= left[b]
-            bits &= bits - 1
-        two.append(mask)
+    n, t = m.size, m.table
+    right = [sum(1 << x for x in set(t[a])) for a in range(n)]
+    left = [sum(1 << x for x in {row[a] for row in t}) for a in range(n)]
+    # MaM is the union of Mb over the b in aM
+    two = [reduce(or_, (left[b] for b in range(n) if right[a] >> b & 1)) for a in range(n)]
 
     def classify(masks):
-        ids = {}
-        out = []
-        for a in range(n):
-            out.append(ids.setdefault(masks[a], len(ids)))
-        return tuple(out)
+        ids: dict = {}
+        return tuple(ids.setdefault(x, len(ids)) for x in masks)
 
-    r_class = classify(right)
-    l_class = classify(left)
-    h_class = classify([(right[a], left[a]) for a in range(n)])
-    j_class = classify(two)
-    idem = frozenset(a for a in range(n) if m.table[a][a] == a)
     return GreenData(
-        r_class,
-        l_class,
-        h_class,
-        j_class,
-        idem,
+        classify(right),
+        classify(left),
+        classify(zip(right, left)),
+        classify(two),
+        frozenset(a for a in range(n) if t[a][a] == a),
         tuple(right),
         tuple(left),
         tuple(two),
@@ -430,21 +408,10 @@ def syntactic_quotient(rec: Recognizer) -> Recognizer:
     smallest possible monoid for this morphism's image and acceptance."""
     m = rec.monoid
     n = m.size
-    acc_mask = 0
-    for a in rec.accepting:
-        acc_mask |= 1 << a
-    behaviour: list[tuple[int, ...]] = []
-    for a in range(n):
-        rows = []
-        for x in range(n):
-            xa = m.table[x][a]
-            bits = 0
-            row = m.table[xa]
-            for y in range(n):
-                if acc_mask >> row[y] & 1:
-                    bits |= 1 << y
-            rows.append(bits)
-        behaviour.append(tuple(rows))
+    # the mask of the y with e*y accepted, for each e, and a's behaviour
+    # is that mask at x*a for each x
+    accepted = [sum(1 << y for y, e in enumerate(row) if e in rec.accepting) for row in m.table]
+    behaviour = [tuple(accepted[row[a]] for row in m.table) for a in range(n)]
     ids: dict[tuple[int, ...], int] = {}
     cls = [ids.setdefault(b, len(ids)) for b in behaviour]
     size = len(ids)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from sepstar.graphs import GraphError, PortGraph
 
@@ -222,6 +222,78 @@ def brute_generators(k: int):
                         seen[cert] = canonical_rename_context(w)
     ordered = sorted(seen.values(), key=lambda w: (len(w.vertices), context_cert(w)))
     return GeneratorAlphabet(k, tuple(context_cert(w) for w in ordered))
+
+
+def _orbits(items, group, act):
+    """One representative per orbit of the permutation ``group`` on
+    ``items``, each with its stabiliser: the first member of an orbit to
+    come up is its representative, and every image of it is marked seen."""
+    seen = set()
+    for x in items:
+        if x not in seen:
+            images = [act(p, x) for p in group]
+            seen.update(images)
+            yield x, [p for p, y in zip(group, images) if y == x]
+
+
+def _edge_image(p, edges):
+    return frozenset((p[a], p[b]) if p[a] < p[b] else (p[b], p[a]) for a, b in edges)
+
+
+def _interface_image(p, sides):
+    return tuple(tuple(None if v is None else p[v] for v in side) for side in sides)
+
+
+def _interface_pairs(k: int, n: int) -> list:
+    """All (left, right) pairs of partial injections from port slots
+    0..k-1 into vertices 0..n-1, None marking an undefined slot, in
+    which no vertex is left port i and right port j for i != j."""
+    sides = []
+    for side in product([None, *range(n)], repeat=k):
+        defined = [v for v in side if v is not None]
+        if len(set(defined)) == len(defined):
+            sides.append(side)
+    return [
+        (left, right)
+        for left in sides
+        for right in sides
+        if all(
+            v is None or v not in right or right[i] == v for i, v in enumerate(left)
+        )
+    ]
+
+
+def reference_generators(k: int):
+    """The width-k generator alphabet, orbit by orbit.  For each n <=
+    k+1 the edge sets on vertices 0..n-1 are split into orbits under all
+    n! relabellings, and each orbit's representative keeps its
+    automorphism group.  For each such graph, the conflict-free pairs of
+    interfaces are split into orbits under that group, and each
+    representative is certified once on its index data.  The reference
+    for `enumerate_generators`, which writes the certificates straight
+    from their canonical forms."""
+    from sepstar.contexts import GeneratorAlphabet, _port_keys
+    from sepstar.graphs import _index_certificate
+
+    certs = []
+    for n in range(1, k + 2):
+        pairs = list(combinations(range(n), 2))
+        edge_sets = (
+            frozenset(e for i, e in enumerate(pairs) if bits >> i & 1)
+            for bits in range(1 << len(pairs))
+        )
+        interfaces = _interface_pairs(k, n)
+        group = list(permutations(range(n)))
+        for edges, automorphisms in _orbits(edge_sets, group, _edge_image):
+            adj = [0] * n
+            for a, b in edges:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            for (lt, rt), _ in _orbits(interfaces, automorphisms, _interface_image):
+                keys = list(_port_keys(range(n), lt, rt).values())
+                certs.append((n, _index_certificate("c", k, adj, keys)))
+    certs.sort()
+    return GeneratorAlphabet(k, tuple(c for _, c in certs))
 
 
 def brute_two_disjoint_paths(ctx) -> bool:

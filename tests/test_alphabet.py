@@ -1,16 +1,20 @@
-"""The generator alphabet: pinned output, the brute-force oracle, and
-the work the orbit-by-orbit generation does."""
+"""The generator alphabet: pinned output, the brute-force and orbit-walk
+references, and the work that writing letters from their canonical
+forms does."""
 
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from sepstar import contexts, graphs
+from sepstar import cli, contexts, graphs
+from sepstar.cli import main
 from sepstar.contexts import (
     Context,
     GeneratorAlphabet,
+    beta,
     build_from_word,
     canonical_rename_context,
     compose_all,
@@ -20,7 +24,12 @@ from sepstar.contexts import (
     enumerate_generators,
 )
 
-from helpers import brute_generators, random_context, reference_canonical_names
+from helpers import (
+    brute_generators,
+    random_context,
+    reference_canonical_names,
+    reference_generators,
+)
 
 # sha256 of the JSON list of letters, recorded from the brute-force
 # enumeration before the orbit-by-orbit one replaced it
@@ -29,6 +38,8 @@ ALPHABET_DIGESTS = {
     2: (219, "353468dcef8462a6e1eca5a37dbd90e9f352db4742e441edf5ff33d679a83684"),
     3: (6939, "f3ab278bd0099bfc748c2bb2226d745aee965d76c7a5d75c9e9d00122fca2196"),
 }
+# sha256 of `sepstar generators --arity 4`, as the CI job pins it
+WIDTH_FOUR_DIGEST = "c8e888352de42e4cf97358a884d89e939f138be6e23b3a74ee0e21c8e77980a2"
 
 
 def _digest(alphabet):
@@ -46,6 +57,16 @@ def test_alphabet_is_pinned(k):
 def test_alphabet_matches_brute_force(k):
     fresh = enumerate_generators.__wrapped__(k)
     assert fresh == brute_generators(k)
+
+
+def test_width_four_listing_is_pinned(capsys, monkeypatch):
+    # a fresh alphabet, so that its 471,228 certificates are freed after
+    monkeypatch.setattr(cli, "enumerate_generators", enumerate_generators.__wrapped__)
+    assert main(["generators", "--arity", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("471228 generators at arity 4\n")
+    assert out.count("\n") == 1 + 471228
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDTH_FOUR_DIGEST
 
 
 def test_canonical_rename_reads_the_certificate():
@@ -66,19 +87,37 @@ def test_canonical_rename_reads_the_certificate():
         assert context_cert(expected) == context_cert(w)
 
 
-def test_width_three_makes_one_canonical_search_per_letter(monkeypatch):
-    calls = []
-    search = graphs._search_canonical
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_alphabet_matches_the_orbit_walk(k):
+    assert enumerate_generators.__wrapped__(k).certs == reference_generators(k).certs
 
-    def counting(*args):
-        calls.append(1)
+
+def test_width_three_writes_canonical_triangles_once_per_class_sizes(monkeypatch):
+    # no letter is searched for its canonical form; the triangles on n
+    # vertices with m >= 2 inner ones are each tested once by the small
+    # minimum, and with m <= 1 each triangle is its own minimum
+    searches, minima = [], []
+    search, minimum = graphs._search_canonical, graphs._small_minimum
+
+    def counting_search(*args):
+        searches.append(args)
         return search(*args)
 
-    monkeypatch.setattr(graphs, "_search_canonical", counting)
-    contexts.context_cert.cache_clear()
-    letters = len(enumerate_generators.__wrapped__(3))
-    assert letters == 6939
-    assert len(calls) == letters
+    def counting_minimum(adj, pos, sizes):
+        minima.append(sizes)
+        return minimum(adj, pos, sizes)
+
+    monkeypatch.setattr(graphs, "_search_canonical", counting_search)
+    monkeypatch.setattr(graphs, "_small_minimum", counting_minimum)
+    alphabet = enumerate_generators.__wrapped__(3)
+    assert len(alphabet) == 6939 and searches == []
+    shapes = set()
+    for cert in alphabet.certs:
+        _, keys, _ = graphs._decode_certificate(cert)
+        shapes.add((len(keys), keys.count("L000R000")))
+    expected = {(n, m): 2 ** (n * (n - 1) // 2) for n, m in shapes if m >= 2}
+    assert len(minima) == sum(expected.values()) == 210
+    assert Counter((sum(sizes), sizes[0]) for sizes in minima) == expected
 
 
 def _counting_builds(monkeypatch):
@@ -113,6 +152,18 @@ def test_letters_are_built_on_demand_and_kept(monkeypatch):
             letters[i]
     assert (len(letters), tuple(letters)) == (219, whole)
     assert letters[7] is g
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_letter_types_are_read_off_certificates(k, monkeypatch):
+    alphabet = enumerate_generators.__wrapped__(k)
+    built = _counting_builds(monkeypatch)
+    types = alphabet.types
+    assert built == []
+    codes = [beta(w)._code for w in alphabet.contexts]
+    assert [types.codes[t] for t in types.letters] == codes
+    # the distinct letter types come first, in the order they are met
+    assert types.codes == list(dict.fromkeys(codes))
 
 
 def test_build_from_word_builds_only_its_letters(monkeypatch):

@@ -140,14 +140,14 @@ def test_arity_is_bounded(tmp_path, capsys):
 
 
 def test_alphabets_above_width_4_exit_2_at_once(tmp_path, capsys, monkeypatch):
-    # width 5 has millions of interface pairs per vertex count, so the
-    # width is refused before a single one is listed
+    # width 5 has letters on six vertices, beyond the small canonical
+    # forms, so the width is refused before a single key set is listed
     from sepstar import contexts
 
     def unreachable(*args):
-        raise AssertionError("interface pairs listed above width 4")
+        raise AssertionError("port key sets listed above width 4")
 
-    monkeypatch.setattr(contexts, "_interface_pairs", unreachable)
+    monkeypatch.setattr(contexts, "_port_key_sets", unreachable, raising=True)
     rec = graph_file(tmp_path, "rec5.json", {
         "monoid": {"table": [[0]], "identity": 0},
         "arity": 5, "gen_map": {}, "accepting": [0],

@@ -420,16 +420,16 @@ def test_generator_alphabet_width_is_bounded(k, monkeypatch):
     from sepstar import contexts
 
     def unreachable(*args):
-        raise AssertionError("interface pairs listed outside widths 1..4")
+        raise AssertionError("port key sets listed outside widths 1..4")
 
-    monkeypatch.setattr(contexts, "_interface_pairs", unreachable)
+    monkeypatch.setattr(contexts, "_port_key_sets", unreachable, raising=True)
     with pytest.raises(ContextError, match=r"arity in 1\.\.4"):
         enumerate_generators(k)
 
 
 def test_alphabet_walk_leaves_the_certificate_cache_alone():
-    # representatives are certified on index data, so the walk puts
-    # nothing into context_cert's process-wide cache
+    # letters are written from their canonical forms, so listing them
+    # puts nothing into context_cert's process-wide cache
     context_cert.cache_clear()
     assert len(enumerate_generators.__wrapped__(3)) == 6939
     assert context_cert.cache_info().currsize == 0
