@@ -820,10 +820,11 @@ class GeneratorAlphabet:
         return self.contexts[idx]
 
     def sizes(self) -> Iterator[tuple[int, int]]:
-        """Each letter's vertex and edge count, read off its certificate."""
+        """Each letter's vertex and edge count, read off its certificate:
+        the count in its header and the ``1``s of its triangle."""
         for cert in self.certs:
-            _, keys, edges = _decode_certificate(cert)
-            yield len(keys), len(edges)
+            head, _, tri = cert.partition(b"#")
+            yield int(head.split(b";", 2)[1]), tri.count(b"1")
 
     def __len__(self) -> int:
         return len(self.certs)
@@ -1051,26 +1052,34 @@ def dump_alphabet(alphabet: GeneratorAlphabet) -> Iterator[str]:
     `Context` and no payload is held.  Letters share edge sets and lists
     of colour keys (the 471,228 letters of width 4 have 1,024 and
     1,263), so json's indented encoder, which is pure Python, lays out
-    each once."""
-    edge_text: dict[tuple, str] = {}
-    key_text: dict[tuple, str] = {}
+    each once.  The texts are keyed by the certificate's two parts: the
+    head before ``#``, which holds the arity and the colour keys, and the
+    triangle after it, which alone fixes the edges (its length C(n, 2)
+    fixes n once n >= 2, and below that it is empty).  So a certificate
+    is decoded only when one of its parts is new."""
+    edge_text: dict[bytes, str] = {}
+    key_text: dict[bytes, tuple[int, str]] = {}
     sep = "[\n  "
     for gid, cert in zip(alphabet.ids, alphabet.certs):
-        arity, keys, edges = _decode_certificate(cert)
-        keys, edges = tuple(keys), tuple(edges)
-        if edges not in edge_text:
-            pairs = sorted(sorted((f"v{a}", f"v{b}")) for a, b in edges)
-            edge_text[edges] = _field_json(pairs)
-        if keys not in key_text:
-            names = [f"v{i}" for i in range(len(keys))]
-            left, right = (_field_json({str(i): v for i, v in side.items()})
-                           for side in _key_ports(names, keys))
-            key_text[keys] = (f'"left": {left},\n    "right": {right},\n'
-                              f'    "vertices": {_field_json(sorted(names))}')
+        head, _, tri = cert.partition(b"#")
+        if head not in key_text or tri not in edge_text:
+            arity, keys, edges = _decode_certificate(cert)
+            if tri not in edge_text:
+                pairs = sorted(sorted((f"v{a}", f"v{b}")) for a, b in edges)
+                edge_text[tri] = _field_json(pairs)
+            if head not in key_text:
+                names = [f"v{i}" for i in range(len(keys))]
+                left, right = (_field_json({str(i): v for i, v in side.items()})
+                               for side in _key_ports(names, keys))
+                key_text[head] = arity, (
+                    f'"left": {left},\n    "right": {right},\n'
+                    f'    "vertices": {_field_json(sorted(names))}'
+                )
+        arity, ports = key_text[head]
         # the fields in sorted order, as sort_keys writes them
         yield (
-            f'{sep}{{\n    "arity": {arity},\n    "edges": {edge_text[edges]},\n'
-            f'    "id": "{gid}",\n    {key_text[keys]}\n  }}'
+            f'{sep}{{\n    "arity": {arity},\n    "edges": {edge_text[tri]},\n'
+            f'    "id": "{gid}",\n    {ports}\n  }}'
         )
         sep = ",\n  "
     yield "\n]\n" if alphabet.certs else "[]\n"

@@ -18,6 +18,7 @@ enough to be alphabet letters or strictly more persistent
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import accumulate, combinations, islice, product
 from typing import NamedTuple
 
@@ -192,7 +193,7 @@ def _neighbourhoods(rows):
     for c in range(1, len(nb)):
         low = c & -c
         nb[c] = nb[c ^ low] | rows[low.bit_length() - 1]
-    return nb
+    return tuple(nb)
 
 
 class _Levels(Sequence):
@@ -203,7 +204,7 @@ class _Levels(Sequence):
 
     def __init__(self, base, levels, size):
         self.base = base
-        self.levels = [level.to_bytes((size + 7) // 8, "little") for level in levels]
+        self.levels = tuple(level.to_bytes((size + 7) // 8, "little") for level in levels)
         self.size = size
 
     def __len__(self):
@@ -234,16 +235,16 @@ class _Levels(Sequence):
 
 
 class _Table(NamedTuple):
-    verts: list[str]  # free vertices (right ports first), then left ports
+    verts: tuple[str, ...]  # free vertices (right ports first), then left ports
     index: dict[str, int]
-    adj: list[int]  # adjacency row per vertex
+    adj: tuple[int, ...]  # adjacency row per vertex
     lmask: int
     rmask: int
-    free: list[str]  # the vertices outside `first`, verts[:len(free)]
+    free: tuple[str, ...]  # the vertices outside `first`, verts[:len(free)]
     limit: int  # smallest largest bag over all orders: the width plus one
     cost: _Levels  # per free subset: cost[m] of the comment above, capped at limit + 1
-    lo: list[int]  # neighbourhood of each subset of the low free half
-    hi: list[int]  # neighbourhood of each subset of the high free half
+    lo: tuple[int, ...]  # neighbourhood of each subset of the low free half
+    hi: tuple[int, ...]  # neighbourhood of each subset of the high free half
 
     def active(self, m):
         """active(m) of the comment above, as a vertex mask."""
@@ -254,11 +255,47 @@ class _Table(NamedTuple):
 
 
 def _pathwidth_table(vertices, edges, first, last) -> _Table:
-    first = frozenset(first)
-    last = frozenset(last)
-    verts = sorted(vertices, key=lambda v: (v in first, v not in last, v))
-    if not first <= set(verts) or not last <= set(verts):
+    """The exact-pathwidth table of the graph on ``vertices`` and
+    ``edges`` with left ports ``first`` and right ports ``last``.  The
+    graph is checked and normalised here, and `_build_table` keeps the
+    last table it built, so the width and then the decomposition of one
+    graph or context share one table."""
+    vertices = frozenset(vertices)
+    first, last = frozenset(first), frozenset(last)
+    if not first <= vertices or not last <= vertices:
         raise DecompositionError("port sets must be subsets of the vertices")
+    return _build_table(vertices, _edge_set(vertices, edges), first, last)
+
+
+def _edge_set(vertices: frozenset, edges) -> frozenset:
+    """The edges as pairs sorted by name.  Raises DecompositionError on
+    an edge that is not a pair, has an endpoint outside ``vertices`` or
+    is a loop."""
+    out = set()
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise DecompositionError(f"edge {e!r} is not a pair of vertices") from None
+        try:
+            known = u in vertices and v in vertices
+        except TypeError:  # an unhashable endpoint is no vertex
+            known = False
+        if not known:
+            raise DecompositionError(f"edge {e!r} has an endpoint outside the vertices")
+        if u == v:
+            raise DecompositionError(f"edge {e!r} is a loop")
+        out.add((u, v) if u < v else (v, u))
+    return frozenset(out)
+
+
+# One entry: a graph's width and then its decomposition, or the two
+# directions of a two-bridge search, are asked for one after another,
+# and more entries save next to no builds.  Every caller shares the
+# table it returns, so no caller writes to it.
+@lru_cache(maxsize=1)
+def _build_table(vertices, edges, first, last) -> _Table:
+    verts = tuple(sorted(vertices, key=lambda v: (v in first, v not in last, v)))
     index = {v: i for i, v in enumerate(verts)}
     adj = [0] * len(verts)
     for u, v in edges:
@@ -322,7 +359,7 @@ def _pathwidth_table(vertices, edges, first, last) -> _Table:
     h = f // 2
     lo = _neighbourhoods(adj[:h])
     hi = _neighbourhoods(adj[h:f])
-    return _Table(verts, index, adj, lmask, rmask, free, limit, cost, lo, hi)
+    return _Table(verts, index, tuple(adj), lmask, rmask, free, limit, cost, lo, hi)
 
 
 def _best_removal(key, m):
@@ -846,9 +883,8 @@ def two_bridge_decompose(w: Context):
     diag: list[str] = []
 
     # each direction's table yields the optimal order that keeps the
-    # slot overlaps shortest; only one table is alive at a time
+    # slot overlaps shortest
     low = _low_overlap_decomposition(w, table)
-    del table
     mirror = Context.build(w.vertices, w.edges, k, w.right_map(), w.left_map())
     table = _pathwidth_table(w.vertices, w.edges, right_set, left_set)
     mirror_low = _low_overlap_decomposition(mirror, table)

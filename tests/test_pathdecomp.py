@@ -374,6 +374,112 @@ def test_exact_search_limit_counts_vertices_outside_the_left_interface():
         pathwidth(verts + sorted(ports), edges, first=ports)
 
 
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        (("a", "c"), "endpoint outside the vertices"),
+        ((["a"], "b"), "endpoint outside the vertices"),
+        (("a", "a"), "is a loop"),
+        (("a", "b", "c"), "is not a pair"),
+        (("a",), "is not a pair"),
+        (7, "is not a pair"),
+    ],
+)
+def test_exact_entry_points_refuse_bad_edges(edge, message):
+    for search in (pathwidth, optimal_decomposition):
+        with pytest.raises(DecompositionError, match=message):
+            search(["a", "b"], [("a", "b"), edge])
+
+
+def test_exact_entry_points_take_any_pair_and_no_graph():
+    # an edge given as a list, or in either order, is the same edge
+    bags = optimal_decomposition("abc", [("a", "b"), ("b", "c")])
+    assert width(bags) == 1
+    for edges in ([["a", "b"], ["b", "c"]], [("b", "a"), ("c", "b"), ("a", "b")]):
+        assert pathwidth("abc", edges) == 1
+        assert optimal_decomposition("abc", edges) == bags
+    assert pathwidth([], []) == -1
+    assert optimal_decomposition([], []) == [frozenset()]
+    with pytest.raises(DecompositionError, match="port sets"):
+        pathwidth("ab", [], first={"c"})
+
+
+def _builds():
+    from sepstar import pathdecomp
+
+    return pathdecomp._build_table.cache_info().misses
+
+
+def test_width_then_decomposition_build_one_table():
+    from sepstar import pathdecomp
+
+    pathdecomp._build_table.cache_clear()
+    g = grid(3, 4)
+    assert graph_pathwidth(g) == 3
+    bags = optimal_decomposition(g.vertices, g.edges)
+    assert width(bags) == 3 and _builds() == 1
+    # the same graph with its edges reversed and reordered is no new graph
+    edges = [(v, u) for u, v in reversed(sorted(g.edges))]
+    assert optimal_decomposition(g.vertices, edges) == bags and _builds() == 1
+
+
+def test_a_context_builds_one_table_per_direction():
+    from sepstar import pathdecomp
+
+    pathdecomp._build_table.cache_clear()
+    w = parallel_wires_context()
+    assert context_pathwidth(w) == 2
+    bags = context_decomposition(w)
+    validate_decomposition(bags, w.vertices, w.edges, *pathdecomp._interfaces(w))
+    _check_factorisation(w, two_bridge_decompose(w))
+    assert _builds() == 2
+
+
+def test_a_changed_graph_builds_a_new_table():
+    from sepstar import pathdecomp
+
+    rng = random.Random(419)
+    verts = [f"v{i}" for i in range(9)]
+    edges = [p for p in combinations(verts, 2) if rng.random() < 0.4]
+    first, last = {"v0", "v1"}, {"v2", "v3"}
+    # one edge fewer, and the interfaces swapped
+    variants = [(edges, first, last), (edges[1:], first, last), (edges, last, first)]
+    pathdecomp._build_table.cache_clear()
+    answers = [
+        (pathwidth(verts, *v), optimal_decomposition(verts, *v)) for v in variants
+    ]
+    assert _builds() == len(variants)
+    for v, answer in zip(variants, answers):
+        pathdecomp._build_table.cache_clear()
+        assert (pathwidth(verts, *v), optimal_decomposition(verts, *v)) == answer
+
+
+def _table_fields(table):
+    """A table as plain data: `_Levels` compares by identity."""
+    cost = table.cost
+    return table._replace(cost=(cost.base, cost.levels, cost.size))
+
+
+def test_readers_leave_the_shared_table_as_built():
+    from sepstar import pathdecomp
+
+    rng = random.Random(420)
+    verts = [f"v{i}" for i in range(10)]
+    edges = [p for p in combinations(verts, 2) if rng.random() < 0.35]
+    w = _graph_as_context(rng, verts, edges, {"v0", "v1", "v2"}, {"v1", "v3", "v4"})
+    args = (w.vertices, w.edges, *pathdecomp._interfaces(w))
+    table = pathdecomp._pathwidth_table(*args)
+    for field in ("verts", "adj", "free", "lo", "hi"):
+        assert isinstance(getattr(table, field), tuple), field
+    assert isinstance(table.cost.levels, tuple)
+    pathdecomp._decomposition(table, table.cost, *args)
+    pathdecomp._low_overlap_decomposition(w, table)
+    assert pathdecomp._pathwidth_table(*args) is table
+    pathdecomp._build_table.cache_clear()
+    fresh = pathdecomp._pathwidth_table(*args)
+    assert fresh is not table and _table_fields(fresh) == _table_fields(table)
+
+
 def test_context_pathwidth_anchors():
     for k in (1, 2, 3):
         assert context_pathwidth(identity_context(k)) == k - 1

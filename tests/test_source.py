@@ -121,27 +121,35 @@ def test_certificate_caches_expose_cache_info():
         assert fn.cache_info().maxsize is None
 
 
-def _unbounded_caches(tree):
-    """The functions decorated with ``lru_cache(maxsize=None)`` or
-    ``cache``."""
+def _caches(tree):
+    """The functions decorated with ``cache`` or ``lru_cache``, each
+    with its ``maxsize``: None for an unbounded cache, 128 (the default)
+    where none is given, and the source text of one that is no
+    constant."""
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for dec in node.decorator_list:
-            if isinstance(dec, ast.Name) and dec.id == "cache":
-                yield node.name
+            if isinstance(dec, ast.Name) and dec.id in ("cache", "lru_cache"):
+                yield node.name, None if dec.id == "cache" else 128
             elif (
                 isinstance(dec, ast.Call)
                 and isinstance(dec.func, ast.Name)
                 and dec.func.id == "lru_cache"
-                and any(
-                    kw.arg == "maxsize"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is None
-                    for kw in dec.keywords
-                )
             ):
-                yield node.name
+                given = [kw.value for kw in dec.keywords if kw.arg == "maxsize"] or dec.args[:1]
+                if not given:
+                    yield node.name, 128
+                elif isinstance(given[0], ast.Constant):
+                    yield node.name, given[0].value
+                else:
+                    yield node.name, ast.unparse(given[0])
+
+
+def _unbounded_caches(tree):
+    """The functions decorated with ``lru_cache(maxsize=None)`` or
+    ``cache``."""
+    return [name for name, size in _caches(tree) if size is None]
 
 
 def test_unbounded_cache_count_is_pinned():
@@ -153,3 +161,16 @@ def test_unbounded_cache_count_is_pinned():
         for name in _unbounded_caches(ast.parse(path.read_text(), str(path)))
     ]
     assert len(found) == 9, found
+
+
+def test_bounded_caches_are_pinned():
+    # a bounded cache still keeps its entries, and hands the same
+    # object to every caller, for the life of the process; adding one
+    # must be a visible edit of this list
+    found = sorted(
+        f"{path.name}:{name}:{size}"
+        for path in SOURCES
+        for name, size in _caches(ast.parse(path.read_text(), str(path)))
+        if size is not None
+    )
+    assert found == ["cli.py:_parser:1", "pathdecomp.py:_build_table:1"], found
