@@ -203,41 +203,58 @@ def compose(u: Context, v: Context) -> Context:
 
 
 def compose_all(contexts) -> Context:
-    """Left fold of compose; needs at least one operand.
+    """Left fold of compose; needs at least one operand, each a Context.
 
-    Each step names the composite so far's vertices z0, z1, ... in
-    sorted order, then the next operand's unglued vertices, in sorted
-    order, by the next names; a glued vertex takes its partner's name.
-    The steps run on plain names, edge lists and interface lists; only
-    the final composite is built, and so validated, as a Context.
+    Each step names the composite so far's vertices z0, z1, ... in the
+    string order of their names so far, then the next operand's
+    unglued vertices, in sorted order, by the next names; a glued
+    vertex takes its partner's name.  The names are computed on integer
+    vertex handles and written once: only the final composite is
+    named, and built, and so validated, as a Context.
     """
     items = list(contexts)
     if not items:
         raise ContextError("cannot compose an empty sequence")
     first = items[0]
-    if len(items) == 1:
-        return first
+    if not isinstance(first, Context):
+        raise ContextError(f"compose operand 1 is not a context: {first!r}")
     k = first.arity
-    vertices, edges, left, right = first.vertices, first.edges, first.left, first.right
-    for w in items[1:]:
+    for pos, w in enumerate(items[1:], 2):
+        if not isinstance(w, Context):
+            raise ContextError(f"compose operand {pos} is not a context: {w!r}")
         if w.arity != k:
             raise ContextError(f"compose needs equal arities, got {k}, {w.arity}")
-        name = {x: f"z{i}" for i, x in enumerate(sorted(vertices))}
-        glued = zip(right, w.left)
-        other = {b: name[a] for a, b in glued if a is not None and b is not None}
-        fresh = sorted(w.vertices.difference(other))
-        other.update({y: f"z{i}" for i, y in enumerate(fresh, len(name))})
-        vertices = {*name.values(), *other.values()}
-        edges = [(name[x], name[y]) for x, y in edges]
-        edges += [(other[x], other[y]) for x, y in w.edges]
-        left = [None if x is None else name[x] for x in left]
-        right = [None if y is None else other[y] for y in w.right]
+    if len(items) == 1:
+        return first
+    # handle h is called z{i} where holder[i] == h; a step after the
+    # first renames by the string order of z0..z{n-1}, which is the
+    # order of 0..n-1 under `str` and moves nothing while n <= 10
+    handle = {x: h for h, x in enumerate(sorted(first.vertices))}
+    n = len(handle)
+    holder = list(range(n))
+    by_name = sorted(range(sum(len(w.vertices) for w in items)), key=str)
+    edges = [(handle[x], handle[y]) for x, y in first.edges]
+    left = [None if x is None else handle[x] for x in first.left]
+    right = [None if y is None else handle[y] for y in first.right]
+    for step, w in enumerate(items[1:]):
+        if step and n > 10:
+            holder = [holder[i] for i in by_name if i < n]
+        handle = {b: a for a, b in zip(right, w.left) if a is not None and b is not None}
+        fresh = sorted(w.vertices.difference(handle))
+        handle.update(zip(fresh, range(n, n + len(fresh))))
+        holder += range(n, n + len(fresh))
+        n += len(fresh)
+        edges += [(handle[x], handle[y]) for x, y in w.edges]
+        right = [None if y is None else handle[y] for y in w.right]
+    name = [""] * n
+    for i, h in enumerate(holder):
+        name[h] = f"z{i}"
     return Context.build(
-        vertices,
-        edges,
+        name,
+        [(name[x], name[y]) for x, y in edges],
         k,
-        {i + 1: x for i, x in enumerate(left) if x is not None},
-        {i + 1: y for i, y in enumerate(right) if y is not None},
+        {i + 1: name[x] for i, x in enumerate(left) if x is not None},
+        {i + 1: name[y] for i, y in enumerate(right) if y is not None},
     )
 
 
@@ -946,8 +963,11 @@ def enumerate_generators(k: int) -> GeneratorAlphabet:
     (`graphs._keyed_certificates`) gives one isomorphism class.  The
     alphabet keeps the certificates, ordered by vertex count, then
     certificate, and builds a letter only when it is asked for.  A
-    width outside 1..4 raises ContextError before anything is listed.
+    width that is not an integer in 1..4 raises ContextError before
+    anything is listed.
     """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ContextError(f"arity must be an integer, got {k!r}")
     if not 1 <= k <= _MAX_ALPHABET_WIDTH:
         raise ContextError(
             f"generator alphabets need arity in 1..{_MAX_ALPHABET_WIDTH}, got {k}"

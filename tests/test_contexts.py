@@ -129,12 +129,34 @@ def test_compose_matches_the_union_find_reference(k):
             once_more = _core(reference_compose(expected, extra))
             assert _core(compose(compose_all(word), extra)) == once_more
             assert _core(compose_all(word + [extra])) == once_more
+    if k == 1:
+        return
+    # long letter-only words reach three-digit names, where "z100" sorts
+    # before "z11" and the string order of the names moves them again
+    largest = 0
+    for _ in range(8):
+        word = [rng.choice(letters) for _ in range(rng.randint(40, 60))]
+        expected = functools.reduce(reference_compose, word)
+        assert _core(compose_all(word)) == _core(expected)
+        largest = max(largest, len(expected.vertices))
+    assert largest > 100
 
 
 def test_compose_all_of_one_operand_is_that_operand():
     w = random_context(random.Random(3), 2, 4)
     assert compose_all([w]) is w
     assert compose_all(iter([w])) is w
+
+
+@pytest.mark.parametrize(
+    "word, pos", [(["w", 5], 2), ([5, "w"], 1), ([5], 1), (["w", "w", None], 3)]
+)
+def test_compose_all_refuses_operands_that_are_not_contexts(word, pos):
+    w = identity_context(2)
+    word = [w if x == "w" else x for x in word]
+    bad = word[pos - 1]
+    with pytest.raises(ContextError, match=rf"operand {pos} is not a context: {bad!r}"):
+        compose_all(word)
 
 
 def test_compose_associative_up_to_isomorphism():
@@ -424,6 +446,18 @@ def test_generator_alphabet_width_is_bounded(k, monkeypatch):
 
     monkeypatch.setattr(contexts, "_port_key_sets", unreachable, raising=True)
     with pytest.raises(ContextError, match=r"arity in 1\.\.4"):
+        enumerate_generators(k)
+
+
+@pytest.mark.parametrize("k", [True, "2", 2.0, None])
+def test_generator_alphabet_width_must_be_an_integer(k, monkeypatch):
+    from sepstar import contexts
+
+    def unreachable(*args):
+        raise AssertionError("port key sets listed for a width that is not an integer")
+
+    monkeypatch.setattr(contexts, "_port_key_sets", unreachable, raising=True)
+    with pytest.raises(ContextError, match="arity must be an integer"):
         enumerate_generators(k)
 
 
