@@ -13,8 +13,8 @@ vertices ("inner" path).  Reachability types compose without looking at
 the underlying graphs, which is what the recognizer machinery in
 `sepstar.monoids` exploits.  Each type is also a small integer code:
 three k-bit masks (left-defined, right-defined, persistent) and one
-2k-bit reach row per reference.  `ReachType` carries its code, so
-equality and hashing are integer work.  Each generator alphabet keeps
+2k-bit reach row per reference.  A `ReachType` is its arity and its
+code, decoded only when a field is read.  Each generator alphabet keeps
 one type graph: its words' types numbered as they are met, and each
 type's product with each letter type composed once, on first use, so
 the closures and searches of `sepstar.monoids` multiply types by
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -324,11 +324,6 @@ def _ref_bit(ref, k: int) -> int:
     return i - 1 if side == "L" else k + i - 1
 
 
-def _reach_bit(k: int, p: PortRef, q: PortRef) -> int:
-    """The bit of an arity-k code that is set when p reaches q."""
-    return 3 * k + 2 * k * _ref_bit(p, k) + _ref_bit(q, k)
-
-
 def _index_mask(indices, k: int, name: str) -> int:
     mask = 0
     for i in indices:
@@ -338,7 +333,7 @@ def _index_mask(indices, k: int, name: str) -> int:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReachType:
     """Interface-level abstraction of a context.
 
@@ -346,29 +341,26 @@ class ReachType:
     path (no intermediate port vertices; length 0 allowed, so every
     persistent index links its own two references), each written
     (smaller, larger).  Reflexive pairs are stored for every defined
-    reference.  A type carries its code, which determines the other
-    fields, so equality and hashing read the arity and the code only.
+    reference.  A type stores only its arity and its code, so equality
+    and hashing are integer work; ``left_defined``, ``right_defined``,
+    ``persistent`` and ``reach`` are decoded from the code when read.
     """
 
     arity: int
-    left_defined: frozenset[int] = field(compare=False)
-    right_defined: frozenset[int] = field(compare=False)
-    persistent: frozenset[int] = field(compare=False)
-    reach: frozenset[tuple[PortRef, PortRef]] = field(compare=False)
-    _code: int = field(init=False, repr=False)
+    _code: int
 
-    def __post_init__(self):
-        k = self.arity
+    def __init__(self, arity, left_defined, right_defined, persistent, reach):
+        k = arity
         if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= _MAX_ARITY:
             raise ContextError(f"arity must be an integer in 0..{_MAX_ARITY}, got {k!r}")
-        left = _index_mask(self.left_defined, k, "left-defined")
-        right = _index_mask(self.right_defined, k, "right-defined")
-        pers = _index_mask(self.persistent, k, "persistent")
+        left = _index_mask(left_defined, k, "left-defined")
+        right = _index_mask(right_defined, k, "right-defined")
+        pers = _index_mask(persistent, k, "persistent")
         if pers & ~(left & right):
             raise ContextError("persistent indices must be defined on both sides")
         defined = left | right << k
         rows = [0] * (2 * k)
-        for pair in self.reach:
+        for pair in reach:
             try:
                 p, q = pair
             except (TypeError, ValueError):
@@ -390,39 +382,48 @@ class ReachType:
         for i in range(k):
             if pers >> i & 1 and not rows[i] >> k + i & 1:
                 raise ContextError(f"persistent index {i + 1} lacks its L-R pair")
-        object.__setattr__(self, "_code", code)
+        # frozen: the fields go straight into the instance dictionary
+        vars(self).update(arity=k, _code=code)
 
     @classmethod
     def _of_code(cls, k: int, code: int) -> "ReachType":
-        """The type an arity-k code stands for, unchecked: codes come from
+        """The type of an arity-k code, unchecked: codes come from
         `beta`, a checked type or a composition of those."""
-        ones = range(1, k + 1)
-        refs = [("L", i) for i in ones] + [("R", i) for i in ones]
+        rt = object.__new__(cls)
+        vars(rt).update(arity=k, _code=code)
+        return rt
+
+    def _indices(self, which: int) -> frozenset[int]:
+        """The indices set in one of the code's k-bit masks: 0 for the
+        left-defined, 1 the right-defined and 2 the persistent ones."""
+        k = self.arity
+        bits = self._code >> which * k
+        return frozenset([i for i in range(1, k + 1) if bits >> i - 1 & 1])
+
+    left_defined = property(lambda self: self._indices(0))
+    right_defined = property(lambda self: self._indices(1))
+    persistent = property(lambda self: self._indices(2))
+
+    @property
+    def reach(self) -> frozenset[tuple[PortRef, PortRef]]:
+        k = self.arity
+        refs = [("L", i) for i in range(1, k + 1)] + [("R", i) for i in range(1, k + 1)]
         row_mask = (1 << 2 * k) - 1
         pairs = []
         for a, p in enumerate(refs):
-            bits = (code >> 3 * k + 2 * k * a & row_mask) >> a << a
+            bits = (self._code >> 3 * k + 2 * k * a & row_mask) >> a << a
             while bits:
                 low = bits & -bits
                 bits ^= low
                 pairs.append((p, refs[low.bit_length() - 1]))
-        rt = object.__new__(cls)
-        # frozen: the fields go straight into the instance dictionary
-        vars(rt).update(
-            arity=k,
-            left_defined=frozenset([i for i in ones if code >> i - 1 & 1]),
-            right_defined=frozenset([i for i in ones if code >> k + i - 1 & 1]),
-            persistent=frozenset([i for i in ones if code >> 2 * k + i - 1 & 1]),
-            reach=frozenset(pairs),
-            _code=code,
-        )
-        return rt
+        return frozenset(pairs)
 
 
 def reaches(rt: ReachType, p: PortRef, q: PortRef) -> bool:
     """Whether p and q are linked by an inner path; an undefined
     reference reaches nothing, and a malformed one raises ContextError."""
-    return bool(rt._code >> _reach_bit(rt.arity, p, q) & 1)
+    k = rt.arity
+    return bool(rt._code >> 3 * k + 2 * k * _ref_bit(p, k) + _ref_bit(q, k) & 1)
 
 
 def beta(w: Context) -> ReachType:
@@ -865,14 +866,14 @@ class _TypeGraph:
     its letter types (Froidure & Pin, 1997), filled on first use.
 
     Types are numbered in the order they are met: ``codes[t]`` is the
-    code of type t, and ``letters[i]`` the type of letter i.  The
-    distinct letter types come first, as types 0..generators-1, so a
-    letter type is also a column.  ``right[t][g]`` is the type of t times
-    letter type g: -1 until `step` first composes it, and a row is None
-    until its type is first multiplied, so a search touches only the
-    types it reaches.  Each later type t was first met as
-    ``parent[t - generators]``, a (type, letter type) pair, which spells
-    a word for it."""
+    code of type t, `reach_type` its `ReachType`, and ``letters[i]`` the
+    type of letter i.  The distinct letter types come first, as types
+    0..generators-1, so a letter type is also a column.  ``right[t][g]``
+    is the type of t times letter type g: -1 until `step` first
+    composes it, and a row is None until its type is first multiplied,
+    so a search touches only the types it reaches.  Whether a type is
+    idempotent takes one composition of its code with itself, made on
+    first use."""
 
     def __init__(self, alphabet: GeneratorAlphabet):
         self.arity = alphabet.arity
@@ -881,14 +882,17 @@ class _TypeGraph:
         self.letters = tuple(self._number(_cert_code(c)) for c in alphabet.certs)
         self.generators = len(self.codes)
         self.right: list[list[int] | None] = [None] * self.generators
-        self.parent: list[tuple[int, int]] = []
-        self._idempotent: list[bool | None] = [None] * self.generators
+        self._idempotent: dict[int, bool] = {}
 
     def _number(self, code: int) -> int:
         t = self._index.setdefault(code, len(self.codes))
         if t == len(self.codes):
             self.codes.append(code)
         return t
+
+    def reach_type(self, t: int) -> ReachType:
+        """The reachability type numbered t."""
+        return ReachType._of_code(self.arity, self.codes[t])
 
     def step(self, t: int, g: int) -> int:
         """The type of type t times letter type g, composed only the
@@ -898,27 +902,17 @@ class _TypeGraph:
             row = self.right[t] = [-1] * self.generators
         u = row[g]
         if u < 0:
-            new = len(self.codes)
             u = row[g] = self._number(_reach_compose(self.codes[t], self.codes[g], self.arity))
-            if u == new:
+            if u == len(self.right):  # a new type
                 self.right.append(None)
-                self.parent.append((t, g))
-                self._idempotent.append(None)
         return u
 
     def idempotent(self, t: int) -> bool:
-        """Whether t times t is t, found by walking t's word from t."""
-        flag = self._idempotent[t]
+        """Whether t times t is t."""
+        flag = self._idempotent.get(t)
         if flag is None:
-            word = []
-            first = t
-            while first >= self.generators:
-                first, g = self.parent[first - self.generators]
-                word.append(g)
-            x = self.step(t, first)
-            for g in reversed(word):
-                x = self.step(x, g)
-            flag = self._idempotent[t] = x == t
+            code = self.codes[t]
+            flag = self._idempotent[t] = _reach_compose(code, code, self.arity) == code
         return flag
 
     def record(self, types, table) -> None:
@@ -951,9 +945,15 @@ def _port_key_sets(k: int) -> list[list[str]]:
 def enumerate_generators(k: int) -> GeneratorAlphabet:
     """The width-k generator alphabet.
 
-    Every context of pathwidth at most k factors into these (at most
-    k+1 vertices each); conversely any product of them has pathwidth at
-    most k.
+    A letter has at most k+1 vertices, so words compose to pathwidth at
+    most k.  A context with a vertex is a word's composite, up to
+    isomorphism, exactly when it has a path decomposition into bags of
+    at most k+1 vertices whose boundaries (neighbouring bags, and the
+    end bags with their interfaces) give each vertex on them one index
+    in 1..k: distinct within a boundary, kept along the vertex's bags,
+    its own at a port.  Pathwidth k is not enough: `crossing_context()`
+    has pathwidth 2, but its wires swap indices, so no width-2 word
+    composes to it.
 
     Each letter's certificate is written from its canonical form, so
     no context is certified, built or compared.  A letter on n <= k+1

@@ -24,13 +24,15 @@ and its finished table fills the graph.  The lazy searches (the
 decision procedure over (element, type) pairs, shortest words) run
 ``_closure``, one breadth-first search over every generator, so that
 their words stay shortest over the whole alphabet; the decision
-procedure multiplies types through the same graph.
+procedure multiplies types through the same graph, and tests a type's
+idempotence by one composition with itself.  Types are read only
+through the type API of `sepstar.contexts`, never as codes.
 
 `certify_non_star_free` complements the decision procedure on the
 semantic side: it pumps a context with idempotent reachability type
 and watches an oracle alternate.  Every oracle is a morphism into a
-finite type plus a predicate on types (the reachability type's code
-for ``reach``, the linkage type of `sepstar.contexts` for
+finite type plus a predicate on types (the reachability type for
+``reach``, the linkage type of `sepstar.contexts` for
 ``two-disjoint-paths``), so the powers are pumped on types: no power
 is built as a context, and the pumping stops at the first repeated
 type, so its cost does not grow with the number of powers asked for.
@@ -47,8 +49,6 @@ from .contexts import (
     Context,
     LinkageType,
     ReachType,
-    _reach_bit,
-    _reach_compose,
     beta,
     beta_compose,
     build_from_word,
@@ -459,9 +459,8 @@ def reach_type_recognizer(k: int) -> Recognizer:
     )
     graph.record(list(position), monoid.table)
     gen_map = {gid: position[t] for gid, t in zip(alphabet.ids, graph.letters)}
-    linked = 1 << _reach_bit(k, ("L", 1), ("R", 1))
     accepting = frozenset(
-        i for t, i in position.items() if t is not None and graph.codes[t] & linked
+        i for t, i in position.items() if t is not None and _reach_holds(graph.reach_type(t))
     )
     return Recognizer.build(monoid, k, gen_map, accepting)
 
@@ -512,7 +511,8 @@ def decide_aperiodic_mod_reachability(rec: Recognizer) -> Verdict:
     a genuinely shortest word.  Types are numbers in the alphabet's type
     graph: a type times a letter is one entry of the graph, composed the
     first time any search at this width asks for it and looked up after
-    that, and a type's code is decoded only to re-check a witness."""
+    that.  A type number becomes a `ReachType` only to re-check a
+    witness."""
     k = rec.arity
     alphabet = enumerate_generators(k)
     gm = rec.gen_dict()
@@ -545,16 +545,15 @@ def decide_aperiodic_mod_reachability(rec: Recognizer) -> Verdict:
         if not is_aperiodic_element(m, el) and graph.idempotent(t):
             # every letter pair counts as explored before the first is tested
             explored = max(len(words), len(letters))
-            return _violation_verdict(rec, words[pair], (el, graph.codes[t]), explored)
+            return _violation_verdict(rec, words[pair], (el, graph.reach_type(t)), explored)
     return Verdict(True, rec.arity, None, None, len(words))
 
 
-def _violation_verdict(rec, word, pair, explored) -> Verdict:
-    """The verdict for a witness word of the (element, type code) pair,
+def _violation_verdict(rec, word, pair: tuple[int, ReachType], explored) -> Verdict:
+    """The verdict for a witness word of the (element, type) pair,
     re-checked on the concrete semantics.  A failed re-check is a fault
     of the search, not of its input, so it raises RuntimeError."""
-    el, code = pair
-    rt = ReachType._of_code(rec.arity, code)
+    el, rt = pair
     if beta(build_from_word(rec.arity, word)) != rt:
         raise RuntimeError("witness type mismatch")
     if recognizer_image(rec, word) != el:
@@ -611,9 +610,14 @@ def _path_component(pattern, start: int) -> set[int]:
     return comp
 
 
+def _reach_holds(rt: ReachType) -> bool:
+    """Left port 1 linked to right port 1 by an inner path."""
+    return reaches(rt, ("L", 1), ("R", 1))
+
+
 def oracle_inner_reach(ctx: Context) -> bool:
     """Left port 1 linked to right port 1 by an inner path."""
-    return reaches(beta(ctx), ("L", 1), ("R", 1))
+    return _reach_holds(beta(ctx))
 
 
 def oracle_two_disjoint_paths(ctx: Context) -> bool:
@@ -623,15 +627,10 @@ def oracle_two_disjoint_paths(ctx: Context) -> bool:
 
 
 def _reach_oracle(k: int):
-    """`oracle_inner_reach` on the codes of arity-k reachability types."""
+    """`oracle_inner_reach` on arity-k reachability types."""
     if k < 1:
         raise MonoidError("the reach oracle needs arity at least 1")
-    linked = 1 << _reach_bit(k, ("L", 1), ("R", 1))
-    return (
-        lambda w: beta(w)._code,
-        lambda a, b: _reach_compose(a, b, k),
-        lambda code: bool(code & linked),
-    )
+    return beta, beta_compose, _reach_holds
 
 
 # Each oracle is a predicate on a finite type that composes like the
@@ -675,8 +674,8 @@ def certify_non_star_free(
         raise MonoidError(
             f"max_power must be at least 5, got {max_power}"
         )
-    code = beta(w)._code
-    if _reach_compose(code, code, w.arity) != code:
+    rt = beta(w)
+    if beta_compose(rt, rt) != rt:
         raise MonoidError("the pumped context must have idempotent reachability type")
     if x is not None and x.arity != w.arity:
         raise MonoidError("left dressing has wrong arity")

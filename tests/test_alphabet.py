@@ -20,9 +20,11 @@ from sepstar.contexts import (
     compose_all,
     context_cert,
     context_to_json,
+    crossing_context,
     dump_alphabet,
     enumerate_generators,
 )
+from sepstar.pathdecomp import context_pathwidth
 
 from helpers import (
     brute_generators,
@@ -164,6 +166,21 @@ def test_letter_types_are_read_off_certificates(k, monkeypatch):
     assert [types.codes[t] for t in types.letters] == codes
     # the distinct letter types come first, in the order they are met
     assert types.codes == list(dict.fromkeys(codes))
+
+
+def test_pathwidth_2_does_not_make_a_width_2_word():
+    # a word keeps each port on its index, and the crossing swaps its
+    # two wires, which takes a third index
+    crossing = crossing_context()
+    assert context_pathwidth(crossing) == 2
+    graph = enumerate_generators.__wrapped__(2).types
+    t = 0
+    while t < len(graph.codes):  # every type of a word, as it is met
+        for g in range(graph.generators):
+            graph.step(t, g)
+        t += 1
+    assert len(graph.codes) == 126
+    assert beta(crossing) not in {graph.reach_type(t) for t in range(126)}
 
 
 def test_build_from_word_builds_only_its_letters(monkeypatch):

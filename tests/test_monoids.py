@@ -551,6 +551,18 @@ def test_reach_oracle():
     assert not oracle_inner_reach(gap)
 
 
+def test_width_3_types_alone_count_mod_2():
+    # a swap made with the spare third slot: its type t has t^3 = t but
+    # t^2 != t, so the L1-R1 language of width-3 words is not aperiodic
+    swap = ["g504", "g590", "g632"]
+    t = beta(build_from_word(3, swap))
+    square = beta_compose(t, t)
+    assert square != t and beta_compose(square, t) == t
+    for m in range(1, 10):
+        w = build_from_word(3, ["g47"] + swap * m + ["g37"])
+        assert reaches(beta(w), ("L", 1), ("R", 1)) == (m % 2 == 0), m
+
+
 def test_certify_hub_alternates():
     cert = certify_non_star_free(hub_context(), "two-disjoint-paths", max_power=8)
     assert isinstance(cert, Certificate)

@@ -174,3 +174,26 @@ def test_bounded_caches_are_pinned():
         if size is not None
     )
     assert found == ["cli.py:_parser:1", "pathdecomp.py:_build_table:1"], found
+
+
+def test_only_contexts_knows_the_type_code():
+    # the code layout of a reachability type is one decision: other
+    # modules read types through beta, beta_compose, reaches and the
+    # type graph
+    found = []
+    for path in SOURCES:
+        if path.name == "contexts.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "_code":
+                found.append(f"{path.name}:{node.lineno} reads ._code")
+            elif isinstance(node, ast.ImportFrom) and (
+                (node.level == 1 and node.module == "contexts")
+                or (node.level == 0 and node.module == "sepstar.contexts")
+            ):
+                found += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert SOURCES and not found, found
