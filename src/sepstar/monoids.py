@@ -57,7 +57,7 @@ from .contexts import (
     linkage_type,
     reaches,
 )
-from .graphs import MONOID_SHAPE, RECOGNIZER_SHAPE, _conform, _read_json
+from .graphs import MONOID_SHAPE, RECOGNIZER_SHAPE, _conform, _flood, _read_json
 
 __all__ = [
     "MonoidError",
@@ -587,27 +587,19 @@ def _two_paths_hold(t: LinkageType) -> bool:
         raise MonoidError("the disjoint-paths oracle needs arity at least 2")
     if t.masks & 3 != 3 or t.masks >> k & 3 != 3:
         raise MonoidError("ports 1 and 2 must be defined on both sides")
-    # the positions naming left ports 1, 2 and right ports 1, 2
-    s1, s2 = 0, 1
+    # left ports 1, 2 are positions 0, 1 (masks 1, 2) and t1, t2 name
+    # right ports 1, 2; a flood over a pattern's pairs is one of its paths
     t1, t2 = (i if t.masks >> 2 * k + i & 1 else k + i for i in (0, 1))
+    every = (1 << 2 * k) - 1
     for pattern in t.patterns:
-        one = _path_component(pattern, s1)
-        if t1 in one and s2 not in one and t2 in _path_component(pattern, s2):
+        adj = [0] * (2 * k)
+        for p, q in pattern:
+            adj[p] |= 1 << q
+            adj[q] |= 1 << p
+        one = _flood(adj, 1, every)
+        if one >> t1 & 1 and not one & 2 and _flood(adj, 2, every) >> t2 & 1:
             return True
     return False
-
-
-def _path_component(pattern, start: int) -> set[int]:
-    """The positions on the path component of ``start`` in a linkage
-    pattern, grown over the pattern's pairs until it stops growing."""
-    comp = {start}
-    size = 0
-    while size != len(comp):
-        size = len(comp)
-        for p, q in pattern:
-            if p in comp or q in comp:
-                comp.update((p, q))
-    return comp
 
 
 def _reach_holds(rt: ReachType) -> bool:

@@ -75,18 +75,15 @@ def width(bags) -> int:
 
 
 def normalize(bags) -> list[frozenset]:
-    """Drop bags that are subsets of a neighbouring bag, repeatedly."""
-    out = [frozenset(b) for b in bags]
-    changed = True
-    while changed and len(out) > 1:
-        changed = False
-        for i, bag in enumerate(out):
-            prev_ok = i > 0 and bag <= out[i - 1]
-            next_ok = i + 1 < len(out) and bag <= out[i + 1]
-            if prev_ok or next_ok:
-                del out[i]
-                changed = True
-                break
+    """Drop bags that are subsets of a neighbouring bag, repeatedly.  One
+    pass from the left has the same result: a bag inside the last kept
+    bag is skipped, and kept bags inside the new one are dropped."""
+    out = []
+    for bag in map(frozenset, bags):
+        if not out or not bag <= out[-1]:
+            while out and out[-1] <= bag:
+                out.pop()
+            out.append(bag)
     return out
 
 
@@ -558,7 +555,7 @@ def blocks_of(instructions, kind):
 # pinned points; bag size at a lattice point is a sum of independent
 # prefix contributions.  The first pass finds the smallest achievable
 # maximum bag size, the second minimises the number of class blocks
-# subject to that bound.
+# subject to that bound and reads its path off back-pointers.
 
 
 def _gap_minimax(i0, j0, i1, j1, cost):
@@ -579,66 +576,54 @@ def _gap_minimax(i0, j0, i1, j1, cost):
 
 
 def _gap_min_blocks(i0, j0, i1, j1, cost, bound):
-    # state: (i, j, last step class); None last = gap not started
-    INF = float("inf")
-    table = {(i0, j0, None): 0}
+    # state: (i, j, last step class); None last = gap not started.  A
+    # state under the bound pushes its block count to the next two (those
+    # past the gap are never read), and each keeps the least count pushed
+    # with the state that pushed it: on a tie the one of its own class,
+    # whose run goes on, else the first, in the order X, Y, None
+    UNSEEN = (float("inf"),)
+    table = {(i0, j0, None): (0, None)}
     for i in range(i0, i1 + 1):
         for j in range(j0, j1 + 1):
             if cost(i, j) > bound:
-                for last in ("X", "Y", None):
-                    table.pop((i, j, last), None)
                 continue
             for last in ("X", "Y", None):
-                cur = table.get((i, j, last), INF)
-                if cur is INF:
+                here = (i, j, last)
+                if here not in table:
                     continue
-                if i < i1:
-                    step = cur + (0 if last == "X" else 1)
-                    key = (i + 1, j, "X")
-                    if step < table.get(key, INF):
-                        table[key] = step
-                if j < j1:
-                    step = cur + (0 if last == "Y" else 1)
-                    key = (i, j + 1, "Y")
-                    if step < table.get(key, INF):
-                        table[key] = step
+                blocks = table[here][0]
+                step, key = blocks + (last != "X"), (i + 1, j, "X")
+                held = table.get(key, UNSEEN)[0]
+                if step < held or step == held and last == "X":
+                    table[key] = step, here
+                step, key = blocks + (last != "Y"), (i, j + 1, "Y")
+                held = table.get(key, UNSEEN)[0]
+                if step < held or step == held and last == "Y":
+                    table[key] = step, here
     finals = {
-        last: table[(i1, j1, last)]
+        last: table[i1, j1, last][0]
         for last in ("X", "Y", None)
         if (i1, j1, last) in table
     }
-    if not finals:
+    if not finals or cost(i1, j1) > bound:
         raise DecompositionError("no path satisfies the width bound")
-    best_last = min(finals, key=lambda c: (finals[c], c is None, c))
-    # walk back deterministically: prefer ending the current run
-    path = []
-    i, j, last = i1, j1, best_last
-    blocks = finals[best_last]
-    while (i, j) != (i0, j0):
-        if last == "X":
-            prev_candidates = [("X", 0), ("Y", 1), (None, 1)]
-            pi, pj = i - 1, j
-        else:
-            prev_candidates = [("Y", 0), ("X", 1), (None, 1)]
-            pi, pj = i, j - 1
-        for prev_last, delta in prev_candidates:
-            if table.get((pi, pj, prev_last), INF) == blocks - delta:
-                path.append(last)
-                i, j, last = pi, pj, prev_last
-                blocks -= delta
-                break
-        else:
-            raise DecompositionError("block reconstruction lost the table trail")
-    path.reverse()
-    return finals[best_last], path
+    last = min(finals, key=lambda c: (finals[c], c is None, c))
+    path, state = [], (i1, j1, last)
+    while state[2]:
+        path.append(state[2])
+        state = table[state][1]
+    return finals[last], path[::-1]
 
 
 def dealternate(instructions, kind, first=frozenset()):
     """Reorder X-instructions against Y-instructions (other classes
     pinned) so that the maximum bag size is as small as possible and,
     subject to that, the instructions form as few X/Y blocks as
-    possible.  The result never has a larger maximum bag than the
-    input sequence."""
+    possible.  Of those reorderings it returns the one that ends each
+    stretch between pinned instructions with an X-instruction when it
+    can and, read from that end, makes each block as long as it can.
+    The result never has a larger maximum bag than the input
+    sequence."""
     instructions = list(instructions)
     for op, v in instructions:
         if v not in kind:
@@ -721,13 +706,8 @@ def _try_factorisation(w, instructions, cuts, diag):
     # every factor must be small or carry a persistence witness
     spans = []
     for a, b in zip(bounds, bounds[1:]):
-        verts = set(alive[a]) | set(alive[b])
-        for op, v in instructions[a:b]:
-            verts.add(v)
-        witness = {
-            v for v in alive[a] & alive[b] if v not in pers_verts
-        }
-        if len(verts) > k + 1 and not witness:
+        verts = alive[a] | alive[b] | {v for _, v in instructions[a:b]}
+        if len(verts) > k + 1 and not (alive[a] & alive[b]) - pers_verts:
             diag.append(
                 f"segment {a}..{b} has {len(verts)} vertices and no spanning vertex"
             )
@@ -740,9 +720,7 @@ def _try_factorisation(w, instructions, cuts, diag):
         for v in alive[c]:
             lo, hi = runs.get(v, (ci, ci))
             runs[v] = (min(lo, ci), max(hi, ci))
-    forced = {}
-    for i, v in left_map.items():
-        forced[v] = i
+    forced = {v: i for i, v in left_map.items()}
     for i, v in right_map.items():
         if v in forced and forced[v] != i:
             diag.append(f"vertex {v!r} is forced to two different slots")
@@ -791,15 +769,14 @@ def _try_factorisation(w, instructions, cuts, diag):
         diag.append("no slot assignment fits the cuts")
         return None
 
-    # edges go to the first factor whose span sees both endpoints alive
-    positions = {}
-    for t in range(m + 1):
-        for e in w.edges:
-            if e in positions:
-                continue
-            u, v = e
-            if u in alive[t] and v in alive[t]:
-                positions[e] = t
+    # edges go to the first factor whose span sees both endpoints alive.
+    # Each vertex is alive on one unbroken stretch, and an edge's
+    # endpoints share an alive set (the bags were valid, and `dealternate`
+    # moves no bridge vertex against its neighbours), so the first shared
+    # one is the later of the endpoints' first ones, which `born` holds:
+    # read from the end, each vertex's earliest index is written last
+    born = {v: t for t in range(m, -1, -1) for v in alive[t]}
+    positions = {(u, v): max(born[u], born[v]) for u, v in w.edges}
     factors = []
     for idx, (a, b) in enumerate(zip(bounds, bounds[1:])):
         edges = {e for e, t in positions.items() if a < t <= b or (idx == 0 and t == 0)}

@@ -538,6 +538,84 @@ def reference_validate_decomposition(bags, vertices, edges, first, last):
         raise DecompositionError("right ports must be in the last bag")
 
 
+def reference_normalize(bags) -> list[frozenset]:
+    """`normalize` by repeated removal: drop the first bag that is a
+    subset of a neighbouring bag, and start the scan again."""
+    out = [frozenset(b) for b in bags]
+    changed = True
+    while changed and len(out) > 1:
+        changed = False
+        for i, bag in enumerate(out):
+            prev_ok = i > 0 and bag <= out[i - 1]
+            next_ok = i + 1 < len(out) and bag <= out[i + 1]
+            if prev_ok or next_ok:
+                del out[i]
+                changed = True
+                break
+    return out
+
+
+def reference_gap_min_blocks(i0, j0, i1, j1, cost, bound):
+    """`pathdecomp._gap_min_blocks` as a forward table of least block
+    counts and a walk back through it: from each state it steps to the
+    predecessor that continues the same class, else the other class,
+    else the gap's start, whose count matches.  Returns the same
+    (blocks, path) and raises the same `DecompositionError`."""
+    from sepstar.pathdecomp import DecompositionError
+
+    # state: (i, j, last step class); None last = gap not started
+    INF = float("inf")
+    table = {(i0, j0, None): 0}
+    for i in range(i0, i1 + 1):
+        for j in range(j0, j1 + 1):
+            if cost(i, j) > bound:
+                for last in ("X", "Y", None):
+                    table.pop((i, j, last), None)
+                continue
+            for last in ("X", "Y", None):
+                cur = table.get((i, j, last), INF)
+                if cur is INF:
+                    continue
+                if i < i1:
+                    step = cur + (0 if last == "X" else 1)
+                    key = (i + 1, j, "X")
+                    if step < table.get(key, INF):
+                        table[key] = step
+                if j < j1:
+                    step = cur + (0 if last == "Y" else 1)
+                    key = (i, j + 1, "Y")
+                    if step < table.get(key, INF):
+                        table[key] = step
+    finals = {
+        last: table[(i1, j1, last)]
+        for last in ("X", "Y", None)
+        if (i1, j1, last) in table
+    }
+    if not finals:
+        raise DecompositionError("no path satisfies the width bound")
+    best_last = min(finals, key=lambda c: (finals[c], c is None, c))
+    path = []
+    i, j, last = i1, j1, best_last
+    blocks = finals[best_last]
+    while (i, j) != (i0, j0):
+        if last == "X":
+            prev_candidates = [("X", 0), ("Y", 1), (None, 1)]
+            pi, pj = i - 1, j
+        else:
+            prev_candidates = [("Y", 0), ("X", 1), (None, 1)]
+            pi, pj = i, j - 1
+        for prev_last, delta in prev_candidates:
+            if table.get((pi, pj, prev_last), INF) == blocks - delta:
+                path.append(last)
+                i, j, last = pi, pj, prev_last
+                blocks -= delta
+                break
+        else:
+            raise DecompositionError("block reconstruction lost the table trail")
+    path.reverse()
+    return finals[best_last], path
+
+
 def reference_compose(u, v):
     """`compose` as a union-find over the operands' tagged vertices,
     building and validating each composite: the reference for the

@@ -48,7 +48,9 @@ from helpers import (
     path_graph,
     random_context,
     reference_decomposition,
+    reference_gap_min_blocks,
     reference_low_overlap_parent,
+    reference_normalize,
     reference_pathwidth_table,
     reference_validate_decomposition,
     star_graph,
@@ -716,6 +718,45 @@ def test_dealternate_matches_exhaustive_search():
         )
         assert len(blocks_of(out, kind)) == best_blocks
         assert _max_alive(first, out) <= _max_alive(first, ins)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DecompositionError as exc:
+        return str(exc)
+
+
+def test_gap_min_blocks_matches_the_reference():
+    # random gaps, empty ones included, whose random costs and bounds
+    # leave about half of them without a path under the bound
+    from sepstar.pathdecomp import _gap_min_blocks
+
+    rng = random.Random(416)
+    infeasible = 0
+    for _ in range(1500):
+        i0, j0 = rng.randint(0, 3), rng.randint(0, 3)
+        i1, j1 = i0 + rng.randint(0, 5), j0 + rng.randint(0, 5)
+        costs = {
+            (i, j): rng.randint(0, 4)
+            for i in range(i0, i1 + 1)
+            for j in range(j0, j1 + 1)
+        }
+        gap = (i0, j0, i1, j1, lambda i, j: costs[i, j], rng.randint(1, 4))
+        want = _outcome(reference_gap_min_blocks, *gap)
+        assert _outcome(_gap_min_blocks, *gap) == want
+        infeasible += want == "no path satisfies the width bound"
+    assert 300 < infeasible < 1200
+
+
+def test_normalize_matches_the_reference():
+    rng = random.Random(417)
+    for _ in range(3000):
+        bags = [
+            {v for v in "abcd" if rng.random() < 0.5}
+            for _ in range(rng.randint(0, 10))
+        ]
+        assert normalize(bags) == reference_normalize(bags)
 
 
 def _check_factorisation(w, factors):
