@@ -284,7 +284,7 @@ def _cmd_dealternate(args) -> int:
             "split must cover exactly the non-port vertices; "
             f"difference: {sorted((xs | ys) ^ nonports)}"
         )
-    for u, v in w.edges:
+    for u, v in sorted(w.edges):
         if (u in xs and v in ys) or (u in ys and v in xs):
             raise DecompositionError(f"edge {u}-{v} crosses the split")
     kind = {v: "X" if v in xs else "Y" if v in ys else "P" for v in w.vertices}

@@ -105,7 +105,10 @@ _MAX_ALPHABET_WIDTH = 4
 
 @dataclass(frozen=True)
 class Context(_Core):
-    """Immutable context; build instances with :meth:`Context.build`.
+    """Immutable context; build instances with :meth:`Context.build`,
+    which validates its input.  ``_make`` is internal: it builds
+    unchecked, and the library calls it only for products of valid
+    parts.
 
     ``left`` and ``right`` have one entry per port index (0-based
     internally, 1-based in all user-facing syntax); ``None`` marks an
@@ -150,7 +153,26 @@ class Context(_Core):
                     raise ContextError(
                         f"vertex {v!r} is left port {i + 1} and right port {j + 1}"
                     )
-        return Context(vs, es, lt, rt)
+        return Context._make(vs, es, lt, rt)
+
+    @staticmethod
+    def _make(vertices, edges, left, right) -> "Context":
+        """The context on the frozensets ``vertices`` and ``edges``
+        (normalised pairs) with the arity-long interface tuples ``left``
+        and ``right``, unchecked."""
+        return Context(vertices, edges, left, right)
+
+    @cached_property
+    def _indexed(self) -> tuple[dict[str, int], tuple[int, ...], tuple, tuple, list]:
+        """This context on numbers, made once per object: its numbering
+        by `graphs._numbering` (each name's number in sorted-name order,
+        and each number's adjacency mask), then the left and the right
+        interface as a number or None per index, and the edges as pairs
+        of numbers.  `compose_all` and `beta` read it."""
+        at, adj = _numbering(self)
+        left, right = (tuple([None if v is None else at[v] for v in side])
+                       for side in (self.left, self.right))
+        return at, adj, left, right, [(at[x], at[y]) for x, y in self.edges]
 
     @property
     def arity(self) -> int:
@@ -208,9 +230,12 @@ def compose_all(contexts) -> Context:
     Each step names the composite so far's vertices z0, z1, ... in the
     string order of their names so far, then the next operand's
     unglued vertices, in sorted order, by the next names; a glued
-    vertex takes its partner's name.  The names are computed on integer
-    vertex handles and written once: only the final composite is
-    named, and built, and so validated, as a Context.
+    vertex takes its partner's name.  The fold reads each operand's
+    cached numbering, in which sorted-name order is index order, and
+    computes the names on integer vertex handles; only the final
+    composite is named, and built unchecked, since composing valid
+    operands keeps the interfaces injective and a vertex that is left
+    port i and right port j has i == j.
     """
     items = list(contexts)
     if not items:
@@ -229,32 +254,41 @@ def compose_all(contexts) -> Context:
     # handle h is called z{i} where holder[i] == h; a step after the
     # first renames by the string order of z0..z{n-1}, which is the
     # order of 0..n-1 under `str` and moves nothing while n <= 10
-    handle = {x: h for h, x in enumerate(sorted(first.vertices))}
-    n = len(handle)
+    _, adj, left, right, edges = first._indexed
+    n = len(adj)
     holder = list(range(n))
-    by_name = sorted(range(sum(len(w.vertices) for w in items)), key=str)
-    edges = [(handle[x], handle[y]) for x, y in first.edges]
-    left = [None if x is None else handle[x] for x in first.left]
-    right = [None if y is None else handle[y] for y in first.right]
+    edges = list(edges)
+    by_name = None
     for step, w in enumerate(items[1:]):
         if step and n > 10:
+            if by_name is None:
+                by_name = sorted(range(sum(len(x.vertices) for x in items)), key=str)
             holder = [holder[i] for i in by_name if i < n]
-        handle = {b: a for a, b in zip(right, w.left) if a is not None and b is not None}
-        fresh = sorted(w.vertices.difference(handle))
-        handle.update(zip(fresh, range(n, n + len(fresh))))
-        holder += range(n, n + len(fresh))
-        n += len(fresh)
-        edges += [(handle[x], handle[y]) for x, y in w.edges]
-        right = [None if y is None else handle[y] for y in w.right]
+        _, adj, w_left, w_right, w_edges = w._indexed
+        # the operand's vertex i is glued to handle[i]; the fresh ones,
+        # in index order, are in sorted-name order and get the next handles
+        handle = [None] * len(adj)
+        for a, b in zip(right, w_left):
+            if a is not None and b is not None:
+                handle[b] = a
+        for i, h in enumerate(handle):
+            if h is None:
+                handle[i] = n
+                holder.append(n)
+                n += 1
+        edges += [(handle[x], handle[y]) for x, y in w_edges]
+        right = [None if y is None else handle[y] for y in w_right]
     name = [""] * n
     for i, h in enumerate(holder):
         name[h] = f"z{i}"
-    return Context.build(
-        name,
-        [(name[x], name[y]) for x, y in edges],
-        k,
-        {i + 1: name[x] for i, x in enumerate(left) if x is not None},
-        {i + 1: name[y] for i, y in enumerate(right) if y is not None},
+    # by induction over the steps, valid operands keep each interface
+    # injective and each vertex on one index of both interfaces
+    return Context._make(
+        frozenset(name),
+        frozenset([(name[x], name[y]) if name[x] < name[y] else (name[y], name[x])
+                   for x, y in edges]),
+        tuple([None if x is None else name[x] for x in left]),
+        tuple([None if y is None else name[y] for y in right]),
     )
 
 
@@ -428,8 +462,7 @@ def reaches(rt: ReachType, p: PortRef, q: PortRef) -> bool:
 
 def beta(w: Context) -> ReachType:
     """The reachability type of a concrete context."""
-    at, adj = _numbering(w)
-    left, right = ([None if v is None else at[v] for v in side] for side in (w.left, w.right))
+    _, adj, left, right, _ = w._indexed
     return ReachType._of_code(w.arity, _type_code(adj, left, right))
 
 
@@ -748,8 +781,15 @@ def _context_from_cert(cert: bytes) -> Context:
     arity, keys, edges = _decode_certificate(cert)
     names = [f"v{i}" for i in range(len(keys))]
     left, right = _key_ports(names, keys)
-    edges = [(names[a], names[b]) for a, b in edges]
-    return Context.build(names, edges, arity, left, right)
+    # a certificate comes from a valid context or from the alphabet's
+    # distinct port keys, so it describes a valid one
+    return Context._make(
+        frozenset(names),
+        frozenset((x, y) if x < y else (y, x)
+                  for x, y in ((names[a], names[b]) for a, b in edges)),
+        tuple(left.get(i) for i in range(1, arity + 1)),
+        tuple(right.get(i) for i in range(1, arity + 1)),
+    )
 
 
 def _key_ports(names, keys) -> tuple[dict[int, str], dict[int, str]]:

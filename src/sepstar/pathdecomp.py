@@ -862,7 +862,8 @@ def two_bridge_decompose(w: Context):
     # each direction's table yields the optimal order that keeps the
     # slot overlaps shortest
     low = _low_overlap_decomposition(w, table)
-    mirror = Context.build(w.vertices, w.edges, k, w.right_map(), w.left_map())
+    # swapping the interfaces of a valid context keeps it valid
+    mirror = Context._make(w.vertices, w.edges, w.right, w.left)
     table = _pathwidth_table(w.vertices, w.edges, right_set, left_set)
     mirror_low = _low_overlap_decomposition(mirror, table)
 

@@ -1,6 +1,7 @@
 """Exit codes, output shapes, and error handling of the command line."""
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -520,6 +521,38 @@ def test_dealternate_rejects_bad_splits(tmp_path, capsys):
     split = write(tmp_path, "split.json", json.dumps({"x": ["x1"], "y": ["y1"]}))
     code, _, err = run(capsys, ["dealternate", dec2, ctx2, "--split", split])
     assert code == 2 and "crosses the split" in err
+
+
+def test_dealternate_names_the_least_crossing_edge_under_any_hash_seed(tmp_path):
+    # four crossing edges: the message names the least, whatever order
+    # the edge set iterates in (on CPython 3.11, these two seeds start
+    # that order at p2-q2 and at p4-q4)
+    pairs = [(f"p{i}", f"q{i}") for i in range(4, 0, -1)]
+    w = Context.build(
+        ["a", "b"] + [v for pair in pairs for v in pair],
+        [e for x, y in pairs for e in (("a", x), (x, y), (y, "b"))],
+        1,
+        {1: "a"},
+        {1: "b"},
+    )
+    ctx = write(tmp_path, "w.json", dump_context(w))
+    dec = write(tmp_path, "dec.json", json.dumps({"bags": [["a", "b", *p] for p in pairs]}))
+    split = write(tmp_path, "split.json", json.dumps(
+        {"x": [x for x, _ in pairs], "y": [y for _, y in pairs]}
+    ))
+    src = str(Path(main.__code__.co_filename).resolve().parents[1])
+    errs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepstar.cli", "dealternate", dec, ctx, "--split", split],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert "edge p1-q1 crosses the split" in errs[0]
 
 
 GOOD_BAGS = {"bags": [["a", "x", "b"], ["a", "y", "b"]]}

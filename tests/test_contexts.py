@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from sepstar import contexts
 from sepstar.contexts import (
     Context,
     ContextError,
@@ -34,6 +35,7 @@ from sepstar.contexts import (
     persistent_ports,
     reaches,
 )
+from sepstar.graphs import _numbering
 
 from helpers import (
     brute_linkage_patterns,
@@ -140,6 +142,50 @@ def test_compose_matches_the_union_find_reference(k):
         assert _core(compose_all(word)) == _core(expected)
         largest = max(largest, len(expected.vertices))
     assert largest > 100
+
+
+def test_cached_numbering_is_the_graph_numbering_past_100_vertices():
+    # sorted-name order, not handle order: "z100" sorts before "z11"
+    letters = enumerate_generators(2).contexts
+    rng = random.Random(11)
+    w = compose_all([rng.choice(letters) for _ in range(60)])
+    assert len(w.vertices) > 100
+    assert w._indexed[:2] == _numbering(w)
+    at, adj, left, right, edges = w._indexed
+    assert at["z100"] < at["z11"]
+    names = sorted(w.vertices)
+    assert len(adj) == len(names)
+    assert tuple(None if i is None else names[i] for i in left) == w.left
+    assert tuple(None if i is None else names[i] for i in right) == w.right
+    assert {(names[x], names[y]) for x, y in edges} == w.edges
+
+
+def test_a_context_is_numbered_once_however_often_it_is_used(monkeypatch):
+    numbered = []
+    fresh = contexts._numbering
+    monkeypatch.setattr(contexts, "_numbering", lambda g: numbered.append(g) or fresh(g))
+    # copies, so that no letter of the alphabet is numbered yet
+    cross, hub = (_ctx(w.vertices, w.edges, 2, w.left_map(), w.right_map())
+                  for w in (crossing_context(), hub_context()))
+    u = compose_all([hub, cross] * 10)
+    v = compose_all([cross, cross, hub] * 5)
+    uv = compose(u, v)
+    assert beta(uv) == beta_compose(beta(u), beta(v))
+    assert beta(cross) == beta(cross)
+    for w in (cross, hub, u, v, uv):
+        assert sum(x is w for x in numbered) == 1
+    assert len(numbered) == 5
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_beta_of_a_word_matches_beta_of_a_built_copy(k):
+    alphabet = enumerate_generators(k)
+    rng = random.Random(20 + k)
+    for _ in range(40):
+        w = build_from_word(k, [rng.choice(alphabet.ids) for _ in range(rng.randint(1, 14))])
+        compose(w, w)  # numbers w before beta reads it
+        copy = _ctx(w.vertices, w.edges, k, w.left_map(), w.right_map())
+        assert beta(w) == beta(copy)
 
 
 def test_compose_all_of_one_operand_is_that_operand():

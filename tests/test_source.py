@@ -197,3 +197,41 @@ def test_only_contexts_knows_the_type_code():
                     if alias.name.startswith("_")
                 ]
     assert SOURCES and not found, found
+
+
+def _callers(tree, callee):
+    """The enclosing function or method of each call of ``callee``, a
+    name called bare or as an attribute."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call) and callee in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_unchecked_contexts_come_from_named_producers():
+    # `Context.build` validates and `_make` does not, so each producer
+    # that calls `_make` must make valid contexts from valid parts;
+    # adding one must be a visible edit of this list
+    made, unchecked = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        made |= {(path.name, where) for where in _callers(tree, "Context")}
+        unchecked |= {(path.name, where) for where in _callers(tree, "_make")}
+    assert made == {("contexts.py", "Context._make")}
+    assert unchecked == {
+        ("contexts.py", "Context.build"),
+        ("contexts.py", "compose_all"),
+        ("contexts.py", "_context_from_cert"),
+        ("pathdecomp.py", "two_bridge_decompose"),
+    }
