@@ -866,15 +866,27 @@ class GeneratorAlphabet:
     def ids(self) -> tuple[str, ...]:
         return tuple(f"g{i}" for i in range(len(self.certs)))
 
+    @cached_property
+    def _accepted(self) -> dict[str, int]:
+        """The letter index of each id `by_id` has accepted, so an id is
+        parsed once; only ids in use are held, not a width-4 table."""
+        return {}
+
     def by_id(self, gid: str) -> Context:
         """The letter with id ``gid``, exactly as `ids` writes it: no
         sign, leading zero, space or non-ASCII digit."""
         try:
-            idx = int(gid[1:])
-        except (TypeError, ValueError):
-            idx = -1
-        if not 0 <= idx < len(self.certs) or gid != f"g{idx}":
-            raise ContextError(f"unknown generator id {gid!r}")
+            idx = self._accepted.get(gid)
+        except TypeError:  # unhashable, so not an id
+            idx = None
+        if idx is None:
+            try:
+                idx = int(gid[1:])
+            except (TypeError, ValueError):
+                idx = -1
+            if not 0 <= idx < len(self.certs) or gid != f"g{idx}":
+                raise ContextError(f"unknown generator id {gid!r}")
+            self._accepted[gid] = idx
         return self.contexts[idx]
 
     def sizes(self) -> Iterator[tuple[int, int]]:

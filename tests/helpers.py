@@ -731,6 +731,33 @@ def reference_beta_compose(r1, r2):
     )
 
 
+def reference_right_cayley(identity, candidates, mul):
+    """`monoids._right_cayley` composing every product: ``mul`` runs
+    once per (element, kept generator).  Returns the same (position,
+    kept, steps, right)."""
+    position = {identity: 0}
+    elements = [identity]
+    kept: list = []
+    steps: list[tuple[int, int]] = []
+    right: list[list[int]] = [[]]
+    for c in candidates:
+        if c in position:
+            continue
+        kept.append(c)
+        # the loop also visits the rows that it appends
+        for a, row in enumerate(right):
+            x = elements[a]
+            for j in range(len(row), len(kept)):
+                b = mul(x, kept[j])
+                if b not in position:
+                    position[b] = len(elements)
+                    elements.append(b)
+                    steps.append((a, j))
+                    right.append([])
+                row.append(position[b])
+    return position, kept, steps, right
+
+
 def reference_alternation_start(values):
     """The threshold search `certify_non_star_free` used to run: the
     least m0 whose tail values[m0 - 1:] strictly alternates."""

@@ -13,6 +13,7 @@ from sepstar import cli, contexts, graphs
 from sepstar.cli import main
 from sepstar.contexts import (
     Context,
+    ContextError,
     GeneratorAlphabet,
     beta,
     build_from_word,
@@ -154,6 +155,22 @@ def test_letters_are_built_on_demand_and_kept(monkeypatch):
             letters[i]
     assert (len(letters), tuple(letters)) == (219, whole)
     assert letters[7] is g
+
+
+def test_by_id_parses_each_id_once_and_rejects_non_ids(monkeypatch, capsys):
+    alphabet = enumerate_generators.__wrapped__(2)
+    for bad in ("g-1", "g03", "g\u0663", "g219", "x7", "g", "", " g7", "g7 ",
+                7, None, b"g7", ["g7"], {"g": 7}):
+        with pytest.raises(ContextError, match="unknown generator id"):
+            alphabet.by_id(bad)
+    assert alphabet._accepted == {}
+    g = alphabet.by_id("g7")
+    assert alphabet.by_id("g7") is g is alphabet.contexts[7]
+    assert alphabet._accepted == {"g7": 7}
+    # listing an alphabet looks no id up
+    monkeypatch.setattr(GeneratorAlphabet, "by_id", None)
+    assert main(["generators", "--arity", "2"]) == 0
+    assert capsys.readouterr().out.startswith("219 generators at arity 2\n")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -57,6 +57,7 @@ from helpers import (
     brute_two_disjoint_paths,
     classify_infix_classes,
     reference_alternation_start,
+    reference_right_cayley,
 )
 
 Z2 = FiniteMonoid.build([[0, 1], [1, 0]], 0)
@@ -354,13 +355,82 @@ def test_reach_type_recognizer_composes_once_per_element_and_generator(
     calls = count_compositions(monkeypatch)
     rec = reach_type_recognizer(2)
     assert rec.monoid.size == 127
-    # 126 non-identity elements times the 30 letter types kept of 77;
-    # all 77 took 9,702 calls and composing every pair 44,892
-    assert len(calls) == 126 * 30
+    # of the 126 * 30 products of a non-identity element by one of the
+    # 30 letter types kept of 77, the closure deduces 2,830 from the
+    # graph and composes 950 (test_right_cayley_matches_the_reference_on_letter_types
+    # pins the 3,780 of composing them all); all 77 took 9,702 calls
+    # and composing every pair 44,892
+    assert len(calls) == 950
     # the recognizer writes its table into the type graph
     calls.clear()
     assert decide_aperiodic_mod_reachability(rec).aperiodic
     assert calls == []
+
+
+def counting(mul):
+    """``mul`` and a list that grows by one per call of it."""
+    calls = []
+
+    def counted(a, g):
+        calls.append(1)
+        return mul(a, g)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("k, composed, every", [(1, 25, 30), (2, 950, 3780)])
+def test_right_cayley_matches_the_reference_on_letter_types(k, composed, every):
+    # the closure `reach_type_recognizer` runs, on plain type codes;
+    # the identity row multiplies nothing
+    codes = [contexts._cert_code(c) for c in enumerate_generators(k).certs]
+
+    def mul(a, g):
+        return g if a is None else contexts._reach_compose(a, g, k)
+
+    deduced, calls = counting(mul)
+    reference, reference_calls = counting(mul)
+    graph = monoids._right_cayley(None, codes, deduced)
+    assert graph == reference_right_cayley(None, codes, reference)
+    kept = len(graph[1])
+    assert (len(calls) - kept, len(reference_calls) - kept) == (composed, every)
+    assert every == (len(graph[0]) - 1) * kept
+
+
+def compose_transformations(f, g):
+    return tuple(g[q] for q in f)
+
+
+def test_right_cayley_matches_the_reference_on_random_transition_monoids():
+    rng = random.Random(29)
+    deduced_any = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        letters = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        identity = tuple(range(n))
+        mul, calls = counting(compose_transformations)
+        graph = monoids._right_cayley(identity, letters, mul)
+        assert graph == reference_right_cayley(identity, letters, compose_transformations)
+        position, kept, _, _ = graph
+        deduced_any += len(calls) < len(position) * len(kept)
+    assert deduced_any > 100
+
+
+def test_right_cayley_matches_the_reference_on_a_3000_element_cyclic_monoid():
+    # one permutation with cycles of 8, 3 and 125 states generates a
+    # cyclic group of order 3,000; a reset to state 0 adds the 8
+    # constant maps onto its 8-cycle
+    n = 136
+    cycle = tuple([(q + 1) % 8 for q in range(8)]
+                  + [8 + (q + 1) % 3 for q in range(3)]
+                  + [11 + (q + 1) % 125 for q in range(125)])
+    for letters in ([cycle], [cycle, (0,) * n]):
+        identity = tuple(range(n))
+        graph = monoids._right_cayley(identity, letters, compose_transformations)
+        assert graph == reference_right_cayley(identity, letters, compose_transformations)
+        assert len(graph[0]) == 3000 + 8 * (len(letters) - 1)
+    m, gen_map = transition_monoid(n, {"a": cycle, "b": (0,) * n})
+    assert m.size == 3008
+    assert m.power(gen_map["a"], 3000) == m.identity != m.power(gen_map["a"], 1500)
 
 
 def test_decide_composes_each_type_and_letter_once(monkeypatch, fresh_alphabets):
