@@ -16,15 +16,15 @@ three k-bit masks (left-defined, right-defined, persistent) and one
 2k-bit reach row per reference.  A `ReachType` is its arity and its
 code, decoded only when a field is read.  Each generator alphabet keeps
 one type graph: its words' types numbered as they are met, and each
-type's product with each letter type composed once, on first use, so
-the closures and searches of `sepstar.monoids` multiply types by
-lookup.  The linkage type is the finer abstraction behind the
-disjoint-paths oracle: every linear forest over the port vertices
-whose edges are inner paths with disjoint interiors.  It carries the
-same three masks and names each port vertex by a reference position,
-the numbering of the code's rows.  Both types compose by one gluing,
-`_gluing`, which reads the operands' masks and moves every reference
-onto the node of its class in `compose`.
+product of two types composed once, the first time it is asked for, and
+stored with its left factor, so the closures and searches of
+`sepstar.monoids` multiply types by lookup.  The linkage type is the
+finer abstraction behind the disjoint-paths oracle: every linear forest
+over the port vertices whose edges are inner paths with disjoint
+interiors.  It carries the same three masks and names each port vertex
+by a reference position, the numbering of the code's rows.  Both types
+compose by one gluing, `_gluing`, which reads the operands' masks and
+moves every reference onto the node of its class in `compose`.
 
 A context is a vertex/edge core plus two interface tuples, so it runs
 on the graph core of `sepstar.graphs`: the same validation, core class
@@ -859,7 +859,7 @@ class GeneratorAlphabet:
     @cached_property
     def types(self) -> "_TypeGraph":
         """The reachability types of this alphabet's words, with their
-        products by letters filled in as they are first asked for."""
+        products filled in as they are first asked for."""
         return _TypeGraph(self)
 
     @cached_property
@@ -914,70 +914,61 @@ def _cert_code(cert: bytes) -> int:
 
 
 class _TypeGraph:
-    """The right Cayley graph of an alphabet's reachability types over
-    its letter types (Froidure & Pin, 1997), filled on first use.
+    """The Cayley graph of an alphabet's reachability types (Froidure &
+    Pin, 1997), filled on first use.
 
     Types are numbered in the order they are met: ``codes[t]`` is the
     code of type t, `reach_type` its `ReachType`, and ``letters[i]`` the
     type of letter i.  The distinct letter types come first, as types
-    0..generators-1, so a letter type is also a column.  ``right[t][g]``
-    is the type of t times letter type g: -1 until `step` first
-    composes it, and a row is None until its type is first multiplied,
-    so a search touches only the types it reaches.  Whether a type is
-    idempotent takes one composition of its code with itself, made on
-    first use."""
+    0..generators-1.  ``products[t]`` maps a type u to the type of t
+    times u, holding only the products `step` has composed or `record`
+    has written, so a search touches only the types it reaches."""
 
     def __init__(self, alphabet: GeneratorAlphabet):
         self.arity = alphabet.arity
         self.codes: list[int] = []
+        self.products: list[dict[int, int]] = []
         self._index: dict[int, int] = {}
         self.letters = tuple(self._number(_cert_code(c)) for c in alphabet.certs)
         self.generators = len(self.codes)
-        self.right: list[list[int] | None] = [None] * self.generators
-        self._idempotent: dict[int, bool] = {}
 
     def _number(self, code: int) -> int:
         t = self._index.setdefault(code, len(self.codes))
         if t == len(self.codes):
             self.codes.append(code)
+            self.products.append({})
         return t
 
     def reach_type(self, t: int) -> ReachType:
         """The reachability type numbered t."""
         return ReachType._of_code(self.arity, self.codes[t])
 
-    def step(self, t: int, g: int) -> int:
-        """The type of type t times letter type g, composed only the
-        first time it is asked for."""
-        row = self.right[t]
-        if row is None:
-            row = self.right[t] = [-1] * self.generators
-        u = row[g]
-        if u < 0:
-            u = row[g] = self._number(_reach_compose(self.codes[t], self.codes[g], self.arity))
-            if u == len(self.right):  # a new type
-                self.right.append(None)
-        return u
+    def step(self, t: int, u: int) -> int:
+        """The type of type t times type u, composed only the first time
+        it is asked for."""
+        known = self.products[t]
+        v = known.get(u)
+        if v is None:
+            v = known[u] = self._number(_reach_compose(self.codes[t], self.codes[u], self.arity))
+        return v
 
     def idempotent(self, t: int) -> bool:
         """Whether t times t is t."""
-        flag = self._idempotent.get(t)
-        if flag is None:
-            code = self.codes[t]
-            flag = self._idempotent[t] = _reach_compose(code, code, self.arity) == code
-        return flag
+        return self.step(t, t) == t
 
     def record(self, types, table) -> None:
-        """Fill every row from a whole multiplication table: ``types[e]``
-        is the type of element e, or None for an adjoined identity, and
-        ``table[a][b]`` the element of a times b."""
+        """Store each type's products by the letter types, and its square,
+        from a whole multiplication table: ``types[e]`` is the type of
+        element e, or None for an adjoined identity, and ``table[a][b]``
+        the element of a times b."""
         element = {t: e for e, t in enumerate(types)}
-        columns = [element[g] for g in range(self.generators)]
+        columns = [(g, element[g]) for g in range(self.generators)]
         for e, t in enumerate(types):
             if t is not None:
                 row = table[e]
-                self.right[t] = [types[row[c]] for c in columns]
-                self._idempotent[t] = row[e] == e
+                known = self.products[t]
+                known.update((g, types[row[c]]) for g, c in columns)
+                known[t] = types[row[e]]
 
 
 def _port_key_sets(k: int) -> list[list[str]]:
