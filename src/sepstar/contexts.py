@@ -929,6 +929,7 @@ class _TypeGraph:
         self.codes: list[int] = []
         self.products: list[dict[int, int]] = []
         self._index: dict[int, int] = {}
+        self.recognizer = None  # set by `monoids.reach_type_recognizer`
         self.letters = tuple(self._number(_cert_code(c)) for c in alphabet.certs)
         self.generators = len(self.codes)
 

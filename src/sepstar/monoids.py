@@ -516,12 +516,14 @@ def reach_type_recognizer(k: int) -> Recognizer:
     alphabet's type graph, over the letter types that earlier ones do not
     already generate (30 of the 77 at width 2).  Types are composed only
     for the products of an element by a kept type that the closure
-    cannot deduce (950 of the 3,780 at width 2), and only on the first
-    build at a width.  The finished table is then written into every row
-    of the graph, so a later `decide_aperiodic_mod_reachability` at this
-    width composes nothing.  Accepting: types linking left 1 to right 1."""
+    cannot deduce (950 of the 3,780 at width 2), once per width: the
+    graph keeps the recognizer.  The finished table is written into every
+    row of the graph, so a later `decide_aperiodic_mod_reachability` at
+    this width composes nothing.  Accepting: types linking left 1 to right 1."""
     alphabet = enumerate_generators(k)
     graph = alphabet.types
+    if graph.recognizer is not None:
+        return graph.recognizer
     # None stands for the adjoined identity
     position, monoid = _cayley_monoid(
         None,
@@ -533,7 +535,8 @@ def reach_type_recognizer(k: int) -> Recognizer:
     accepting = frozenset(
         i for t, i in position.items() if t is not None and _reach_holds(graph.reach_type(t))
     )
-    return Recognizer.build(monoid, k, gen_map, accepting)
+    graph.recognizer = Recognizer.build(monoid, k, gen_map, accepting)
+    return graph.recognizer
 
 
 def parity_recognizer(k: int, odd_ids) -> Recognizer:

@@ -10,12 +10,12 @@ width operations lifted to languages:
 * ``perm[..](e)``           - port reordering.
 
 Membership `member(g, e)` is decidable because every operation can be
-inverted on a concrete graph: a fuse can only arise by splitting the
-classes of non-port vertices and the port-port edges between the two
-operands, and there are finitely many such splits.  The inversion runs
-on index data (adjacency bitmasks and port indices), so no operand is
-built as a `PortGraph`; each is looked up by its canonical certificate,
-the same bytes `canonical_cert` gives, in the memo of each node.
+inverted on a concrete graph: a fuse splits the classes of non-port
+vertices between the operands, finitely many ways, and each operand
+takes a set of port-port edges, the two sets covering all of them.  The
+inversion runs on index data (adjacency bitmasks and port indices), so
+no operand is built as a `PortGraph`; each is looked up by its canonical
+certificate, the same bytes `canonical_cert` gives, in each node's memo.
 
 `compile_formula` translates separator-logic formulas (without label
 atoms) into equivalent expressions, so satisfaction of a formula can be
@@ -226,12 +226,12 @@ def expr_arity(e: Expr) -> int:
 #
 # Membership runs on index data: a graph is ``(adj, ports)``, the
 # adjacency bitmask of each vertex 0..n-1 and the port vertices in port
-# order.  Inverting an operation only moves masks and indices, and every
-# operand is certified on that data.  The certificate is the one
-# `canonical_cert` gives an isomorphic PortGraph, so node memos and the
-# certificates of finite literals agree.  Renumbering keeps the vertices
-# in index order, so the operands come in the order of their vertex
-# names in the input.
+# order.  Inverting an operation only moves masks and indices (a fuse's
+# sets of port-port edges are bitmasks too), and every operand is
+# certified on that data.  The certificate is the one `canonical_cert`
+# gives an isomorphic PortGraph, so node memos and the certificates of
+# finite literals agree.  Renumbering keeps the vertices in index order,
+# so the operands come in the order of their vertex names in the input.
 
 
 @lru_cache(maxsize=None)
@@ -251,14 +251,16 @@ def _induced(adj: tuple[int, ...], ports: tuple[int, ...], keep: int):
     return sub, tuple(new[p] for p in ports)
 
 
-def _fuse_splits(adj: tuple[int, ...], ports: tuple[int, ...]):
-    """All ways to present the graph as fuse(h1, h2), up to isomorphism.
+def _fuse_holds(adj: tuple[int, ...], ports: tuple[int, ...], a: Expr, b: Expr) -> bool:
+    """Whether the graph is fuse(h1, h2) for some h1 in ``a`` and h2 in ``b``.
 
     The classes of non-port vertices (the components of the graph minus
-    its ports) must be distributed between the operands and every
-    port-port edge assigned to the left, the right, or both.  Classes
-    whose prime factors are isomorphic are interchangeable, so only the
-    multiplicity of each factor shape on the left matters.
+    its ports) are distributed between the operands; classes whose prime
+    factors are isomorphic are interchangeable, so only the multiplicity
+    of each factor shape on the left matters.  Rather than send each of
+    the m port-port edges left, right or both (3^m ways), a split holds
+    when s | t is every edge for a mask s of edges that puts the left
+    operand in ``a`` and a mask t that puts the right one in ``b``.
     """
     pmask = sum(1 << p for p in ports)
     groups: dict[bytes, list[int]] = {}
@@ -273,31 +275,40 @@ def _fuse_splits(adj: tuple[int, ...], ports: tuple[int, ...]):
     at = {p: i for i, p in enumerate(ports)}
     edges = sorted((u, w) for u in ports for w in ports if u < w and adj[u] >> w & 1)
     port_edges = [(at[u], at[w]) for u, w in edges]
-    base = tuple(a & ~pmask if pmask >> v & 1 else a for v, a in enumerate(adj))
+    full = (1 << len(port_edges)) - 1
+    base = tuple(row & ~pmask if pmask >> v & 1 else row for v, row in enumerate(adj))
 
-    def with_edges(operand, sides, other):
-        """The operand plus the port-port edges not on the ``other``
-        side only."""
-        sub, sub_ports = operand
-        out = list(sub)
-        for (i, j), side in zip(port_edges, sides):
-            if side != other:
-                out[sub_ports[i]] |= 1 << sub_ports[j]
-                out[sub_ports[j]] |= 1 << sub_ports[i]
-        return tuple(out), sub_ports
+    def holding(keep: int, e: Expr) -> list[int]:
+        """The masks s for which the operand on the vertices of ``keep``
+        plus the port-port edges in s is in e."""
+        sub, sub_ports = _induced(base, ports, keep)
+        found = []
+        for s in range(full + 1):
+            out = list(sub)
+            for bit, (i, j) in enumerate(port_edges):
+                if s >> bit & 1:
+                    out[sub_ports[i]] |= 1 << sub_ports[j]
+                    out[sub_ports[j]] |= 1 << sub_ports[i]
+            if _holds(tuple(out), sub_ports, e):
+                found.append(s)
+        return found
 
     for takes in product(*(range(len(gr) + 1) for gr in ordered)):
         left = [c for gr, t in zip(ordered, takes) for c in gr[:t]]
         right = [c for gr, t in zip(ordered, takes) for c in gr[t:]]
         if not (ports or left) or not (ports or right):
             continue  # an operand would be the empty graph
-        lhs = _induced(base, ports, pmask | sum(left))
-        rhs = _induced(base, ports, pmask | sum(right))
-        # side 0 is the left only, 1 the right only, 2 both; the first
-        # port-port edge's side varies fastest
-        for sides in product((0, 1, 2), repeat=len(port_edges)):
-            sides = sides[::-1]
-            yield with_edges(lhs, sides, 1), with_edges(rhs, sides, 0)
+        lhs = holding(pmask | sum(left), a)
+        if not lhs:
+            continue
+        # B closed downwards edge by edge (a zeta transform, O(m 2^m)):
+        # s | t == full for some t in B iff full ^ s lies below one
+        below = set(holding(pmask | sum(right), b))
+        for bit in range(len(port_edges)):
+            below |= {t & ~(1 << bit) for t in below}
+        if any(full ^ s in below for s in lhs):
+            return True
+    return False
 
 
 @_nesting_guard(ExprError, "expression")
@@ -330,9 +341,7 @@ def _member(adj: tuple[int, ...], ports: tuple[int, ...], cert: bytes, e: Expr) 
         case Or(a, b):
             res = _member(adj, ports, cert, a) or _member(adj, ports, cert, b)
         case Fuse(a, b):
-            res = any(
-                _holds(*h1, a) and _holds(*h2, b) for h1, h2 in _fuse_splits(adj, ports)
-            )
+            res = _fuse_holds(adj, ports, a, b)
         case Forget(sub):
             res = any(
                 _holds(adj, ports + (v,), sub) for v in range(len(adj)) if v not in ports

@@ -1,11 +1,13 @@
 """Membership on index data: `member` against the reference that builds
 every operand as a PortGraph, on every graph with at most four
-vertices; operand certificates against `canonical_cert`; and the
-expression syntax at arity 0."""
+vertices and on seeded arity-4 graphs with five; the work of a fuse;
+operand certificates against `canonical_cert`; and the expression
+syntax at arity 0."""
 
 import random
 from itertools import combinations, permutations
 
+from sepstar import starfree
 from sepstar.graphs import PortGraph, canonical_cert
 from sepstar.starfree import (
     Add,
@@ -19,6 +21,7 @@ from sepstar.starfree import (
     all_graphs,
     finite,
     member,
+    no_graphs,
     parse_expr,
     render_expr,
 )
@@ -31,25 +34,22 @@ def ports_only(k, edges=()):
     return PortGraph.build(names, [(names[i - 1], names[j - 1]) for i, j in edges], names)
 
 
+def shuffled(g, rng):
+    """g under shuffled vertex names."""
+    names = [f"m{i}" for i in range(len(g.vertices))]
+    rng.shuffle(names)
+    ren = dict(zip(sorted(g.vertices), names))
+    return PortGraph.build(
+        names, [(ren[u], ren[v]) for u, v in g.edges], [ren[p] for p in g.ports]
+    )
+
+
 def every_graph(arity, rng):
     """Every graph on one to four vertices with the first names as
     ports, and each again under shuffled names, so that ports also sit
     between other vertices in name order."""
-    out = []
-    for n in range(max(arity, 1), 5):
-        for g in graphs_on(n, arity):
-            names = [f"m{i}" for i in range(n)]
-            rng.shuffle(names)
-            ren = dict(zip(sorted(g.vertices), names))
-            out.append(g)
-            out.append(
-                PortGraph.build(
-                    names,
-                    [(ren[u], ren[v]) for u, v in g.edges],
-                    [ren[p] for p in g.ports],
-                )
-            )
-    return out
+    return [h for n in range(max(arity, 1), 5) for g in graphs_on(n, arity)
+            for h in (g, shuffled(g, rng))]
 
 
 def fixed_expressions():
@@ -60,6 +60,11 @@ def fixed_expressions():
     single = finite(0, [PortGraph.build(["a"])])
     path = finite(3, [ports_only(3, [(1, 2), (2, 3)])])
     one_edge = finite(3, [ports_only(3, [(1, 2)])])
+    path4 = finite(4, [ports_only(4, [(1, 2), (2, 3), (3, 4)])])
+    apart4 = finite(4, [ports_only(4)])
+    pendant = PortGraph.build(
+        ["p1", "p2", "p3", "p4", "q"], [("p1", "q"), ("p1", "p2")], ["p1", "p2", "p3", "p4"]
+    )
     return {
         2: [
             Fuse(edge, apart),  # the edge on the left only
@@ -78,6 +83,19 @@ def fixed_expressions():
             Forget(Forget(Permute((2, 1), Fuse(edge, Not(apart))))),
         ],
         1: [Forget(Or(Fuse(edge, apart), Add(Add(Forget(Add(single))))))],
+        4: [
+            Fuse(path4, apart4),  # each edge of the path 1-2-3-4 on the left only
+            Fuse(apart4, path4),  # on the right only
+            Fuse(path4, path4),  # on both sides
+            # 1-2 on both sides, 3-4 on the left only, 2-3 on the right only
+            Fuse(
+                finite(4, [ports_only(4, [(1, 2), (3, 4)])]),
+                finite(4, [ports_only(4, [(1, 2), (2, 3)])]),
+            ),
+            # a pendant vertex at port 1 goes left with 1-2, and 3-4 right
+            Fuse(finite(4, [pendant]), finite(4, [ports_only(4, [(3, 4)])])),
+            Fuse(all_graphs(4), path4),
+        ],
     }
 
 
@@ -135,6 +153,62 @@ def test_each_port_edge_side_of_a_fuse_is_found():
     two_edges, _, _ = fixed_expressions()[3]
     assert member(ports_only(3, [(1, 2), (2, 3)]), two_edges)
     assert not member(ports_only(3, [(2, 3)]), two_edges)
+    # at arity 4, each side alone and all three in one split
+    left, right, both, mixed, pendant, under = fixed_expressions()[4]
+    path = ports_only(4, [(1, 2), (2, 3), (3, 4)])
+    assert all(member(path, e) for e in (left, right, both, mixed, under))
+    short = ports_only(4, [(1, 2), (2, 3)])
+    assert not any(member(short, e) for e in (left, right, both, mixed, under))
+    assert not member(ports_only(4), both)
+    # `mixed` needs 1-2 on both sides: without 2-3 or 3-4 no split works
+    assert not member(ports_only(4, [(1, 2), (3, 4)]), mixed)
+    assert not member(ports_only(4, [(2, 3), (3, 4)]), mixed)
+    assert not member(ports_only(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), mixed)
+    assert member(ports_only(4, list(combinations(range(1, 5), 2))), under)
+    hang = [("p1", "q"), ("p1", "p2")]
+    names = ["p1", "p2", "p3", "p4", "q"]
+    ports = ["p1", "p2", "p3", "p4"]
+    assert member(PortGraph.build(names, hang + [("p3", "p4")], ports), pendant)
+    assert not member(PortGraph.build(names, hang, ports), pendant)
+    assert not member(PortGraph.build(names, hang[:1] + [("p3", "p4")], ports), pendant)
+
+
+def test_member_at_arity_4_matches_the_portgraph_reference():
+    # four ports carry up to six port-port edges, where the reference's
+    # 3^m edge assignments and member's 2^(m+1) operand tests differ most
+    rng = random.Random(31)
+    graphs = every_graph(4, rng)
+    graphs += [shuffled(g, rng) for g in rng.sample(graphs_on(5, 4), 60)]
+    exprs = fixed_expressions()[4] + [random_expression(rng, 4, 3) for _ in range(8)]
+    verdicts = {True: 0, False: 0}
+    for e in exprs:
+        memo = {}
+        for g in graphs:
+            got = member(g, e)
+            assert got == reference_member(g, e, memo), (render_expr(e), g)
+            verdicts[got] += 1
+    # 506 members and 2,126 non-members at this seed
+    assert min(verdicts.values()) > 400, verdicts
+
+
+def test_a_fuse_tests_each_operand_once_per_edge_mask(monkeypatch):
+    # the four-port complete graph has m = 6 port-port edges and one
+    # split of its (no) non-port vertices: each operand is tested with
+    # each of the 2^6 edge masks at most, where the 3^6 = 729 side
+    # assignments took 730 and 1,459 calls
+    calls = []
+    holds = starfree._holds
+
+    def counted(*args):
+        calls.append(1)
+        return holds(*args)
+
+    monkeypatch.setattr(starfree, "_holds", counted)
+    k4 = ports_only(4, list(combinations(range(1, 5), 2)))
+    for e in (Fuse(no_graphs(4), all_graphs(4)), Fuse(all_graphs(4), no_graphs(4))):
+        calls.clear()
+        assert not member(k4, e)
+        assert len(calls) <= 1 + 2 * 2**6, render_expr(e)
 
 
 def test_arity_zero_permutation_round_trips():

@@ -367,6 +367,27 @@ def test_reach_type_recognizer_composes_once_per_element_and_generator(
     assert calls == []
 
 
+def test_reach_type_recognizer_is_built_once_per_width(monkeypatch, fresh_alphabets):
+    calls = count_compositions(monkeypatch)
+    closures, right_cayley = [], monoids._right_cayley
+
+    def counted(*args):
+        closures.append(1)
+        return right_cayley(*args)
+
+    monkeypatch.setattr(monoids, "_right_cayley", counted)
+    rec = reach_type_recognizer(2)
+    assert (len(calls), len(closures)) == (950, 1)
+    # a second call at the width reads the recognizer off its type graph
+    assert reach_type_recognizer(2) == rec
+    assert (len(calls), len(closures)) == (950, 1)
+    # a rebuilt alphabet starts with an empty graph and builds again
+    enumerate_generators.cache_clear()
+    calls.clear()
+    assert reach_type_recognizer(2) == rec
+    assert (len(calls), len(closures)) == (950, 2)
+
+
 def counting(mul):
     """``mul`` and a list that grows by one per call of it."""
     calls = []
