@@ -106,13 +106,17 @@ _MAX_ALPHABET_WIDTH = 4
 @dataclass(frozen=True)
 class Context(_Core):
     """Immutable context; build instances with :meth:`Context.build`,
-    which validates its input.  ``_make`` is internal: it builds
-    unchecked, and the library calls it only for products of valid
-    parts.
+    which validates its input.  ``_make`` and ``_of_index`` are
+    internal: they build unchecked, and the library calls them only
+    for products of valid parts.
 
     ``left`` and ``right`` have one entry per port index (0-based
     internally, 1-based in all user-facing syntax); ``None`` marks an
-    undefined index.
+    undefined index.  A composite from `compose_all` is made by
+    ``_of_index`` on its numbers alone and named z0, z1, ...: the four
+    name fields are written from its numbers the first time one is
+    read, so equality, hashing, ``repr`` and serialisation see the
+    names, while `arity`, `beta` and `compose_all` read only numbers.
     """
 
     left: tuple[str | None, ...]
@@ -162,21 +166,50 @@ class Context(_Core):
         and ``right``, unchecked."""
         return Context(vertices, edges, left, right)
 
+    @staticmethod
+    def _of_index(adj, left, right, edges) -> "Context":
+        """The context whose `_indexed` form is ``(adj, left, right,
+        edges)``, unchecked, on vertices named z0, z1, ...: number i is
+        the i-th of those names in string order.  ``edges`` holds each
+        edge once, as a pair of numbers (smaller, larger)."""
+        w = object.__new__(Context)
+        vars(w)["_indexed"] = adj, left, right, edges
+        return w
+
+    def __getattr__(self, field):
+        # only a composite from `_of_index` lacks a field: it writes all
+        # four from its numbers, which are ranks in sorted-name order
+        index = vars(self).get("_indexed")
+        if index is None or field not in ("vertices", "edges", "left", "right"):
+            raise AttributeError(f"'Context' object has no attribute {field!r}")
+        adj, left, right, edges = index
+        names = sorted([f"z{i}" for i in range(len(adj))])
+        vars(self).update(
+            vertices=frozenset(names),
+            edges=frozenset([(names[x], names[y]) for x, y in edges]),
+            left=tuple([None if x is None else names[x] for x in left]),
+            right=tuple([None if y is None else names[y] for y in right]),
+        )
+        return vars(self)[field]
+
     @cached_property
-    def _indexed(self) -> tuple[dict[str, int], tuple[int, ...], tuple, tuple, list]:
-        """This context on numbers, made once per object: its numbering
-        by `graphs._numbering` (each name's number in sorted-name order,
-        and each number's adjacency mask), then the left and the right
-        interface as a number or None per index, and the edges as pairs
-        of numbers.  `compose_all` and `beta` read it."""
+    def _indexed(self) -> tuple[tuple[int, ...], tuple, tuple, list]:
+        """This context on numbers, made once per object: its vertices
+        numbered in sorted-name order by `graphs._numbering`, as each
+        number's adjacency mask, then the left and the right interface
+        as a number or None per index, and the edges as pairs of numbers
+        (smaller, larger).  `compose_all` and `beta` read it; a
+        composite from `compose_all` is born with it."""
         at, adj = _numbering(self)
         left, right = (tuple([None if v is None else at[v] for v in side])
                        for side in (self.left, self.right))
-        return at, adj, left, right, [(at[x], at[y]) for x, y in self.edges]
+        return adj, left, right, [(at[x], at[y]) for x, y in self.edges]
 
     @property
     def arity(self) -> int:
-        return len(self.left)
+        # read without writing the names of a composite
+        left = vars(self).get("left")
+        return len(self._indexed[1] if left is None else left)
 
     def left_map(self) -> dict[int, str]:
         return {i + 1: v for i, v in enumerate(self.left) if v is not None}
@@ -232,10 +265,13 @@ def compose_all(contexts) -> Context:
     unglued vertices, in sorted order, by the next names; a glued
     vertex takes its partner's name.  The fold reads each operand's
     cached numbering, in which sorted-name order is index order, and
-    computes the names on integer vertex handles; only the final
-    composite is named, and built unchecked, since composing valid
-    operands keeps the interfaces injective and a vertex that is left
-    port i and right port j has i == j.
+    tracks the names on integer vertex handles.  The composite is born
+    numbered: each handle's number is the rank of its name in string
+    order, and `Context._of_index` makes it unchecked from its
+    adjacency masks, interfaces and edges as numbers, writing its names
+    only when they are read.  Composing valid operands keeps the
+    interfaces injective, and a vertex that is left port i and right
+    port j has i == j.
     """
     items = list(contexts)
     if not items:
@@ -251,20 +287,16 @@ def compose_all(contexts) -> Context:
             raise ContextError(f"compose needs equal arities, got {k}, {w.arity}")
     if len(items) == 1:
         return first
-    # handle h is called z{i} where holder[i] == h; a step after the
-    # first renames by the string order of z0..z{n-1}, which is the
-    # order of 0..n-1 under `str` and moves nothing while n <= 10
-    _, adj, left, right, edges = first._indexed
+    # holder[i] is the handle named z{i}; after each step the handles are
+    # put in the string order of z0..z{n-1}, the order of 0..n-1 under
+    # `str`, which moves nothing while n <= 10
+    adj, left, right, edges = first._indexed
     n = len(adj)
     holder = list(range(n))
     edges = list(edges)
     by_name = None
-    for step, w in enumerate(items[1:]):
-        if step and n > 10:
-            if by_name is None:
-                by_name = sorted(range(sum(len(x.vertices) for x in items)), key=str)
-            holder = [holder[i] for i in by_name if i < n]
-        _, adj, w_left, w_right, w_edges = w._indexed
+    for w in items[1:]:
+        adj, w_left, w_right, w_edges = w._indexed
         # the operand's vertex i is glued to handle[i]; the fresh ones,
         # in index order, are in sorted-name order and get the next handles
         handle = [None] * len(adj)
@@ -278,17 +310,32 @@ def compose_all(contexts) -> Context:
                 n += 1
         edges += [(handle[x], handle[y]) for x, y in w_edges]
         right = [None if y is None else handle[y] for y in w_right]
-    name = [""] * n
+        if n > 10:
+            if by_name is None:
+                by_name = sorted(range(sum(len(x._indexed[0]) for x in items)), key=str)
+            holder = [holder[i] for i in by_name if i < n]
+    # holder is now each number's handle; two operands can give the
+    # same edge between glued vertices, and it is kept once
+    number = [0] * n
     for i, h in enumerate(holder):
-        name[h] = f"z{i}"
+        number[h] = i
+    adj = [0] * n
+    pairs = []
+    for x, y in edges:
+        a, b = number[x], number[y]
+        if a > b:
+            a, b = b, a
+        if not adj[a] >> b & 1:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+            pairs.append((a, b))
     # by induction over the steps, valid operands keep each interface
     # injective and each vertex on one index of both interfaces
-    return Context._make(
-        frozenset(name),
-        frozenset([(name[x], name[y]) if name[x] < name[y] else (name[y], name[x])
-                   for x, y in edges]),
-        tuple([None if x is None else name[x] for x in left]),
-        tuple([None if y is None else name[y] for y in right]),
+    return Context._of_index(
+        tuple(adj),
+        tuple([None if x is None else number[x] for x in left]),
+        tuple([None if y is None else number[y] for y in right]),
+        pairs,
     )
 
 
@@ -462,7 +509,7 @@ def reaches(rt: ReachType, p: PortRef, q: PortRef) -> bool:
 
 def beta(w: Context) -> ReachType:
     """The reachability type of a concrete context."""
-    _, adj, left, right, _ = w._indexed
+    adj, left, right, _ = w._indexed
     return ReachType._of_code(w.arity, _type_code(adj, left, right))
 
 

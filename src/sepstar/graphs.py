@@ -175,7 +175,8 @@ def _conform(value, shape, error, where: str) -> None:
             if name in value:
                 _conform(value[name], shape[key], error, f"{where}.{name}")
             elif name == key:
-                raise error(f"{where} needs a {name!r} field")
+                article = "an" if name[0] in "aeiou" else "a"
+                raise error(f"{where} needs {article} {name!r} field")
     else:
         _conform(value, list, error, where)
         subs = shape * len(value) if isinstance(shape, list) else shape

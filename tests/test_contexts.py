@@ -149,9 +149,10 @@ def test_cached_numbering_is_the_graph_numbering_past_100_vertices():
     letters = enumerate_generators(2).contexts
     rng = random.Random(11)
     w = compose_all([rng.choice(letters) for _ in range(60)])
+    adj, left, right, edges = w._indexed
+    at, numbered = _numbering(w)
     assert len(w.vertices) > 100
-    assert w._indexed[:2] == _numbering(w)
-    at, adj, left, right, edges = w._indexed
+    assert adj == numbered
     assert at["z100"] < at["z11"]
     names = sorted(w.vertices)
     assert len(adj) == len(names)
@@ -172,9 +173,55 @@ def test_a_context_is_numbered_once_however_often_it_is_used(monkeypatch):
     uv = compose(u, v)
     assert beta(uv) == beta_compose(beta(u), beta(v))
     assert beta(cross) == beta(cross)
-    for w in (cross, hub, u, v, uv):
+    # a composite is born numbered; only the built operands are numbered
+    for w in (cross, hub):
         assert sum(x is w for x in numbered) == 1
-    assert len(numbered) == 5
+    for w in (u, v, uv):
+        assert not any(x is w for x in numbered)
+    assert len(numbered) == 2
+
+
+_NAME_FIELDS = ("vertices", "edges", "left", "right")
+
+
+def _words(k):
+    """Seeded words over the width-k alphabet, the longest past 100
+    vertices at widths 2 and 3."""
+    letters = enumerate_generators(k).contexts
+    rng = random.Random(40 + k)
+    return [[rng.choice(letters) for _ in range(n)] for n in (1, 2, 3, 7, 12, 20, 60)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_composite_named_on_first_read_equals_a_built_copy(k):
+    reads = {
+        "==": lambda w, copy: w == copy and copy == w,
+        "hash": lambda w, copy: hash(w) == hash(copy),
+        "repr": lambda w, copy: repr(w) == repr(copy),
+        "dump_context": lambda w, copy: dump_context(w).encode() == dump_context(copy).encode(),
+    }
+    largest = 0
+    for word in _words(k):
+        copy = functools.reduce(reference_compose, word)
+        largest = max(largest, len(copy.vertices))
+        for name, agree in reads.items():
+            w = compose_all(word)
+            if len(word) > 1:
+                assert not set(_NAME_FIELDS) & set(vars(w)), name
+            assert agree(w, copy), name
+    assert largest > 100 or k == 1
+
+
+def test_composing_and_typing_a_composite_leaves_it_unnamed():
+    u, v = (compose_all(word) for word in _words(2)[4:6])
+    uv = compose(u, v)
+    letter = enumerate_generators(2).contexts[7]
+    uvul = compose_all([uv, u, letter])
+    assert beta_compose(beta(u), beta(v)) == beta(uv)
+    assert beta_compose(beta_compose(beta(uv), beta(u)), beta(letter)) == beta(uvul)
+    assert {w.arity for w in (u, v, uv, uvul)} == {2}
+    for w in (u, v, uv, uvul):
+        assert not set(_NAME_FIELDS) & set(vars(w))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -90,6 +90,13 @@ def test_shape_errors_name_the_place():
         graph_from_json({})
 
 
+def test_a_missing_field_takes_its_article():
+    with pytest.raises(ContextError, match=r"^context needs an 'arity' field$"):
+        context_from_json({"vertices": ["a"]})
+    with pytest.raises(ContextError, match=r"^context needs a 'vertices' field$"):
+        context_from_json({"arity": 1})
+
+
 def test_edge_cases_stay_accepted():
     # a null zero means "no zero"
     m = monoid_from_json({"table": [[0]], "identity": 0, "zero": None})

@@ -199,9 +199,10 @@ def test_only_contexts_knows_the_type_code():
     assert SOURCES and not found, found
 
 
-def _callers(tree, callee):
+def _callers(tree, callee, arg=None):
     """The enclosing function or method of each call of ``callee``, a
-    name called bare or as an attribute."""
+    name called bare or as an attribute; with ``arg``, only the calls
+    whose first argument is that bare name."""
     found = []
 
     def visit(node, where):
@@ -210,7 +211,7 @@ def _callers(tree, callee):
         if isinstance(node, ast.Call) and callee in (
             getattr(node.func, "id", None),
             getattr(node.func, "attr", None),
-        ):
+        ) and (arg is None or [getattr(a, "id", None) for a in node.args[:1]] == [arg]):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -220,18 +221,20 @@ def _callers(tree, callee):
 
 
 def test_unchecked_contexts_come_from_named_producers():
-    # `Context.build` validates and `_make` does not, so each producer
-    # that calls `_make` must make valid contexts from valid parts;
-    # adding one must be a visible edit of this list
-    made, unchecked = set(), set()
+    # `Context.build` validates and `_make` and `_of_index` do not, so
+    # each producer that calls them must make valid contexts from valid
+    # parts; adding one must be a visible edit of these lists
+    made, unchecked, numbered = set(), set(), set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         made |= {(path.name, where) for where in _callers(tree, "Context")}
+        made |= {(path.name, where) for where in _callers(tree, "__new__", "Context")}
         unchecked |= {(path.name, where) for where in _callers(tree, "_make")}
-    assert made == {("contexts.py", "Context._make")}
+        numbered |= {(path.name, where) for where in _callers(tree, "_of_index")}
+    assert made == {("contexts.py", "Context._make"), ("contexts.py", "Context._of_index")}
     assert unchecked == {
         ("contexts.py", "Context.build"),
-        ("contexts.py", "compose_all"),
         ("contexts.py", "_context_from_cert"),
         ("pathdecomp.py", "two_bridge_decompose"),
     }
+    assert numbered == {("contexts.py", "compose_all")}
