@@ -422,23 +422,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    # read at each call, so that a replaced `_cmd_*` function is the one
-    # that runs
-    handler = {
-        "eval-formula": _cmd_eval_formula,
-        "eval-expr": _cmd_eval_expr,
-        "compile": _cmd_compile,
-        "beta": _cmd_beta,
-        "bridges": _cmd_bridges,
-        "pathwidth": _cmd_pathwidth,
-        "generators": _cmd_generators,
-        "build-word": _cmd_build_word,
-        "decide": _cmd_decide,
-        "certify": _cmd_certify,
-        "dealternate": _cmd_dealternate,
-        "two-bridge": _cmd_two_bridge,
-        "encode-word": _cmd_encode_word,
-    }[args.command]
+    # looked up at each call, so that a replaced `_cmd_*` function is
+    # the one that runs
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
     except _INPUT_ERRORS as exc:

@@ -139,6 +139,8 @@ class Context(_Core):
                     raise ContextError(f"bad {name} index {key!r}") from None
                 if not 1 <= i <= arity:
                     raise ContextError(f"{name} index {i} out of range 1..{arity}")
+                if out[i - 1] is not None:  # keys such as "1" and "01"
+                    raise ContextError(f"{name} index {i} is given twice")
                 if not isinstance(v, str) or v not in vs:
                     raise ContextError(f"{name} port {i} maps to unknown vertex {v!r}")
                 out[i - 1] = v

@@ -104,11 +104,23 @@ class _Core:
         return self.adjacency[v]
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; raises ValueError on a key given
+    twice, which a dict would keep silently as its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} is given twice")
+        out[key] = value
+    return out
+
+
 def _read_json(path: str, error):
-    """Parse a JSON file, raising ``error`` when the text is not JSON."""
+    """Parse a JSON file, raising ``error`` when the text is not JSON or
+    an object gives a key twice."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             raise error(f"{path}: not valid JSON ({exc})") from None
 

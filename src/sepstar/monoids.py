@@ -181,15 +181,16 @@ def _generators(m: FiniteMonoid) -> list[int]:
 
 
 def is_aperiodic_element(m: FiniteMonoid, a: int) -> bool:
-    """True iff the powers of a stabilise: a^t = a^(t+1) for some t."""
-    seen = []
+    """True iff the powers of a stabilise: a^t = a^(t+1) for some t.
+    Two of the first size + 1 powers coincide, so the least such t is
+    at most the monoid's size."""
     x = a
     for _ in range(m.size + 1):
-        if seen and seen[-1] == x:
+        y = m.table[x][a]
+        if y == x:
             return True
-        seen.append(x)
-        x = m.table[x][a]
-    return x == seen[-1]
+        x = y
+    return False
 
 
 def aperiodic_violations(m: FiniteMonoid) -> tuple[int, ...]:
@@ -699,6 +700,9 @@ def _reach_oracle(k: int):
     return beta, beta_compose, _reach_holds
 
 
+# a certificate holds one value per power, and the CLI prints them all
+_MAX_POWER = 1_000_000
+
 # Each oracle is a predicate on a finite type that composes like the
 # contexts it abstracts: given the arity, (morphism, its composition,
 # predicate).  The entries look the functions up when called, so they
@@ -731,7 +735,7 @@ def certify_non_star_free(
     types.  Returns None when the observed values stabilise or the
     alternation starts too late to be convincing (threshold must leave
     at least four alternating steps, so ``max_power`` must be at least
-    5)."""
+    5; it is at most 1,000,000)."""
     if oracle not in _ORACLES:
         raise MonoidError(
             f"unknown oracle {oracle!r}; available: {sorted(_ORACLES)}"
@@ -740,6 +744,8 @@ def certify_non_star_free(
         raise MonoidError(
             f"max_power must be at least 5, got {max_power}"
         )
+    if max_power > _MAX_POWER:
+        raise MonoidError(f"max_power must be at most {_MAX_POWER:,}, got {max_power}")
     rt = beta(w)
     if beta_compose(rt, rt) != rt:
         raise MonoidError("the pumped context must have idempotent reachability type")

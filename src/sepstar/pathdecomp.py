@@ -424,7 +424,7 @@ def context_decomposition(w: Context):
     return optimal_decomposition(w.vertices, w.edges, *_interfaces(w))
 
 
-def _low_overlap_decomposition(w: Context, table):
+def _low_overlap_decomposition(w: Context, table, first, last):
     """A minimum-width decomposition of a context that, among the
     optimal introduction orders, keeps each left port co-alive with the
     right port sharing its slot for as few steps as possible.
@@ -433,14 +433,14 @@ def _low_overlap_decomposition(w: Context, table):
     point where no slot is claimed from both sides at once, so the
     shorter those overlaps, the more cut points survive.
 
-    ``table`` is the context's own `_pathwidth_table`."""
-    left_map = w.left_map()
-    right_map = w.right_map()
+    ``first`` and ``last`` are the context's two interfaces as vertex
+    sets, in either order, and ``table`` is their `_pathwidth_table`:
+    a slot's overlap counts the same whichever side is left."""
     index, cost, limit = table.index, table.cost, table.limit
     pair_masks = [
-        (1 << index[left_map[p]], 1 << index[right_map[p]])
-        for p in left_map
-        if p in right_map and left_map[p] != right_map[p]
+        (1 << index[u], 1 << index[v])
+        for u, v in zip(w.left, w.right)
+        if u is not None and v is not None and u != v
     ]
 
     def step(m):
@@ -456,7 +456,7 @@ def _low_overlap_decomposition(w: Context, table):
     for m in cost.within(limit):
         if m:
             h[m] = h[m ^ _best_removal(h, m)] + step(m)
-    return _decomposition(table, h, w.vertices, w.edges, *_interfaces(w))
+    return _decomposition(table, h, w.vertices, w.edges, first, last)
 
 
 def is_caterpillar_forest(g: PortGraph) -> bool:
@@ -687,27 +687,25 @@ def dealternate(instructions, kind, first=frozenset()):
 # vertices as class X, cut at its block boundaries each snapped to a
 # valley at most two steps away: the first 64 choices of snaps.  Each
 # (sequence, cuts) pair is tried once; the first that factors wins.
+# Each sequence is replayed once, and every attempt on it reads its
+# cuts and factors off those alive sets.  The mirror direction is the
+# same context with the interfaces swapped in its table.
 
 
-def _try_factorisation(w, instructions, cuts, diag):
+def _try_factorisation(w, instructions, alive, cuts, forced, persistent, diag):
+    """The factors of ``w`` cut at the valleys ``cuts`` of
+    ``instructions``, whose alive sets are ``alive``, or None with the
+    reason appended to ``diag``.  ``forced`` maps each port vertex of
+    ``w`` to its slot; ``persistent`` holds its persistent vertices."""
     k = w.arity
-    left_map = w.left_map()
-    right_map = w.right_map()
-    pers_idx = persistent_ports(w)
-    pers_verts = {left_map[i] for i in pers_idx}
-    alive = _replay(frozenset(left_map.values()), instructions)
     m = len(instructions)
-    for c in cuts:
-        if len(alive[c]) > k:
-            diag.append(f"cut {c} keeps {len(alive[c])} vertices alive")
-            return None
     bounds = [0, *cuts, m]
 
     # every factor must be small or carry a persistence witness
     spans = []
     for a, b in zip(bounds, bounds[1:]):
         verts = alive[a] | alive[b] | {v for _, v in instructions[a:b]}
-        if len(verts) > k + 1 and not (alive[a] & alive[b]) - pers_verts:
+        if len(verts) > k + 1 and not (alive[a] & alive[b]) - persistent:
             diag.append(
                 f"segment {a}..{b} has {len(verts)} vertices and no spanning vertex"
             )
@@ -720,12 +718,6 @@ def _try_factorisation(w, instructions, cuts, diag):
         for v in alive[c]:
             lo, hi = runs.get(v, (ci, ci))
             runs[v] = (min(lo, ci), max(hi, ci))
-    forced = {v: i for i, v in left_map.items()}
-    for i, v in right_map.items():
-        if v in forced and forced[v] != i:
-            diag.append(f"vertex {v!r} is forced to two different slots")
-            return None
-        forced[v] = i
     # a left port whose run reaches past cut 0 carries its slot along,
     # so two forced runs that overlap and share a slot cannot both win
     order = sorted(runs, key=lambda v: (runs[v][0], runs[v][1], v))
@@ -753,13 +745,10 @@ def _try_factorisation(w, instructions, cuts, diag):
 
     # forced runs that never reach an interior cut only constrain the
     # outer boundaries, which is consistent by construction
-    for u in order:
-        if u not in forced:
-            continue
-        for v in order:
-            if v not in forced or u >= v:
-                continue
-            if forced[u] == forced[v] and overlap(u, v):
+    pinned = [v for v in order if v in forced]
+    for u in pinned:
+        for v in pinned:
+            if u < v and forced[u] == forced[v] and overlap(u, v):
                 diag.append(
                     f"slot {forced[u]} is pinned to both {u!r} and {v!r} "
                     "on overlapping stretches"
@@ -791,43 +780,39 @@ def _try_factorisation(w, instructions, cuts, diag):
     if not isomorphic_contexts(fold, w):
         diag.append("factor product is not isomorphic to the input")
         return None
-    base_pers = len(pers_idx)
     for f in factors:
-        if len(f.vertices) > k + 1 and len(persistent_ports(f)) <= base_pers:
+        if len(f.vertices) > k + 1 and len(persistent_ports(f)) <= len(persistent):
             diag.append("a large factor gained no persistent ports")
             return None
     return factors
 
 
-def _valleys(first, instructions, k):
-    """The interior cuts of the sequence with at most k vertices alive."""
-    alive = _replay(first, instructions)
-    return [c for c in range(1, len(instructions)) if len(alive[c]) <= k]
-
-
-def _cut_candidates(w, instructions, brs, diag):
-    """The (sequence, sorted cuts) pairs to try on one instruction
-    sequence, lazily and in the order of the comment above; ``brs`` are
-    the bridges of ``w``."""
+def _cut_candidates(w, instructions, first, brs, diag):
+    """The (sequence, alive sets, sorted cuts) triples to try on one
+    instruction sequence, lazily and in the order of the comment above;
+    each sequence is replayed once from the left interface ``first``,
+    and its cuts are valleys of its alive sets.  ``brs`` are the
+    bridges of ``w``."""
     k = w.arity
-    left_set = frozenset(w.left_map().values())
     ports = w.port_vertices()
     seq = tuple(instructions)
-    valleys = _valleys(left_set, seq, k)
+    alive = _replay(first, seq)
+    valleys = [c for c in range(1, len(seq)) if len(alive[c]) <= k]
     for c in valleys:
-        yield seq, (c,)
+        yield seq, alive, (c,)
     for pair in islice(combinations(valleys, 2), 128):
-        yield seq, pair
+        yield seq, alive, pair
     if valleys:
-        yield seq, tuple(valleys)
+        yield seq, alive, tuple(valleys)
     for bridge in brs:
         x_verts = {v for e in bridge for v in e if v not in ports}
         if not x_verts:
             continue
         kind = {v: "X" if v in x_verts else "Y" for v in w.vertices - ports}
         kind.update(dict.fromkeys(ports, "P"))
-        reordered = tuple(dealternate(seq, kind, left_set))
-        thin = set(_valleys(left_set, reordered, k))
+        reordered = tuple(dealternate(seq, kind, first))
+        alive = _replay(first, reordered)
+        thin = {c for c in range(1, len(reordered)) if len(alive[c]) <= k}
         ends = list(accumulate(size for _, size in blocks_of(reordered, kind)))[:-1]
         near = ([c for c in (q, q - 1, q + 1, q - 2, q + 2) if c in thin] for q in ends)
         options = [opt for opt in near if opt]
@@ -835,7 +820,7 @@ def _cut_candidates(w, instructions, brs, diag):
             diag.append("no block boundary could be snapped to a thin point")
             continue
         for cuts in islice(product(*options), 64):
-            yield reordered, tuple(sorted(set(cuts)))
+            yield reordered, alive, tuple(sorted(set(cuts)))
 
 
 def two_bridge_decompose(w: Context):
@@ -860,24 +845,26 @@ def two_bridge_decompose(w: Context):
     diag: list[str] = []
 
     # each direction's table yields the optimal order that keeps the
-    # slot overlaps shortest
-    low = _low_overlap_decomposition(w, table)
-    # swapping the interfaces of a valid context keeps it valid
-    mirror = Context._make(w.vertices, w.edges, w.right, w.left)
+    # slot overlaps shortest; the mirror's bags run right to left
+    low = _low_overlap_decomposition(w, table, left_set, right_set)
     table = _pathwidth_table(w.vertices, w.edges, right_set, left_set)
-    mirror_low = _low_overlap_decomposition(mirror, table)
+    mirror_low = _low_overlap_decomposition(w, table, right_set, left_set)
 
+    # `Context.build` gives a vertex on both sides the same index, so
+    # the persistent vertices are the ones on both sides
+    forced = {v: i for side in (w.left_map(), w.right_map()) for i, v in side.items()}
+    persistent = left_set & right_set
     sequences = dict.fromkeys(
         tuple(to_instructions(bags, left_set, right_set))
         for bags in (low, mirror_low[::-1])
     )
     tried = set()
     for instructions in sequences:
-        for candidate in _cut_candidates(w, instructions, brs, diag):
-            if candidate in tried:
+        for seq, alive, cuts in _cut_candidates(w, instructions, left_set, brs, diag):
+            if (seq, cuts) in tried:
                 continue
-            tried.add(candidate)
-            factors = _try_factorisation(w, *candidate, diag)
+            tried.add((seq, cuts))
+            factors = _try_factorisation(w, seq, alive, cuts, forced, persistent, diag)
             if factors:
                 return factors
     raise DecompositionError(

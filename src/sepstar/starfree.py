@@ -36,6 +36,7 @@ from .graphs import (
     _flood,
     _numbering,
     _port_certificate,
+    _unique_keys,
     canonical_cert,
     canonical_rename,
     graph_from_json,
@@ -432,7 +433,9 @@ class _ExprParser(_Scanner):
         if self.peek() != "{":
             raise self.error("expected a JSON graph object")
         try:
-            data, self.pos = json.JSONDecoder().raw_decode(self.text, self.pos)
+            data, self.pos = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode(
+                self.text, self.pos
+            )
         except (ValueError, RecursionError) as exc:
             raise self.error(f"bad JSON graph: {exc}") from None
         try:

@@ -2,7 +2,7 @@
 
 The library builds a context unchecked, through ``Context._make`` or
 ``Context._of_index``, where its validity follows from valid parts:
-composites, letters read off certificates, and a mirrored interface.
+composites and letters read off certificates.
 For the whole session, each of those is checked here.  For ``_make``,
 ``Context.build`` re-runs on the context's own maps and must give an
 equal context.  A composite from ``_of_index`` holds only numbers, so

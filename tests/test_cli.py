@@ -171,12 +171,33 @@ CONTEXT = {"arity": 1, "vertices": ["a", "b"], "edges": [["a", "b"]],
     (GRAPH, "vertices", "ab"),
     (CONTEXT, "edges", 7),
     (CONTEXT, "vertices", "ab"),
+    # both keys name index 1; the later one must not silently win
+    (CONTEXT, "left", {"1": "a", "01": "b"}),
 ], ids=["graph-ports", "graph-edges", "graph-vertices", "context-edges",
-        "context-vertices"])
+        "context-vertices", "context-left-index-twice"])
 def test_graph_fields_must_be_lists(tmp_path, capsys, base, field, value):
     bad = graph_file(tmp_path, "bad.json", {**base, field: value})
     code, _, err = run(capsys, ["pathwidth", bad])
     assert code == 2 and field in err
+
+
+REPEATED = '{"vertices": ["a", "b"], "edges": [], "vertices": ["a"]}'
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["pathwidth", "{}"], "vertices"),
+    (["beta", "{ctx}"], "1"),
+    (["eval-expr", "{tri}", f"finite@0{{{REPEATED}}}"], "vertices"),
+], ids=["graph-file", "context-file", "expression"])
+def test_repeated_json_keys_exit_2(tmp_path, capsys, argv, key):
+    paths = {
+        "{}": write(tmp_path, "bad.json", REPEATED),
+        "{ctx}": write(tmp_path, "ctx.json",
+                       '{"arity": 1, "vertices": ["a", "b"], "left": {"1": "a", "1": "b"}}'),
+        "{tri}": graph_file(tmp_path, "tri.json", TRIANGLE),
+    }
+    code, out, err = run(capsys, [paths.get(arg, arg) for arg in argv])
+    assert (code, out) == (2, "") and f"key {key!r} is given twice" in err
 
 
 def test_eval_expr(tmp_path, capsys):
@@ -476,6 +497,22 @@ def test_certify_needs_five_powers(tmp_path, capsys, power):
     assert "max_power must be at least 5" in err
 
 
+@pytest.mark.parametrize("power", ["1000001", "1000000000000"])
+def test_certify_bounds_max_power(tmp_path, capsys, monkeypatch, power):
+    # a certificate holds one value per power, so a huge bound is
+    # refused before anything is composed
+    from sepstar import monoids
+
+    monkeypatch.setattr(monoids, "beta", lambda w: pytest.fail("composed before the check"))
+    hub = write(tmp_path, "hub.json", dump_context(hub_context()))
+    code, out, err = run(
+        capsys,
+        ["certify", "--oracle", "two-disjoint", "--context", hub, "--max-power", power],
+    )
+    assert (code, out) == (2, "")
+    assert f"max_power must be at most 1,000,000, got {power}" in err
+
+
 def dealternate_fixture(tmp_path):
     w = Context.build(
         ["a", "b", "x1", "y1"],
@@ -637,6 +674,17 @@ def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["beta", cross])
     assert (code, out) == (3, "")
     assert err == "internal error: RuntimeError: table out of step\n"
+
+
+def test_every_subcommand_has_a_handler_and_every_handler_a_subcommand():
+    import argparse
+
+    from sepstar import cli
+
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {"_cmd_" + name.replace("-", "_") for name in sub.choices}
+    handlers = {name for name, fn in vars(cli).items() if name.startswith("_cmd_") and callable(fn)}
+    assert commands == handlers and len(commands) == 13
 
 
 def test_parser_is_built_once_and_reads_handlers_at_each_call(capsys, monkeypatch):

@@ -109,6 +109,13 @@ def test_aperiodicity_basics():
     assert is_aperiodic_element(Z2, 0)
     assert not is_aperiodic(Z2)
     assert is_aperiodic(U1)
+    # against the definition, with powers well past where they cycle
+    for m in monoid_zoo():
+        for a in range(m.size):
+            powers = [m.power(a, t) for t in range(1, 2 * m.size + 3)]
+            assert is_aperiodic_element(m, a) == any(
+                x == y for x, y in zip(powers, powers[1:])
+            )
 
 
 def brute_green(m):

@@ -301,7 +301,7 @@ def test_subset_dp_matches_the_reference_table():
         w = _graph_as_context(rng, verts, edges, first, last)
         assert context_decomposition(w) == bags
         low = reference_decomposition(ref, reference_low_overlap_parent(w, ref), first)
-        assert pathdecomp._low_overlap_decomposition(w, table) == low
+        assert pathdecomp._low_overlap_decomposition(w, table, first, last) == low
 
 
 def _same_as_reference(verts, edges, first=frozenset(), last=frozenset()):
@@ -475,7 +475,7 @@ def test_readers_leave_the_shared_table_as_built():
         assert isinstance(getattr(table, field), tuple), field
     assert isinstance(table.cost.levels, tuple)
     pathdecomp._decomposition(table, table.cost, *args)
-    pathdecomp._low_overlap_decomposition(w, table)
+    pathdecomp._low_overlap_decomposition(w, table, *args[2:])
     assert pathdecomp._pathwidth_table(*args) is table
     pathdecomp._build_table.cache_clear()
     fresh = pathdecomp._pathwidth_table(*args)
@@ -813,9 +813,13 @@ def test_two_bridge_tries_each_candidate_once(monkeypatch):
     tried = []
     factorise = pathdecomp._try_factorisation
 
-    def spy(w, instructions, cuts, diag):
+    def spy(w, instructions, alive, cuts, *facts):
+        # the attempt reads the sequence's own alive sets, and each cut
+        # is a valley of them
+        assert alive == pathdecomp._replay(frozenset(w.left_map().values()), instructions)
+        assert all(len(alive[c]) <= w.arity for c in cuts)
         tried.append((tuple(instructions), tuple(sorted(set(cuts)))))
-        return factorise(w, instructions, cuts, diag)
+        return factorise(w, instructions, alive, cuts, *facts)
 
     monkeypatch.setattr(pathdecomp, "_try_factorisation", spy)
     for w in two_bridge_corpus():
@@ -824,6 +828,27 @@ def test_two_bridge_tries_each_candidate_once(monkeypatch):
         except DecompositionError:
             pass
     assert tried and len(set(tried)) == len(tried)
+
+
+def test_two_bridge_replays_each_sequence_once(monkeypatch):
+    from sepstar import pathdecomp
+
+    calls = []
+    replay = pathdecomp._replay
+
+    def spy(first, instructions):
+        calls.append(len(instructions))
+        return replay(first, instructions)
+
+    monkeypatch.setattr(pathdecomp, "_replay", spy)
+    for w in two_bridge_corpus():
+        try:
+            two_bridge_decompose(w)
+        except DecompositionError:
+            pass
+    # one replay per sequence, base or dealternated, and two inside each
+    # `dealternate`; replaying once per attempt made 3,823
+    assert len(calls) <= 300
 
 
 def test_two_bridge_hub_at_larger_arity():

@@ -102,11 +102,14 @@ def test_every_private_name_is_used_in_the_library():
     # a private helper that only tests reach is dead library code
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     reads = [(stmt, _names_read(stmt)) for tree in trees.values() for stmt in tree.body]
+    # `cli.main` looks each `_cmd_<command>` handler up by its command's
+    # name; tests/test_cli.py matches the handlers to the subcommands
     unused = [
         f"{module}:{name}"
         for module, tree in trees.items()
         for name, stmt in _private_definitions(tree)
         if not any(name in names for other, names in reads if other is not stmt)
+        and not (module == "cli.py" and name.startswith("_cmd_"))
     ]
     assert trees and not unused, unused
 
@@ -235,6 +238,5 @@ def test_unchecked_contexts_come_from_named_producers():
     assert unchecked == {
         ("contexts.py", "Context.build"),
         ("contexts.py", "_context_from_cert"),
-        ("pathdecomp.py", "two_bridge_decompose"),
     }
     assert numbered == {("contexts.py", "compose_all")}
