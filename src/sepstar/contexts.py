@@ -45,6 +45,7 @@ from itertools import combinations
 
 from .graphs import (
     CONTEXT_SHAPE,
+    _MAX_ARITY,
     _certificate,
     _check_core,
     _components,
@@ -93,9 +94,6 @@ class ContextError(ValueError):
     """Raised for malformed contexts and illegal compositions."""
 
 
-# interfaces are arity-long tuples; the bound keeps a few bytes of
-# input from asking for gigabytes
-_MAX_ARITY = 1024
 # the alphabet grows by orders of magnitude with the width: 6,939
 # letters at width 3 and 471,228 at width 4.  A width-k letter has at
 # most k+1 vertices, so up to width 4 n <= 5, and the bit-parallel

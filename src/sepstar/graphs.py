@@ -159,6 +159,10 @@ RECOGNIZER_SHAPE = {
 BAGS_SHAPE = {"bags": [[str]], "pathwidth?": int}
 SPLIT_SHAPE = {"x?": [str], "y?": [str]}
 
+# contexts' interfaces and compiled expressions' ports are arity-long;
+# the bound keeps a few bytes of input from asking for gigabytes
+_MAX_ARITY = 1024
+
 _NOUNS = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 

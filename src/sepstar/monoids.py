@@ -520,7 +520,14 @@ def reach_type_recognizer(k: int) -> Recognizer:
     cannot deduce (950 of the 3,780 at width 2), once per width: the
     graph keeps the recognizer.  The finished table is written into every
     row of the graph, so a later `decide_aperiodic_mod_reachability` at
-    this width composes nothing.  Accepting: types linking left 1 to right 1."""
+    this width composes nothing.  Accepting: types linking left 1 to right 1.
+    Built up to width 2: at width 3 the closure's 27,144 elements would
+    need a table of about 7.4e8 entries."""
+    if isinstance(k, int) and k > 2:
+        raise MonoidError(
+            f"the reachability-type recognizer is built up to width 2, got {k}; "
+            "a width-3 table would hold about 7.4e8 entries (ROADMAP item 1)"
+        )
     alphabet = enumerate_generators(k)
     graph = alphabet.types
     if graph.recognizer is not None:

@@ -19,7 +19,12 @@ certificate, the same bytes `canonical_cert` gives, in each node's memo.
 
 `compile_formula` translates separator-logic formulas (without label
 atoms) into equivalent expressions, so satisfaction of a formula can be
-decided through expression membership.
+decided through expression membership.  A separator atom S(x, y | Z)
+holds exactly when the graph is the fuse of a part in which every port
+on y's side is isolated and a part in which every port on x's side is,
+for some side of each other port outside Z: 2^(r-2) alternatives for r
+ports outside Z.  A split into more sides needs none of its own, since
+fusing parts that each isolate a port keeps the port isolated.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 from .graphs import (
+    _MAX_ARITY,
     GraphError,
     PortGraph,
     _flood,
@@ -496,18 +502,6 @@ def _render_expr(e: Expr) -> str:
 # compiling formulas to expressions
 
 
-def _set_partitions(items: list):
-    """All partitions of `items` into nonempty blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
 @lru_cache(maxsize=None)
 def _ports_only_graph(k: int, extra_edges: tuple = ()) -> PortGraph:
     names = [f"p{i}" for i in range(1, k + 1)]
@@ -524,6 +518,11 @@ def _isolated_port(p: int, k: int) -> Expr:
         return Add(all_graphs(k - 1))
     perm = tuple(range(1, p)) + (k,) + tuple(range(p, k))
     return Permute(perm, Add(all_graphs(k - 1)))
+
+
+def _isolating(ports: list[int], k: int) -> Expr:
+    """Arity-k graphs in which each of the (ascending) ports is isolated."""
+    return reduce(And, (_isolated_port(p, k) for p in ports))
 
 
 def _var_index(v: str, k: int) -> int:
@@ -584,36 +583,18 @@ def _compile(f: Formula, k: int) -> Expr:
                 return all_graphs(k)
             if s == t:
                 return no_graphs(k)
-            rest = sorted(set(range(1, k + 1)) - cut)
+            # one fuse per way of putting each other free port on s's
+            # side or t's: the part isolating the side that holds the
+            # larger least port, then the part isolating the other side
+            others = sorted(set(range(1, k + 1)) - cut - {s, t})
             alternatives = []
-            for part in _set_partitions(rest):
-                blocks = [frozenset(b) for b in part]
-                if len(blocks) < 2:
-                    continue
-                bs = next(b for b in blocks if s in b)
-                if t in bs:
-                    continue
-                pieces = []
-                for b in blocks:
-                    isolated = [
-                        _isolated_port(p, k)
-                        for p in range(1, k + 1)
-                        if p not in cut and p not in b
-                    ]
-                    piece = isolated[0]
-                    for term in isolated[1:]:
-                        piece = And(piece, term)
-                    pieces.append(piece)
-                acc = pieces[0]
-                for piece in pieces[1:]:
-                    acc = Fuse(acc, piece)
-                alternatives.append(acc)
-            if not alternatives:
-                return no_graphs(k)
-            out = alternatives[0]
-            for alt in alternatives[1:]:
-                out = Or(out, alt)
-            return out
+            for sides in product((0, 1), repeat=len(others)):
+                blocks = ([s], [t])
+                for p, side in zip(others, sides):
+                    blocks[side].append(p)
+                first, second = sorted(sorted(b) for b in blocks)
+                alternatives.append(Fuse(_isolating(second, k), _isolating(first, k)))
+            return reduce(Or, alternatives)
         case FNot(sub):
             return Not(_compile(sub, k))
         case FAnd(a, b):
@@ -625,10 +606,7 @@ def _compile(f: Formula, k: int) -> Expr:
             branches = [Forget(_compile(_rename(sub, {v: fresh}), k + 1))]
             for i in range(1, k + 1):
                 branches.append(_compile(_rename(sub, {v: f"x{i}"}), k))
-            out = branches[0]
-            for br in branches[1:]:
-                out = Or(out, br)
-            return out
+            return reduce(Or, branches)
         case Forall(v, sub):
             return Not(_compile(Exists(v, FNot(sub)), k))
     raise TypeError(f"not a formula: {f!r}")
@@ -642,8 +620,8 @@ def compile_formula(f: Formula, arity: int) -> Expr:
     rejected.  The result satisfies: member(g, compile_formula(f, k))
     iff language_member(g, f) for every unlabelled arity-k graph g.
     """
-    if arity < 0:
-        raise ExprError("arity must be nonnegative")
+    if not isinstance(arity, int) or isinstance(arity, bool) or not 0 <= arity <= _MAX_ARITY:
+        raise ExprError(f"arity must be an integer in 0..{_MAX_ARITY}, got {arity!r}")
     allowed = {f"x{i}" for i in range(1, arity + 1)}
     stray = _free_vars(f) - allowed
     if stray:

@@ -228,6 +228,18 @@ def test_long_chain_exits_2_without_a_recursion_catch(capsys):
     assert code == 2 and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("arity", ["-1", "1025", "100000000"])
+def test_compile_bounds_arity(capsys, monkeypatch, arity):
+    # a compiled expression holds arity-long port lists, so an arity
+    # outside 0..1024 is refused before anything is compiled
+    from sepstar import starfree
+
+    monkeypatch.setattr(starfree, "_compile", lambda f, k: pytest.fail("compiled before the check"))
+    code, out, err = run(capsys, ["compile", "E(x1,x2)", "--arity", arity])
+    assert (code, out) == (2, "")
+    assert f"arity must be an integer in 0..1024, got {arity}" in err
+
+
 def test_compile_output_feeds_eval_expr(tmp_path, capsys):
     code, out, _ = run(capsys, ["compile", "E(x1,x2)", "--arity", "2"])
     assert code == 0

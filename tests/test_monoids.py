@@ -300,6 +300,17 @@ def test_reach_type_recognizer_accepts_linked_words():
     assert not recognizer_accepts(rec, [left_only, right_only])
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_reach_type_recognizer_stops_above_width_2(monkeypatch, k):
+    # the width-3 table would hold about 7.4e8 entries, so the width is
+    # refused before the alphabet is listed or the closure started
+    fail = lambda *a, **kw: pytest.fail("enumerated or closed before the check")
+    monkeypatch.setattr(monoids, "enumerate_generators", fail)
+    monkeypatch.setattr(monoids, "_cayley_monoid", fail)
+    with pytest.raises(MonoidError, match=f"up to width 2, got {k}.*ROADMAP item 1"):
+        reach_type_recognizer(k)
+
+
 @pytest.mark.parametrize("k, size", [(1, 7), (2, 127)])
 def test_reach_type_recognizer_matches_all_pairs_reference(k, size):
     # reference: compose every pair of types, as a construction without

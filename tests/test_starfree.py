@@ -45,7 +45,7 @@ from sepstar.starfree import (
     render_expr,
 )
 
-from helpers import brute_isomorphic, graph_pool, path_graph
+from helpers import brute_isomorphic, graph_pool, graphs_on, path_graph
 
 # ---------------------------------------------------------------------------
 # oracle: decide membership by enumerating over a pool of representatives.
@@ -306,6 +306,40 @@ def test_compile_separator_atom():
         assert member(g, e) == language_member(g, f)
 
 
+@pytest.mark.parametrize("text, arity", [
+    ("S0(x1,x2)", 3),
+    ("S0(x1,x2)", 4),
+    ("S0(x2,x4)", 4),
+    ("S1(x1,x2|x3)", 4),
+    ("S1(x1,x4|x2)", 4),
+    ("!S0(x1,x3)", 4),
+])
+def test_compile_separator_atom_with_other_free_ports(text, arity):
+    # ports outside the cut other than the two ends may fall on either
+    # side of the separation; every labelled graph of up to 5 vertices
+    f = parse_formula(text)
+    e = compile_formula(f, arity)
+    for n in range(arity, 6):
+        for g in graphs_on(n, arity):
+            assert member(g, e) == language_member(g, f)
+
+
+@pytest.mark.parametrize("arity", [-1, 1025, 10**8, 2.0, True, "2", None])
+def test_compile_bounds_arity(monkeypatch, arity):
+    # checked before anything is compiled: 10**8 would otherwise build
+    # a list of 10**8 port names
+    from sepstar import starfree
+
+    monkeypatch.setattr(starfree, "_compile", lambda f, k: pytest.fail("compiled before the check"))
+    with pytest.raises(ExprError, match="arity must be an integer in 0..1024"):
+        compile_formula(parse_formula("E(x1,x2)"), arity)
+
+
+def test_compile_accepts_the_largest_arity():
+    e = compile_formula(parse_formula("E(x1,x2)"), 1024)
+    assert expr_arity(e) == 1024
+
+
 def test_compile_separator_degenerate_forms():
     # endpoint inside the cut: always true
     e = compile_formula(parse_formula("S1(x1,x1|x1)"), 1)
@@ -357,16 +391,21 @@ def random_formula(rng, arity, rank, bound=()):
 
 
 def test_compiler_output_is_pinned():
-    # sha256 of the rendered compilations, one per line, recorded
-    # before the substitution and alpha-renaming walks were merged
+    # sha256 of the rendered compilations, one per line, recorded when
+    # a separator atom became one fuse per two-sided split; each one is
+    # also checked against evaluation on every small graph
     rng = random.Random(4104)
     shapes = [(a, r) for a in range(4) for r in range(4 - a) if a + r]
     lines = []
     for i in range(500):
         arity, rank = shapes[i % len(shapes)]
-        lines.append(render_expr(compile_formula(random_formula(rng, arity, rank), arity)))
+        f = random_formula(rng, arity, rank)
+        e = compile_formula(f, arity)
+        for g in graph_pool(4, arity):
+            assert member(g, e) == language_member(g, f)
+        lines.append(render_expr(e))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "756d5668ca9fa53c0b361b1a709edc0db1c5dc55e66d1b79c6ccc4ce13f605ea"
+    assert digest == "0f9ec17d4d1fda896b8fda5440d30ef818c7837745bcbb5190a0d066a2a69d71"
 
 
 def test_deep_expression_raises_expr_error():
