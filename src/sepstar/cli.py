@@ -295,18 +295,17 @@ def _cmd_dealternate(args) -> int:
     for cls, size in blocks_of(out, kind):
         ranges.append({"class": cls, "from": pos, "to": pos + size})
         pos += size
-    new_bags = from_instructions(left, out)
-    lines = [f"width: {instruction_width(left, out)}"]
+    payload = {
+        "width": instruction_width(left, out),
+        "bags": [sorted(b) for b in from_instructions(left, out)],
+        "blocks": ranges,
+    }
+    lines = [f"width: {payload['width']}"]
     lines += [
         f"block {i}: {r['class']} instructions {r['from']}..{r['to']}"
         for i, r in enumerate(ranges)
     ]
-    lines += ["bags: " + " | ".join(",".join(sorted(b)) for b in new_bags)]
-    payload = {
-        "width": instruction_width(left, out),
-        "bags": [sorted(b) for b in new_bags],
-        "blocks": ranges,
-    }
+    lines += ["bags: " + " | ".join(",".join(b) for b in payload["bags"])]
     _emit(args, lines, payload)
     return 0
 

@@ -21,10 +21,10 @@ stored with its left factor, so the closures and searches of
 `sepstar.monoids` multiply types by lookup.  The linkage type is the
 finer abstraction behind the disjoint-paths oracle: every linear forest
 over the port vertices whose edges are inner paths with disjoint
-interiors.  It carries the same three masks and names each port vertex
-by a reference position, the numbering of the code's rows.  Both types
-compose by one gluing, `_gluing`, which reads the operands' masks and
-moves every reference onto the node of its class in `compose`.
+interiors.  It carries the same three masks, names each port vertex by
+a reference position and holds each forest as one neighbour mask per
+position.  Both types compose by `_gluing`, which moves every reference
+onto the node of its class in `compose`.
 
 A context is a vertex/edge core plus two interface tuples, so it runs
 on the graph core of `sepstar.graphs`: the same validation, core class
@@ -414,6 +414,14 @@ def _index_mask(indices, k: int, name: str) -> int:
     return mask
 
 
+def _bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        x ^= low
+        yield low.bit_length() - 1
+
+
 @dataclass(frozen=True, init=False)
 class ReachType:
     """Interface-level abstraction of a context.
@@ -492,11 +500,8 @@ class ReachType:
         row_mask = (1 << 2 * k) - 1
         pairs = []
         for a, p in enumerate(refs):
-            bits = (self._code >> 3 * k + 2 * k * a & row_mask) >> a << a
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                pairs.append((p, refs[low.bit_length() - 1]))
+            row = self._code >> 3 * k + 2 * k * a & row_mask
+            pairs += [(p, refs[b]) for b in _bits(row >> a << a)]
         return frozenset(pairs)
 
 
@@ -661,142 +666,140 @@ class LinkageType:
     and k + j - 1 when it is only right port j.  A pattern is a linear
     forest over these positions whose edges are inner paths (the
     interior avoids every port vertex) with pairwise disjoint
-    interiors, each edge written (smaller, larger); ``patterns`` holds
-    every pattern the context realises, the empty one included.  A
-    linear forest on at most 2k port vertices has at most 2k - 1
-    edges, so the type is finite for every arity.
+    interiors.  ``forests`` holds every pattern the context realises,
+    the empty one included, as 2k neighbour masks, one per position;
+    ``patterns`` decodes them to sets of pairs (smaller, larger).  A
+    linear forest on 2k nodes has fewer than 2k edges, so the type is
+    finite for every arity.
     """
 
     arity: int
     masks: int
-    patterns: frozenset[frozenset[tuple[int, int]]]
+    forests: frozenset[tuple[int, ...]]
+
+    @property
+    def patterns(self) -> frozenset[frozenset[tuple[int, int]]]:
+        return frozenset(frozenset((p, q) for p, row in enumerate(f) for q in _bits(row) if p < q)
+                         for f in self.forests)
 
 
-def _glue(edges, keep) -> list | None:
-    """Contract the graph ``edges`` onto the nodes in ``keep``.
-
-    The graph must be a linear forest in which every node of degree 1
-    is kept; otherwise the result is None.  Each maximal run of
-    unkept nodes between two kept ones becomes one edge between them,
-    written (smaller, larger).
-    """
-    nbrs: dict = {}
-    for a, b in edges:
-        nbrs.setdefault(a, []).append(b)
-        nbrs.setdefault(b, []).append(a)
-    ends = []
-    for x, around in nbrs.items():
-        if len(around) == 1:
-            if x not in keep:
-                return None
-            ends.append(x)
-        elif len(around) > 2:
+def _splice(rows: list[int], drop: int) -> tuple[int, ...] | None:
+    """Contract the nodes of the mask ``drop`` out of the linear forest
+    with neighbour masks ``rows`` in place and return the masks: a node
+    of degree 2 joins its two neighbours, and one of degree 1 gives None."""
+    while drop:
+        x = drop.bit_length() - 1
+        drop ^= 1 << x
+        a = rows[x] & -rows[x]
+        b = rows[x] ^ a
+        if a and not b:
             return None
-    out = []
-    walked = 0
-    done = set()
-    for x in ends:
-        if x in done:
-            continue
-        last, prev, cur = x, x, nbrs[x][0]
-        walked += 1
-        while True:
-            if cur in keep:
-                out.append((last, cur) if last < cur else (cur, last))
-                last = cur
-            around = nbrs[cur]
-            if len(around) == 1:
-                break
-            prev, cur = cur, around[1] if around[0] == prev else around[0]
-            walked += 1
-        done.add(cur)
-    # every edge of a linear forest lies on a path between two ends
-    return out if walked == len(edges) else None
+        if b:
+            rows[x] = 0
+            rows[a.bit_length() - 1] ^= 1 << x | b
+            rows[b.bit_length() - 1] ^= 1 << x | a
+    return tuple(rows)
 
 
 def linkage_type(w: Context) -> LinkageType:
-    """The linkage type of a concrete context.
+    """The linkage type of a concrete context, found on its index form.
 
     Vertices are introduced one at a time, each taking the least room
     on the frontier (introduced non-port vertices with neighbours still
-    to come).  The patterns so far live on the ports and the frontier:
-    each new vertex may take zero, one or two edges back to introduced
-    vertices, and `_glue` contracts the vertices that leave the
-    frontier, so no path is ever enumerated.
+    to come).  The patterns so far are forests on slots: a port holds
+    its position, a frontier vertex the least free slot above them.  A
+    new vertex joins zero, one or two introduced neighbours of degree
+    below 2 on different paths, and `_splice` contracts the vertices
+    that leave the frontier, so no path is ever enumerated.
     """
-    ports = w.port_vertices()
-    adj = w.adjacency
-    pending = {v: len(adj[v]) for v in w.vertices}  # neighbours still to come
-    frontier: set[str] = set()
-    remaining = set(w.vertices)
+    adj, left, right, _ = w._indexed
+    k = len(left)
+    slot = [0] * len(adj)
+    for pos, v in reversed([*enumerate(left), *enumerate(right, k)]):
+        if v is not None:
+            slot[v] = pos  # a persistent vertex keeps its left position
+    ports = sum({1 << v for v in left + right if v is not None})
+    pending = [row.bit_count() for row in adj]  # neighbours still to come
+    last = sum(1 << v for v, count in enumerate(pending) if count == 1)
+    frontier = 0
+    remaining = (1 << len(adj)) - 1
 
     def cost(v):
-        joins = v not in ports and pending[v] > 0
-        leaves = sum(1 for u in adj[v] if u in frontier and pending[u] == 1)
-        done = len(adj[v]) - pending[v]
-        return joins - leaves, -done, v
+        joins = not ports >> v & 1 and pending[v] > 0
+        leaves = (adj[v] & frontier & last).bit_count()
+        return joins - leaves, pending[v] - adj[v].bit_count()
 
-    patterns: set[frozenset] = {frozenset()}
+    patterns = {(0,) * 2 * k}
     while remaining:
-        v = min(remaining, key=cost)
-        remaining.discard(v)
-        back = sorted(u for u in adj[v] if u not in remaining)
-        for u in adj[v]:
+        v = min(_bits(remaining), key=cost)
+        remaining ^= 1 << v
+        if not ports >> v & 1:  # the least slot no port or frontier vertex holds
+            taken = sum((1 << slot[u] for u in _bits(frontier)), (1 << 2 * k) - 1)
+            slot[v] = (~taken & taken + 1).bit_length() - 1
+        s = slot[v]
+        backs = [slot[u] for u in _bits(adj[v] & ~remaining)]
+        for u in _bits(adj[v]):
             pending[u] -= 1
-        frontier.add(v)
-        frontier = {u for u in frontier if pending[u] and u not in ports}
-        keep = ports | frontier
-        choices = [[]] + [[(u, v)] for u in back]
-        choices += [[(a, v), (b, v)] for a, b in combinations(back, 2)]
-        patterns = {
-            frozenset(glued)
-            for pattern in patterns
-            for extra in choices
-            if (glued := _glue([*pattern, *extra], keep)) is not None
-        }
-
-    k = w.arity
-    pos = {v: k + j for j, v in enumerate(w.right) if v is not None}
-    pos.update({v: i for i, v in enumerate(w.left) if v is not None})
-    return LinkageType(
-        k,
-        _interface_masks(w.left, w.right),
-        frozenset(
-            frozenset(tuple(sorted((pos[a], pos[b]))) for a, b in p) for p in patterns
-        ),
-    )
+            last ^= (pending[u] < 2) << u  # 2 -> 1 joins, 1 -> 0 leaves
+        leaving = (frontier | 1 << v) & ~ports
+        frontier = sum(1 << u for u in _bits(leaving) if pending[u])
+        drop = sum(1 << slot[u] for u in _bits(leaving & ~frontier))
+        found = set()
+        for p in patterns:
+            base = list(p) + [0] * (s + 1 - len(p))
+            ends = [a for a in backs if not base[a] & base[a] - 1]  # degree below 2
+            choices = [[], *([a] for a in ends)]
+            choices += [[a, b] for a, b in combinations(ends, 2)
+                        if not _flood(base, 1 << a, ~0) >> b & 1]  # on different paths
+            for joined in choices:
+                rows = base[:]
+                for a in joined:
+                    rows[a] |= 1 << s
+                    rows[s] |= 1 << a
+                found.add(_splice(rows, drop))
+        patterns = found - {None}
+    return LinkageType(k, _interface_masks(left, right), frozenset(p[:2 * k] for p in patterns))
 
 
 def linkage_compose(t1: LinkageType, t2: LinkageType) -> LinkageType:
     """Compose two linkage types; matches linkage_type of the composition.
 
-    References are glued into classes by `_gluing`, as for reachability
-    types.  A port class is named by its position in the composite,
-    and a middle node n that is no port by n + k, above every position.
-    Every pattern of the first operand is unioned with every pattern of
-    the second on those classes; a union with a vertex of degree three,
-    a cycle or a non-port class of degree one is dropped, and `_glue`
-    contracts the non-port classes of degree two.
+    Each operand's forests are moved onto the classes of `_gluing` by
+    `_move`, as `_reach_compose` moves reach rows.  A union of a forest
+    of each operand is refused when it gives a class degree 3, ends a
+    path at a class that is no port, or closes a cycle (a doubled edge
+    is one of length 2): a used node no path end reaches.  `_splice`
+    contracts the rest at the classes that are no ports, and port nodes
+    0..k-1 and 2k..3k-1 become the composite's positions 0..2k-1.
     """
     if t1.arity != t2.arity:
         raise ContextError("types must have equal arity")
     k = t1.arity
-    stay, up, down, across, _, _, masks = _gluing(t1.masks, t2.masks, k)
+    stay, up, down, across, free, _, masks = _gluing(t1.masks, t2.masks, k)
 
-    def name(node):
-        n = _move(1 << node, k, stay, up, down, across).bit_length() - 1
-        return n if n < k else n - k if n >= 2 * k else n + k
+    def moved(t, shift):
+        # each forest on the 3k class nodes, its used nodes and those of degree 2
+        for f in t.forests:
+            rows = [0] * 3 * k
+            for p, row in enumerate(f):
+                node = _move(1 << p + shift, k, stay, up, down, across)
+                rows[node.bit_length() - 1] |= _move(row << shift, k, stay, up, down, across)
+            used = sum(1 << n for n, row in enumerate(rows) if row)
+            yield rows, used, sum(1 << n for n, row in enumerate(rows) if row & row - 1)
 
-    firsts = [[(name(a), name(b)) for a, b in p] for p in t1.patterns]
-    seconds = [[(name(a + k), name(b + k)) for a, b in p] for p in t2.patterns]
-    keep = range(2 * k)
-    patterns = set()
-    for a in firsts:
-        for b in seconds:
-            glued = _glue(a + b, keep)
-            if glued is not None:
-                patterns.add(frozenset(glued))
-    return LinkageType(k, masks, frozenset(patterns))
+    mask = (1 << k) - 1
+    forests = set()
+    seconds = list(moved(t2, k))
+    for rows1, used1, inner1 in moved(t1, 0):
+        for rows2, used2, inner2 in seconds:
+            ends = (used1 ^ used2) & ~(inner1 | inner2)
+            if inner1 & used2 or used1 & inner2 or ends & free:
+                continue
+            rows = [a | b for a, b in zip(rows1, rows2)]
+            if _flood(rows, ends, ~0) == used1 | used2:
+                _splice(rows, free)
+                forests.add(tuple(row & mask | row >> k for row in rows[:k] + rows[2 * k:]))
+    return LinkageType(k, masks, frozenset(forests))
 
 
 # ---------------------------------------------------------------------------
@@ -811,15 +814,11 @@ def _port_keys(vertices, left, right) -> dict:
     return {v: f"L{lpos.get(v, 0):03d}R{rpos.get(v, 0):03d}" for v in vertices}
 
 
-def _ctx_color_keys(w: Context) -> dict[str, str]:
-    return _port_keys(w.vertices, w.left, w.right)
-
-
 @lru_cache(maxsize=None)
 def context_cert(w: Context) -> bytes:
     """Equal for two contexts iff they are isomorphic (interfaces
     preserved index by index)."""
-    return _certificate("c", w, _ctx_color_keys(w))
+    return _certificate("c", w, _port_keys(w.vertices, w.left, w.right))
 
 
 def _context_from_cert(cert: bytes) -> Context:

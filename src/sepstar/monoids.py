@@ -665,21 +665,12 @@ def _two_paths_hold(t: LinkageType) -> bool:
     """Some pattern puts left 1 and right 1 on one path component and
     left 2 and right 2 on another."""
     k = t.arity
-    if k < 2:
-        raise MonoidError("the disjoint-paths oracle needs arity at least 2")
-    if t.masks & 3 != 3 or t.masks >> k & 3 != 3:
-        raise MonoidError("ports 1 and 2 must be defined on both sides")
     # left ports 1, 2 are positions 0, 1 (masks 1, 2) and t1, t2 name
-    # right ports 1, 2; a flood over a pattern's pairs is one of its paths
+    # right ports 1, 2; a flood over a forest's masks is one of its paths
     t1, t2 = (i if t.masks >> 2 * k + i & 1 else k + i for i in (0, 1))
-    every = (1 << 2 * k) - 1
-    for pattern in t.patterns:
-        adj = [0] * (2 * k)
-        for p, q in pattern:
-            adj[p] |= 1 << q
-            adj[q] |= 1 << p
-        one = _flood(adj, 1, every)
-        if one >> t1 & 1 and not one & 2 and _flood(adj, 2, every) >> t2 & 1:
+    for forest in t.forests:
+        one = _flood(forest, 1, ~0)
+        if one >> t1 & 1 and not one & 2 and _flood(forest, 2, ~0) >> t2 & 1:
             return True
     return False
 
@@ -697,26 +688,36 @@ def oracle_inner_reach(ctx: Context) -> bool:
 def oracle_two_disjoint_paths(ctx: Context) -> bool:
     """Two vertex-disjoint paths: left 1 to right 1 and left 2 to
     right 2, read off the context's linkage type."""
-    return _two_paths_hold(linkage_type(ctx))
+    tau, _, holds = _two_paths_oracle(ctx, ctx)
+    return holds(tau(ctx))
 
 
-def _reach_oracle(k: int):
-    """`oracle_inner_reach` on arity-k reachability types."""
-    if k < 1:
+def _reach_oracle(first: Context, last: Context):
+    """`oracle_inner_reach` on reachability types."""
+    if first.arity < 1:
         raise MonoidError("the reach oracle needs arity at least 1")
     return beta, beta_compose, _reach_holds
+
+
+def _two_paths_oracle(first: Context, last: Context):
+    """`oracle_two_disjoint_paths` on linkage types, for products from ``first`` to ``last``."""
+    if first.arity < 2:
+        raise MonoidError("the disjoint-paths oracle needs arity at least 2")
+    if None in first.left[:2] or None in last.right[:2]:
+        raise MonoidError("ports 1 and 2 must be defined on both sides")
+    return linkage_type, linkage_compose, _two_paths_hold
 
 
 # a certificate holds one value per power, and the CLI prints them all
 _MAX_POWER = 1_000_000
 
 # Each oracle is a predicate on a finite type that composes like the
-# contexts it abstracts: given the arity, (morphism, its composition,
-# predicate).  The entries look the functions up when called, so they
-# use the module's current bindings.
+# contexts it abstracts: given a product's first and last factor, it
+# returns (morphism, its composition, predicate).  The entries look the
+# functions up when called, so they use the module's current bindings.
 _ORACLES = {
     "reach": _reach_oracle,
-    "two-disjoint-paths": lambda k: (linkage_type, linkage_compose, _two_paths_hold),
+    "two-disjoint-paths": _two_paths_oracle,
 }
 
 
@@ -753,14 +754,14 @@ def certify_non_star_free(
         )
     if max_power > _MAX_POWER:
         raise MonoidError(f"max_power must be at most {_MAX_POWER:,}, got {max_power}")
-    rt = beta(w)
-    if beta_compose(rt, rt) != rt:
-        raise MonoidError("the pumped context must have idempotent reachability type")
     if x is not None and x.arity != w.arity:
         raise MonoidError("left dressing has wrong arity")
     if y is not None and y.arity != w.arity:
         raise MonoidError("right dressing has wrong arity")
-    tau, mul, holds = _ORACLES[oracle](w.arity)
+    tau, mul, holds = _ORACLES[oracle](w if x is None else x, w if y is None else y)
+    rt = beta(w)
+    if beta_compose(rt, rt) != rt:
+        raise MonoidError("the pumped context must have idempotent reachability type")
     step = tau(w)
     first = step if x is None else mul(tau(x), step)
     types, index = [first], {first: 0}

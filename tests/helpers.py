@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from sepstar.graphs import GraphError, PortGraph
 
@@ -375,6 +376,135 @@ def brute_linkage_patterns(w):
 
     extend(0, frozenset(), [])
     return frozenset(found)
+
+
+class ReferenceLinkage(NamedTuple):
+    """A linkage type as the name-keyed reference writes it: its arity,
+    its three interface masks and its patterns."""
+
+    arity: int
+    masks: int
+    patterns: frozenset
+
+
+def _reference_glue(edges, keep) -> list | None:
+    """Contract the graph ``edges`` onto the nodes in ``keep``.
+
+    The graph must be a linear forest in which every node of degree 1
+    is kept; otherwise the result is None.  Each maximal run of
+    unkept nodes between two kept ones becomes one edge between them,
+    written (smaller, larger).
+    """
+    nbrs: dict = {}
+    for a, b in edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    ends = []
+    for x, around in nbrs.items():
+        if len(around) == 1:
+            if x not in keep:
+                return None
+            ends.append(x)
+        elif len(around) > 2:
+            return None
+    out = []
+    walked = 0
+    done = set()
+    for x in ends:
+        if x in done:
+            continue
+        last, prev, cur = x, x, nbrs[x][0]
+        walked += 1
+        while True:
+            if cur in keep:
+                out.append((last, cur) if last < cur else (cur, last))
+                last = cur
+            around = nbrs[cur]
+            if len(around) == 1:
+                break
+            prev, cur = cur, around[1] if around[0] == prev else around[0]
+            walked += 1
+        done.add(cur)
+    # every edge of a linear forest lies on a path between two ends
+    return out if walked == len(edges) else None
+
+
+def reference_linkage_type(w) -> ReferenceLinkage:
+    """`linkage_type` on vertex names: a frontier search in which each
+    new vertex takes zero, one or two edges back to introduced vertices
+    and `_reference_glue` contracts the vertices that leave the
+    frontier.  The reference for the search on neighbour masks."""
+    from sepstar.contexts import _interface_masks
+
+    ports = w.port_vertices()
+    adj = w.adjacency
+    pending = {v: len(adj[v]) for v in w.vertices}  # neighbours still to come
+    frontier: set[str] = set()
+    remaining = set(w.vertices)
+
+    def cost(v):
+        joins = v not in ports and pending[v] > 0
+        leaves = sum(1 for u in adj[v] if u in frontier and pending[u] == 1)
+        done = len(adj[v]) - pending[v]
+        return joins - leaves, -done, v
+
+    patterns: set[frozenset] = {frozenset()}
+    while remaining:
+        v = min(remaining, key=cost)
+        remaining.discard(v)
+        back = sorted(u for u in adj[v] if u not in remaining)
+        for u in adj[v]:
+            pending[u] -= 1
+        frontier.add(v)
+        frontier = {u for u in frontier if pending[u] and u not in ports}
+        keep = ports | frontier
+        choices = [[]] + [[(u, v)] for u in back]
+        choices += [[(a, v), (b, v)] for a, b in combinations(back, 2)]
+        patterns = {
+            frozenset(glued)
+            for pattern in patterns
+            for extra in choices
+            if (glued := _reference_glue([*pattern, *extra], keep)) is not None
+        }
+
+    k = w.arity
+    pos = {v: k + j for j, v in enumerate(w.right) if v is not None}
+    pos.update({v: i for i, v in enumerate(w.left) if v is not None})
+    return ReferenceLinkage(
+        k,
+        _interface_masks(w.left, w.right),
+        frozenset(
+            frozenset(tuple(sorted((pos[a], pos[b]))) for a, b in p) for p in patterns
+        ),
+    )
+
+
+def reference_linkage_compose(t1, t2) -> ReferenceLinkage:
+    """`linkage_compose` on pattern pairs: each pattern's positions are
+    renamed to the classes of `contexts._gluing` and every union is
+    contracted by `_reference_glue`.  Takes any two types with
+    ``arity``, ``masks`` and ``patterns``."""
+    from sepstar.contexts import ContextError, _gluing, _move
+
+    if t1.arity != t2.arity:
+        raise ContextError("types must have equal arity")
+    k = t1.arity
+    stay, up, down, across, _, _, masks = _gluing(t1.masks, t2.masks, k)
+
+    def name(node):
+        n = _move(1 << node, k, stay, up, down, across).bit_length() - 1
+        return n if n < k else n - k if n >= 2 * k else n + k
+
+    firsts = [[(name(a), name(b)) for a, b in p] for p in t1.patterns]
+    seconds = [[(name(a + k), name(b + k)) for a, b in p] for p in t2.patterns]
+    keep = range(2 * k)
+    patterns = set()
+    for a in firsts:
+        for b in seconds:
+            glued = _reference_glue(a + b, keep)
+            if glued is not None:
+                patterns.add(frozenset(glued))
+    return ReferenceLinkage(k, masks, frozenset(patterns))
 
 
 def _is_linear_forest(edges) -> bool:

@@ -78,7 +78,7 @@ def test_canonical_rename_reads_the_certificate():
     rng = random.Random(5)
     for _ in range(200):
         w = random_context(rng, 3, 7)
-        ren = reference_canonical_names(w, contexts._ctx_color_keys(w))
+        ren = reference_canonical_names(w, contexts._port_keys(w.vertices, w.left, w.right))
         expected = Context.build(
             ren.values(),
             [(ren[x], ren[y]) for x, y in w.edges],

@@ -496,6 +496,22 @@ def test_certify_reach_needs_port_1(tmp_path, capsys):
     assert "needs arity at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "arity, left, right, message",
+    [
+        (1, {1: "a"}, {1: "a"}, "the disjoint-paths oracle needs arity at least 2"),
+        (2, {1: "a", 2: "b"}, {1: "a"}, "ports 1 and 2 must be defined on both sides"),
+        (2, {2: "b"}, {1: "a", 2: "b"}, "ports 1 and 2 must be defined on both sides"),
+    ],
+)
+def test_certify_two_disjoint_needs_ports_1_and_2(tmp_path, capsys, arity, left, right, message):
+    w = Context.build(["a", "b"], [("a", "b")], arity, left, right)
+    path = write(tmp_path, "w.json", dump_context(w))
+    code, out, err = run(capsys, ["certify", "--oracle", "two-disjoint", "--context", path])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("power", ["-3", "0", "4"])
 def test_certify_needs_five_powers(tmp_path, capsys, power):
     # a certificate leaves four alternating steps after its threshold,

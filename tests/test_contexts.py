@@ -42,6 +42,8 @@ from helpers import (
     random_context,
     reference_beta_compose,
     reference_compose,
+    reference_linkage_compose,
+    reference_linkage_type,
 )
 
 
@@ -506,6 +508,44 @@ def test_linkage_compose_on_random_contexts():
         )
     with pytest.raises(ContextError):
         linkage_compose(linkage_type(hub_context()), linkage_type(identity_context(1)))
+
+
+def _linkage_pairs():
+    """Seeded operand pairs: random words at widths 1-3, random contexts
+    with a persistent index, and the hub's powers dressed with the
+    crossing on either side."""
+    rng = random.Random(35)
+    for k in (1, 2, 3):
+        ids = enumerate_generators(k).ids
+        for _ in range(60):
+            yield tuple(
+                build_from_word(k, [rng.choice(ids) for _ in range(rng.randint(1, 5))])
+                for _ in range(2)
+            )
+    pairs = 0
+    while pairs < 80:
+        k = rng.randint(1, 3)
+        u, v = random_context(rng, k, 6), random_context(rng, k, 6)
+        if persistent_ports(u) and persistent_ports(v):
+            pairs += 1
+            yield u, v
+    hub, cross = hub_context(), crossing_context()
+    for m in range(1, 5):
+        for x, y in ((None, None), (cross, None), (None, cross), (cross, cross)):
+            yield compose_all([x] * (x is not None) + [hub] * m), compose_all(
+                [hub] + [y] * (y is not None)
+            )
+
+
+def test_linkage_types_match_the_name_keyed_reference():
+    def fields(t):
+        return t.arity, t.masks, t.patterns
+
+    for u, v in _linkage_pairs():
+        tu, tv = linkage_type(u), linkage_type(v)
+        for w, t in ((u, tu), (v, tv), (compose(u, v), linkage_type(compose(u, v)))):
+            assert fields(t) == reference_linkage_type(w)
+        assert fields(linkage_compose(tu, tv)) == reference_linkage_compose(tu, tv)
 
 
 # --- generators ------------------------------------------------------------

@@ -766,6 +766,36 @@ def test_certify_rejects_non_idempotent_type():
         certify_non_star_free(crossing_context(), "two-disjoint-paths")
 
 
+def test_certify_checks_the_disjoint_paths_ports_before_any_linkage_type(monkeypatch):
+    # the product x . w^m . y takes its left interface from x (or w) and
+    # its right one from y (or w), so dressings can supply the ports
+    bare = Context.build(["a", "b"], [], 2, {}, {1: "a", 2: "b"})
+    assert certify_non_star_free(bare, "two-disjoint-paths", x=identity_context(2)) is None
+
+    def refuse(*args):
+        raise AssertionError("a linkage type was computed")
+
+    monkeypatch.setattr(monoids, "linkage_type", refuse)
+    monkeypatch.setattr(monoids, "linkage_compose", refuse)
+    for w in (identity_context(1), Context.build(["a"], [], 1, {}, {})):
+        with pytest.raises(MonoidError, match="the disjoint-paths oracle needs arity at least 2"):
+            certify_non_star_free(w, "two-disjoint-paths")
+        with pytest.raises(MonoidError, match="the disjoint-paths oracle needs arity at least 2"):
+            oracle_two_disjoint_paths(w)
+    no_right_2 = Context.build(["a", "b", "c"], [("a", "c")], 2, {1: "a", 2: "b"}, {1: "c"})
+    for x, w, y in (
+        (None, no_right_2, None),
+        (None, bare, None),
+        (bare, hub_context(), None),
+        (None, hub_context(), no_right_2),
+        (identity_context(2), no_right_2, None),
+    ):
+        with pytest.raises(MonoidError, match="ports 1 and 2 must be defined on both sides"):
+            certify_non_star_free(w, "two-disjoint-paths", x, y)
+    with pytest.raises(MonoidError, match="ports 1 and 2 must be defined on both sides"):
+        oracle_two_disjoint_paths(no_right_2)
+
+
 def test_certify_returns_none_when_stable():
     # reachability-level oracles cannot alternate on idempotent types
     assert certify_non_star_free(hub_context(), "reach") is None

@@ -202,6 +202,18 @@ def test_only_contexts_knows_the_type_code():
     assert SOURCES and not found, found
 
 
+def test_contexts_reads_no_neighbour_sets():
+    # contexts and their types run on index data: adjacency masks and
+    # interface numbers, never the name-keyed neighbour sets
+    path = next(path for path in SOURCES if path.name == "contexts.py")
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("adjacency", "neighbors")
+    ]
+    assert not found, found
+
+
 def _callers(tree, callee, arg=None):
     """The enclosing function or method of each call of ``callee``, a
     name called bare or as an attribute; with ``arg``, only the calls
