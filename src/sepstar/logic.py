@@ -3,6 +3,9 @@
 Atoms: edges ``E(x,y)``, equality ``x=y``, labels ``lab:c(x)``, and the
 separator family ``S0(x,y)``, ``Sn(x,y|z1,...,zn)``.  The separator
 atom follows the convention in :func:`sepstar.graphs.separator_holds`.
+`And` and `Or` are n-ary: each holds a flat tuple of two or more
+operands, so a chain ``a | b | c`` is one node however long it is, and
+only the nesting of operators makes a formula deep.
 
 Besides parsing and evaluation this module implements the rank-r
 back-and-forth equivalence check (`ef_equivalent`): two graphs of equal
@@ -90,16 +93,35 @@ class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    lhs: Formula
-    rhs: Formula
+def _flat(node, operands) -> tuple:
+    """The operands of the n-ary ``node``, an operand of its own kind
+    spliced in: no `And` holds an `And`, and no `Or` an `Or`."""
+    flat = tuple(y for x in operands for y in (x.operands if type(x) is type(node) else (x,)))
+    if len(flat) < 2:
+        raise TypeError(f"{type(node).__name__} takes two or more operands")
+    return flat
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+def _joined(node, operands):
+    """``node`` of the operands, or the only operand itself."""
+    return node(*operands) if len(operands) > 1 else operands[0]
+
+
+@dataclass(frozen=True, init=False)
+class _Junction(Formula):
+    operands: tuple[Formula, ...]
+
+    def __init__(self, *operands: Formula):
+        # frozen: the field goes straight into the instance dictionary
+        vars(self)["operands"] = _flat(self, operands)
+
+
+class And(_Junction):
+    pass
+
+
+class Or(_Junction):
+    pass
 
 
 @dataclass(frozen=True)
@@ -118,7 +140,9 @@ def _nesting_guard(error, what: str):
     """Decorator: running out of stack inside the function becomes
     ``error("<what> nested too deeply")``.  Parsers and evaluators
     recurse once per nesting level, so input thousands of operators
-    deep is bad input, not a crash."""
+    deep is bad input, not a crash.  Evaluators and renderers loop over
+    an n-ary node's operands: a generator or ``map`` would cost a second
+    level of the stack per level of nesting."""
 
     def guard(fn):
         @wraps(fn)
@@ -148,8 +172,11 @@ def _free_vars(f: Formula) -> frozenset[str]:
             return frozenset((x,))
         case Not(sub):
             return _free_vars(sub)
-        case And(a, b) | Or(a, b):
-            return _free_vars(a) | _free_vars(b)
+        case And(operands) | Or(operands):
+            free = frozenset()
+            for sub in operands:
+                free |= _free_vars(sub)
+            return free
         case Exists(v, sub) | Forall(v, sub):
             return _free_vars(sub) - {v}
     raise TypeError(f"not a formula: {f!r}")
@@ -166,8 +193,11 @@ def _quantifier_rank(f: Formula) -> int:
             return 0
         case Not(sub):
             return _quantifier_rank(sub)
-        case And(a, b) | Or(a, b):
-            return max(_quantifier_rank(a), _quantifier_rank(b))
+        case And(operands) | Or(operands):
+            rank = 0
+            for sub in operands:
+                rank = max(rank, _quantifier_rank(sub))
+            return rank
         case Exists(_, sub) | Forall(_, sub):
             return 1 + _quantifier_rank(sub)
     raise TypeError(f"not a formula: {f!r}")
@@ -207,17 +237,17 @@ class _Scanner:
         self.pos = m.end()
         return m.group()
 
-    def chain(self, operand, tok: str, node):
-        """``operand (tok operand)*``, folded to the left by ``node``."""
-        lhs = operand()
+    def chain(self, operand, tok: str) -> list:
+        """``operand (tok operand)*``, as the list of the operands."""
+        operands = [operand()]
         while self.peek(len(tok)) == tok:
             self.take(tok)
-            lhs = node(lhs, operand())
-        return lhs
+            operands.append(operand())
+        return operands
 
     def listing(self, regex: str, what: str) -> tuple[str, ...]:
         """``regex (',' regex)*``, as the tuple of the matched texts."""
-        return self.chain(lambda: (self.match(regex, what),), ",", tuple.__add__)
+        return tuple(self.chain(lambda: self.match(regex, what), ","))
 
     def parse(self):
         """The whole text as one ``top``; trailing input is an error."""
@@ -248,10 +278,10 @@ class _Parser(_Scanner):
     what = "formula"
 
     def top(self) -> Formula:
-        return self.chain(self.conjunction, "|", Or)
+        return _joined(Or, self.chain(self.conjunction, "|"))
 
     def conjunction(self) -> Formula:
-        return self.chain(self.unary, "&", And)
+        return _joined(And, self.chain(self.unary, "&"))
 
     def unary(self) -> Formula:
         if self.peek() == "!":
@@ -308,12 +338,9 @@ def render_formula(f: Formula) -> str:
 
 
 def _render_formula(f: Formula) -> str:
-    def paren(sub: Formula, tight: bool) -> str:
+    def paren(sub: Formula, loose: tuple[type, ...]) -> str:
         s = _render_formula(sub)
-        need = isinstance(sub, (Or, Exists, Forall)) or (
-            tight and isinstance(sub, And)
-        )
-        return f"({s})" if need else s
+        return f"({s})" if isinstance(sub, loose) else s
 
     match f:
         case Edge(x, y):
@@ -327,14 +354,13 @@ def _render_formula(f: Formula) -> str:
                 return f"S{len(zs)}({x},{y}|{','.join(zs)})"
             return f"S0({x},{y})"
         case Not(sub):
-            s = _render_formula(sub)
-            if isinstance(sub, (And, Or, Exists, Forall)):
-                s = f"({s})"
-            return f"!{s}"
-        case And(a, b):
-            return f"{paren(a, True)} & {paren(b, True)}"
-        case Or(a, b):
-            return f"{paren(a, False)} | {paren(b, False)}"
+            return f"!{paren(sub, (And, Or, Exists, Forall))}"
+        case And(operands) | Or(operands):
+            loose = (Exists, Forall) if isinstance(f, Or) else (Or, Exists, Forall)
+            parts = []
+            for sub in operands:
+                parts.append(paren(sub, loose))
+            return (" | " if isinstance(f, Or) else " & ").join(parts)
         case Exists(v, sub):
             return f"exists {v}. {_render_formula(sub)}"
         case Forall(v, sub):
@@ -448,14 +474,20 @@ def _closure(f: Formula, scope: dict[str, int], depth: int, height: list[int]):
         case Not(sub):
             run = _closure(sub, scope, depth, height)
             return lambda m, env: not run(m, env)
-        case And(a, b):
-            lhs = _closure(a, scope, depth, height)
-            rhs = _closure(b, scope, depth, height)
-            return lambda m, env: lhs(m, env) and rhs(m, env)
-        case Or(a, b):
-            lhs = _closure(a, scope, depth, height)
-            rhs = _closure(b, scope, depth, height)
-            return lambda m, env: lhs(m, env) or rhs(m, env)
+        case And(operands) | Or(operands):
+            runs = []
+            for sub in operands:
+                runs.append(_closure(sub, scope, depth, height))
+            # and stops at the first false operand, or at the first true one
+            stop = isinstance(f, Or)
+
+            def junction(m, env):
+                for run in runs:
+                    if run(m, env) is stop:
+                        return stop
+                return not stop
+
+            return junction
         case Exists(var, sub) | Forall(var, sub):
             height[0] = max(height[0], depth + 1)
             run = _closure(sub, {**scope, var: depth}, depth + 1, height)

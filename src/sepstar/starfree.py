@@ -4,7 +4,9 @@ The connectives are finite literals, boolean operations, and the four
 width operations lifted to languages:
 
 * ``finite@k{g1; g2; ...}``  - an explicit finite set,
-* ``!e``, ``e & e``, ``e | e`` - complement (within arity k), meet, join,
+* ``!e``, ``e & e``, ``e | e`` - complement (within arity k), meet, join;
+  `And` and `Or` hold a flat tuple of two or more operands, so a chain
+  of any length is one node,
 * ``e (+) e``               - pointwise fuse,
 * ``forget(e)``, ``add(e)``  - pointwise port removal / fresh port,
 * ``perm[..](e)``           - port reordering.
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
 from .graphs import (
@@ -60,8 +62,10 @@ from .logic import (
     Not as FNot,
     Or as FOr,
     Sep,
-    _nesting_guard,
+    _flat,
     _free_vars,
+    _joined,
+    _nesting_guard,
     _Scanner,
 )
 
@@ -136,30 +140,43 @@ class Not(Expr):
         return _operand_arity(self.sub)
 
 
+def _common_arity(node: Expr, operands) -> int:
+    """The arity of every one of the node's operands, which must agree."""
+    ks = sorted({_operand_arity(e) for e in operands})
+    if len(ks) > 1:
+        arities = " and ".join(map(str, ks))
+        raise ExprError(f"operands of {type(node).__name__} have arities {arities}")
+    return ks[0]
+
+
+@dataclass(frozen=True, init=False)
+class _Junction(Expr):
+    operands: tuple[Expr, ...]
+
+    def __init__(self, *operands: Expr):
+        # what the generated __init__ of a frozen node would write
+        vars(self).update(operands=_flat(self, operands), memo={})
+        self.__post_init__()
+
+    def _arity(self) -> int:
+        return _common_arity(self, self.operands)
+
+
+class And(_Junction):
+    pass
+
+
+class Or(_Junction):
+    pass
+
+
 @dataclass(frozen=True)
-class _Binary(Expr):
+class Fuse(Expr):
     lhs: Expr
     rhs: Expr
 
     def _arity(self) -> int:
-        ka, kb = _operand_arity(self.lhs), _operand_arity(self.rhs)
-        if ka != kb:
-            raise ExprError(
-                f"operands of {type(self).__name__} have arities {ka} and {kb}"
-            )
-        return ka
-
-
-class And(_Binary):
-    pass
-
-
-class Or(_Binary):
-    pass
-
-
-class Fuse(_Binary):
-    pass
+        return _common_arity(self, (self.lhs, self.rhs))
 
 
 @dataclass(frozen=True)
@@ -343,10 +360,14 @@ def _member(adj: tuple[int, ...], ports: tuple[int, ...], cert: bytes, e: Expr) 
             res = cert in e.certs
         case Not(sub):
             res = not _member(adj, ports, cert, sub)
-        case And(a, b):
-            res = _member(adj, ports, cert, a) and _member(adj, ports, cert, b)
-        case Or(a, b):
-            res = _member(adj, ports, cert, a) or _member(adj, ports, cert, b)
+        case And(operands) | Or(operands):
+            # and stops at the first false operand, or at the first true one
+            res = stop = isinstance(e, Or)
+            for sub in operands:
+                if _member(adj, ports, cert, sub) is stop:
+                    break
+            else:
+                res = not stop
         case Fuse(a, b):
             res = _fuse_holds(adj, ports, a, b)
         case Forget(sub):
@@ -389,13 +410,16 @@ class _ExprParser(_Scanner):
     what = "expression"
 
     def top(self) -> Expr:
-        return self.chain(self.conj, "|", Or)
+        return _joined(Or, self.chain(self.conj, "|"))
 
     def conj(self) -> Expr:
-        return self.chain(self.fusion, "&", And)
+        return _joined(And, self.chain(self.fusion, "&"))
 
     def fusion(self) -> Expr:
-        return self.chain(self.unary, "(+)", Fuse)
+        e, *rest = self.chain(self.unary, "(+)")
+        for b in rest:
+            e = Fuse(e, b)
+        return e
 
     def unary(self) -> Expr:
         if self.peek() == "!":
@@ -461,18 +485,9 @@ def render_expr(e: Expr) -> str:
 
 
 def _render_expr(e: Expr) -> str:
-    def level(x: Expr) -> int:
-        if isinstance(x, Or):
-            return 0
-        if isinstance(x, And):
-            return 1
-        if isinstance(x, Fuse):
-            return 2
-        return 3
-
-    def wrap(x: Expr, need: int) -> str:
+    def paren(x: Expr, loose: tuple[type, ...]) -> str:
         s = _render_expr(x)
-        return f"({s})" if level(x) < need else s
+        return f"({s})" if isinstance(x, loose) else s
 
     match e:
         case Finite(arity, members):
@@ -482,13 +497,15 @@ def _render_expr(e: Expr) -> str:
             )
             return f"finite@{arity}{{{body}}}"
         case Not(sub):
-            return f"!{wrap(sub, 3)}"
-        case And(a, b):
-            return f"{wrap(a, 1)} & {wrap(b, 2)}"
-        case Or(a, b):
-            return f"{wrap(a, 0)} | {wrap(b, 1)}"
+            return f"!{paren(sub, (Or, And, Fuse))}"
+        case And(operands) | Or(operands):
+            loose = (Or,) if isinstance(e, And) else ()
+            parts = []
+            for x in operands:
+                parts.append(paren(x, loose))
+            return (" & " if isinstance(e, And) else " | ").join(parts)
         case Fuse(a, b):
-            return f"{wrap(a, 2)} (+) {wrap(b, 3)}"
+            return f"{paren(a, (Or, And))} (+) {paren(b, (Or, And, Fuse))}"
         case Forget(sub):
             return f"forget({_render_expr(sub)})"
         case Add(sub):
@@ -522,7 +539,7 @@ def _isolated_port(p: int, k: int) -> Expr:
 
 def _isolating(ports: list[int], k: int) -> Expr:
     """Arity-k graphs in which each of the (ascending) ports is isolated."""
-    return reduce(And, (_isolated_port(p, k) for p in ports))
+    return _joined(And, [_isolated_port(p, k) for p in ports])
 
 
 def _var_index(v: str, k: int) -> int:
@@ -548,8 +565,8 @@ def _rename(f: Formula, env: dict[str, str], fresh: list[int] | None = None) -> 
             return Sep(env.get(x, x), env.get(y, y), tuple(env.get(z, z) for z in zs))
         case FNot(sub):
             return FNot(_rename(sub, env, fresh))
-        case FAnd(a, b) | FOr(a, b):
-            return type(f)(_rename(a, env, fresh), _rename(b, env, fresh))
+        case FAnd(operands) | FOr(operands):
+            return type(f)(*(_rename(sub, env, fresh) for sub in operands))
         case Exists(v, sub) | Forall(v, sub):
             if fresh is None:
                 name = v
@@ -594,19 +611,18 @@ def _compile(f: Formula, k: int) -> Expr:
                     blocks[side].append(p)
                 first, second = sorted(sorted(b) for b in blocks)
                 alternatives.append(Fuse(_isolating(second, k), _isolating(first, k)))
-            return reduce(Or, alternatives)
+            return _joined(Or, alternatives)
         case FNot(sub):
             return Not(_compile(sub, k))
-        case FAnd(a, b):
-            return And(_compile(a, k), _compile(b, k))
-        case FOr(a, b):
-            return Or(_compile(a, k), _compile(b, k))
+        case FAnd(operands) | FOr(operands):
+            node = And if isinstance(f, FAnd) else Or
+            return node(*(_compile(sub, k) for sub in operands))
         case Exists(v, sub):
             fresh = f"x{k + 1}"
             branches = [Forget(_compile(_rename(sub, {v: fresh}), k + 1))]
             for i in range(1, k + 1):
                 branches.append(_compile(_rename(sub, {v: f"x{i}"}), k))
-            return reduce(Or, branches)
+            return _joined(Or, branches)
         case Forall(v, sub):
             return Not(_compile(Exists(v, FNot(sub)), k))
     raise TypeError(f"not a formula: {f!r}")

@@ -1008,10 +1008,10 @@ def reference_member(g: PortGraph, e, memo: dict) -> bool:
             res = key[1] in e.certs
         case Not(sub):
             res = not reference_member(g, sub, memo)
-        case And(a, b):
-            res = reference_member(g, a, memo) and reference_member(g, b, memo)
-        case Or(a, b):
-            res = reference_member(g, a, memo) or reference_member(g, b, memo)
+        case And(operands):
+            res = all(reference_member(g, sub, memo) for sub in operands)
+        case Or(operands):
+            res = any(reference_member(g, sub, memo) for sub in operands)
         case Fuse(a, b):
             res = any(
                 reference_member(h1, a, memo) and reference_member(h2, b, memo)
@@ -1056,10 +1056,10 @@ def reference_eval(g: PortGraph, f, env: dict[str, str]) -> bool:
             return separator_holds(g, env[x], env[y], {env[z] for z in zs})
         case Not(sub):
             return not reference_eval(g, sub, env)
-        case And(a, b):
-            return reference_eval(g, a, env) and reference_eval(g, b, env)
-        case Or(a, b):
-            return reference_eval(g, a, env) or reference_eval(g, b, env)
+        case And(operands):
+            return all(reference_eval(g, sub, env) for sub in operands)
+        case Or(operands):
+            return any(reference_eval(g, sub, env) for sub in operands)
         case Exists(var, sub):
             return any(reference_eval(g, sub, {**env, var: v}) for v in sorted(g.vertices))
         case Forall(var, sub):

@@ -24,6 +24,7 @@ from sepstar.contexts import (
 )
 from sepstar.graphs import dump_graph, graph_from_json
 from sepstar.monoids import dump_recognizer, parity_recognizer, reach_type_recognizer
+from sepstar.starfree import Fuse, Or, expr_arity, parse_expr
 
 TRIANGLE = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}
 TWO_DOTS = {"vertices": ["a", "b"], "edges": []}
@@ -221,11 +222,23 @@ def test_deep_nesting_exits_2(tmp_path, capsys, command, innermost):
     assert code == 2 and "nested too deeply" in err
 
 
-def test_long_chain_exits_2_without_a_recursion_catch(capsys):
-    # the parser folds a chain in a loop; the tree it builds is 3000 deep
+def test_long_chain_compiles_as_one_node(capsys):
+    # a chain is one n-ary node, so its length does not make it deep
     chain = " | ".join(["x1=x1"] * 3000)
-    code, _, err = run(capsys, ["compile", chain, "--arity", "1"])
-    assert code == 2 and "nested too deeply" in err
+    code, out, _ = run(capsys, ["compile", chain, "--arity", "1"])
+    assert code == 0
+    e = parse_expr(out)
+    assert isinstance(e, Or) and len(e.operands) == 3000 and expr_arity(e) == 1
+
+
+@pytest.mark.parametrize("arity", [11, 12])
+def test_compile_separator_atom_at_high_arity(capsys, arity):
+    # one fuse for each side of each of the arity - 2 other ports
+    code, out, _ = run(capsys, ["compile", "S0(x1,x2)", "--arity", str(arity)])
+    assert code == 0
+    e = parse_expr(out)
+    assert isinstance(e, Or) and len(e.operands) == 2 ** (arity - 2)
+    assert all(isinstance(alt, Fuse) for alt in e.operands) and expr_arity(e) == arity
 
 
 @pytest.mark.parametrize("arity", ["-1", "1025", "100000000"])

@@ -57,13 +57,26 @@ def test_parse_atoms():
 
 def test_parse_precedence():
     f = parse_formula("x=y & y=z | E(x,z)")
-    assert isinstance(f, Or) and isinstance(f.lhs, And)
+    assert f == Or(And(Eq("x", "y"), Eq("y", "z")), Edge("x", "z"))
     f = parse_formula("!x=y & y=z")
-    assert isinstance(f, And) and isinstance(f.lhs, Not)
+    assert isinstance(f, And) and isinstance(f.operands[0], Not)
     f = parse_formula("exists x. x=y & E(x,y)")
     assert isinstance(f, Exists) and isinstance(f.sub, And)
     f = parse_formula("(exists x. x=y) & E(y,y)")
     assert isinstance(f, And)
+
+
+def test_junctions_are_flat():
+    a, b, c, d = (Eq(x, x) for x in "abcd")
+    assert And(And(a, b), And(c, d)) == And(a, b, c, d)
+    assert And(And(a, b), And(c, d)).operands == (a, b, c, d)
+    assert hash(Or(a, Or(b, c))) == hash(Or(a, b, c))
+    # an operand of the other kind stays whole
+    assert Or(a, And(b, c)).operands == (a, And(b, c))
+    assert And(a, b) != Or(a, b)
+    for bad in [(), (a,)]:
+        with pytest.raises(TypeError, match="two or more operands"):
+            Or(*bad)
 
 
 def test_parse_errors():

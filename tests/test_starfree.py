@@ -41,6 +41,7 @@ from sepstar.starfree import (
     expr_arity,
     finite,
     member,
+    no_graphs,
     parse_expr,
     render_expr,
 )
@@ -60,9 +61,9 @@ def oracle_member(g, e, max_n):
     if isinstance(e, Not):
         return not oracle_member(g, e.sub, max_n)
     if isinstance(e, And):
-        return oracle_member(g, e.lhs, max_n) and oracle_member(g, e.rhs, max_n)
+        return all(oracle_member(g, sub, max_n) for sub in e.operands)
     if isinstance(e, Or):
-        return oracle_member(g, e.lhs, max_n) or oracle_member(g, e.rhs, max_n)
+        return any(oracle_member(g, sub, max_n) for sub in e.operands)
     if isinstance(e, Fuse):
         k = expr_arity(e)
         n = len(g.vertices)
@@ -132,6 +133,18 @@ def test_arity_computation_and_errors():
         expr_arity(Forget(all_graphs(0)))
     with pytest.raises(ExprError):
         expr_arity(Permute((1, 3), all_graphs(2)))
+
+
+def test_junctions_are_flat():
+    one, none = all_graphs(1), no_graphs(1)
+    e = Or(none, Or(none, one))
+    assert e.operands == (none, none, one) and e == Or(none, none, one)
+    assert member(PortGraph.build(["a"], [], ["a"]), e)
+    assert not member(PortGraph.build(["a"], [], ["a"]), And(one, And(one, none)))
+    with pytest.raises(ExprError, match="operands of And have arities 1 and 2"):
+        And(one, one, all_graphs(2))
+    with pytest.raises(TypeError, match="two or more operands"):
+        And(one)
 
 
 def test_member_arity_and_label_checks():
@@ -271,10 +284,10 @@ def test_inline_graph_names_may_hold_syntax_characters():
 
 def test_expr_precedence():
     e = parse_expr("!finite@0{} (+) finite@0{} & finite@0{} | finite@0{}")
-    assert isinstance(e, Or)
-    assert isinstance(e.lhs, And)
-    assert isinstance(e.lhs.lhs, Fuse)
-    assert isinstance(e.lhs.lhs.lhs, Not)
+    assert isinstance(e, Or) and len(e.operands) == 2
+    assert isinstance(e.operands[0], And)
+    assert isinstance(e.operands[0].operands[0], Fuse)
+    assert isinstance(e.operands[0].operands[0].lhs, Not)
 
 
 # --- the compiler ----------------------------------------------------------
@@ -392,8 +405,10 @@ def random_formula(rng, arity, rank, bound=()):
 
 def test_compiler_output_is_pinned():
     # sha256 of the rendered compilations, one per line, recorded when
-    # a separator atom became one fuse per two-sided split; each one is
-    # also checked against evaluation on every small graph
+    # And and Or became n-ary: 33 lines lost the parentheses around a
+    # nested operand of the same kind, and parsing each line of the
+    # binary compiler gives the same expression; each one is also
+    # checked against evaluation on every small graph
     rng = random.Random(4104)
     shapes = [(a, r) for a in range(4) for r in range(4 - a) if a + r]
     lines = []
@@ -405,7 +420,47 @@ def test_compiler_output_is_pinned():
             assert member(g, e) == language_member(g, f)
         lines.append(render_expr(e))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "0f9ec17d4d1fda896b8fda5440d30ef818c7837745bcbb5190a0d066a2a69d71"
+    assert digest == "6b8c14f6d841be12ea7244c7a063d6c2b1a725d962ca4613ea058ff5ed6fc70d"
+
+
+@pytest.mark.parametrize("n", [1000, 10000])
+def test_long_chains_parse_evaluate_render_and_round_trip(n):
+    # a chain is one node however long, so only nesting makes a tree
+    # deep; its last operand decides, so every operand is evaluated
+    edge = PortGraph.build(["a", "b"], [("a", "b")], ["a", "b"])
+    apart = PortGraph.build(["a", "b"], [], ["a", "b"])
+    for joiner, node, filler in ((" | ", FOr, "x1=x2"), (" & ", FAnd, "x1=x1")):
+        f = parse_formula(joiner.join([filler] * (n - 1) + ["E(x1,x2)"]))
+        assert isinstance(f, node) and len(f.operands) == n
+        assert language_member(edge, f) and not language_member(apart, f)
+        assert parse_formula(render_formula(f)) == f
+        e = compile_formula(f, 2)
+        assert len(e.operands) == n
+        assert member(edge, e) and not member(apart, e)
+    for joiner, node, filler, last in ((" | ", Or, "finite@2{}", "!finite@2{}"),
+                                       (" & ", And, "!finite@2{}", "finite@2{}")):
+        e = parse_expr(joiner.join([filler] * (n - 1) + [last]))
+        assert isinstance(e, node) and len(e.operands) == n
+        assert member(edge, e) is (node is Or)
+        assert parse_expr(render_expr(e)) == e
+
+
+def test_a_nest_of_junctions_costs_one_level_per_node():
+    # walkers loop over a node's operands, so 250 alternating levels of
+    # And and Or are no deeper for them than 250 levels of Not
+    edge = PortGraph.build(["a", "b"], [("a", "b")], ["a", "b"])
+    f, e = FEdge("x1", "x2"), all_graphs(2)
+    for i in range(250):
+        if i % 2:
+            f, e = FAnd(Eq("x1", "x1"), f), And(e, all_graphs(2))
+        else:
+            f, e = FOr(Eq("x1", "x2"), f), Or(e, no_graphs(2))
+    assert language_member(edge, f) and member(edge, e)
+    # `==` on the trees themselves recurses through tuples of fields
+    text = render_formula(f)
+    assert render_formula(parse_formula(text)) == text
+    text = render_expr(e)
+    assert render_expr(parse_expr(text)) == text
 
 
 def test_deep_expression_raises_expr_error():
