@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -56,6 +55,7 @@ from .graphs import (
     _keyed_certificates,
     _numbering,
     _read_json,
+    _Value,
 )
 
 __all__ = [
@@ -101,7 +101,6 @@ class ContextError(ValueError):
 _MAX_ALPHABET_WIDTH = 4
 
 
-@dataclass(frozen=True)
 class Context(_Core):
     """Immutable context; build instances with :meth:`Context.build`,
     which validates its input.  ``_make`` and ``_of_index`` are
@@ -422,8 +421,7 @@ def _bits(x: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
-@dataclass(frozen=True, init=False)
-class ReachType:
+class ReachType(_Value):
     """Interface-level abstraction of a context.
 
     ``reach`` holds unordered pairs of references linked by an inner
@@ -654,8 +652,7 @@ def beta_compose(r1: ReachType, r2: ReachType) -> ReachType:
 # ---------------------------------------------------------------------------
 # linkage types
 
-@dataclass(frozen=True)
-class LinkageType:
+class LinkageType(_Value):
     """Which systems of disjoint inner paths a context realises.
 
     ``masks`` is the low 3k bits of the context's reachability-type
@@ -729,10 +726,17 @@ def linkage_type(w: Context) -> LinkageType:
         leaves = (adj[v] & frontier & last).bit_count()
         return joins - leaves, pending[v] - adj[v].bit_count()
 
+    # a vertex no introduced vertex neighbours costs (0, 0) if it is a
+    # port or has no neighbours and (1, 0) otherwise, more than every
+    # other: so the min is among the neighbours of introduced vertices
+    # and those ports and lone vertices, unless there are none
+    ready = ports | sum(1 << v for v, row in enumerate(adj) if not row)
+    touched = 0
     patterns = {(0,) * 2 * k}
     while remaining:
-        v = min(_bits(remaining), key=cost)
+        v = min(_bits((touched | ready) & remaining or remaining), key=cost)
         remaining ^= 1 << v
+        touched |= adj[v]
         if not ports >> v & 1:  # the least slot no port or frontier vertex holds
             taken = sum((1 << slot[u] for u in _bits(frontier)), (1 << 2 * k) - 1)
             slot[v] = (~taken & taken + 1).bit_length() - 1
@@ -886,8 +890,7 @@ class _Letters(Sequence):
         return w
 
 
-@dataclass(frozen=True)
-class GeneratorAlphabet:
+class GeneratorAlphabet(_Value):
     """Contexts with at most arity+1 vertices, one per isomorphism
     class, in a stable order with ids g0, g1, ...
 

@@ -15,7 +15,8 @@ fast at the sizes this library works with.
 
 This module is also the graph core that contexts
 (`sepstar.contexts`) and path decompositions (`sepstar.pathdecomp`)
-reuse: vertex/edge validation, the `_Core` base class that holds the
+reuse: the `_Value` base of the library's frozen value classes,
+vertex/edge validation, the `_Core` base class that holds the
 vertices and edges and computes each object's neighbour sets once, the
 component labelling, the canonical search with its certificate
 encoding and decoding, and the JSON file reader all live here and take
@@ -28,9 +29,9 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, groupby, permutations, product
+from operator import attrgetter
 
 __all__ = [
     "GraphError",
@@ -62,6 +63,66 @@ class GraphError(ValueError):
 # the shared core
 
 
+class _Value:
+    """Base of the library's frozen value classes: formulas, expressions,
+    graphs, contexts, types, monoids and their results.
+
+    A subclass names its fields by annotating them in its body, after
+    those of its bases; a class attribute of the same name is the
+    field's default, and fields with defaults come last.  From the
+    fields the base gives positional construction, ``__match_args__``,
+    ``==`` between objects of one class, field by field in order,
+    ``hash`` over the tuple of the fields, a ``Name(field=value, ...)``
+    repr and assignment that raises.  A value derived from the fields
+    is no field: ``==``, ``hash`` and the repr do not see it.  Each
+    class gets its ``==`` and ``hash`` as closures over its fields, so
+    nothing is compiled when the library is imported.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        own = [n for n in vars(cls).get("__annotations__", ()) if n not in cls._fields]
+        cls._fields = cls.__match_args__ = fields = cls._fields + tuple(own)
+        cls._required = len(fields) - sum(hasattr(cls, n) for n in fields)
+        if not fields:  # an abstract base, such as Formula
+            return
+        get = attrgetter(*fields)
+        # a class of one field compares that field itself, in no tuple,
+        # so a nest of such nodes costs the least stack per level; the
+        # fields of any other class come as one tuple, compared in order
+        one = len(fields) == 1
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            mine, theirs = get(self), get(other)
+            return mine is theirs or mine == theirs
+
+        def __hash__(self):
+            return hash((get(self),) if one else get(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields) and not self._required <= len(values) < len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(values)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen value")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen value")
+
+
 def _check_core(vertices, edges, error):
     """Validate a vertex/edge core and normalise edges to sorted pairs,
     raising the caller's exception class ``error``."""
@@ -84,8 +145,7 @@ def _check_core(vertices, edges, error):
     return vs, frozenset(es)
 
 
-@dataclass(frozen=True)
-class _Core:
+class _Core(_Value):
     """The vertices and normalised edges a port graph and a context
     share, with the neighbour sets derived from them once per object."""
 
@@ -202,7 +262,6 @@ def _conform(value, shape, error, where: str) -> None:
             _conform(item, sub, error, f"{where}[{i}]")
 
 
-@dataclass(frozen=True)
 class PortGraph(_Core):
     """Immutable graph with ports.
 

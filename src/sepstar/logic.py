@@ -19,10 +19,9 @@ separator vocabulary rather than plain first-order logic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import wraps
 
-from .graphs import PortGraph, _flood, _numbering
+from .graphs import PortGraph, _flood, _numbering, _Value
 
 __all__ = [
     "Formula",
@@ -51,44 +50,38 @@ class FormulaError(ValueError):
     """Raised for syntax errors and ill-formed evaluations."""
 
 
-@dataclass(frozen=True)
-class Formula:
-    """Base class; subclasses are frozen dataclasses and hashable.
+class Formula(_Value):
+    """Base class; subclasses are frozen values and hashable.
 
     ``program`` is the formula compiled by `_program`, set on its first
-    evaluation.  Equality and hashing do not see it: a formula's value
-    is what it was built from.
+    evaluation.  It is no field, so equality, hashing and the repr do
+    not see it: a formula's value is what it was built from.
     """
 
-    program: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    program = None
 
 
-@dataclass(frozen=True)
 class Edge(Formula):
     x: str
     y: str
 
 
-@dataclass(frozen=True)
 class Sep(Formula):
     x: str
     y: str
     zs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
     x: str
     y: str
 
 
-@dataclass(frozen=True)
 class Label(Formula):
     x: str
     label: str
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     sub: Formula
 
@@ -107,7 +100,6 @@ def _joined(node, operands):
     return node(*operands) if len(operands) > 1 else operands[0]
 
 
-@dataclass(frozen=True, init=False)
 class _Junction(Formula):
     operands: tuple[Formula, ...]
 
@@ -124,13 +116,11 @@ class Or(_Junction):
     pass
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
     var: str
     sub: Formula
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
     var: str
     sub: Formula

@@ -44,7 +44,6 @@ type, so its cost does not grow with the number of powers asked for.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -60,7 +59,7 @@ from .contexts import (
     linkage_type,
     reaches,
 )
-from .graphs import MONOID_SHAPE, RECOGNIZER_SHAPE, _conform, _flood, _read_json
+from .graphs import MONOID_SHAPE, RECOGNIZER_SHAPE, _conform, _flood, _read_json, _Value
 
 __all__ = [
     "MonoidError",
@@ -98,8 +97,7 @@ class MonoidError(ValueError):
     """Raised for malformed monoids, recognizers, and queries."""
 
 
-@dataclass(frozen=True)
-class FiniteMonoid:
+class FiniteMonoid(_Value):
     """Multiplication table over elements 0..n-1.
 
     ``table[a][b]`` is the product a*b.  ``zero``, when present, is an
@@ -205,8 +203,7 @@ def is_aperiodic(m: FiniteMonoid) -> bool:
 # Green's relations
 
 
-@dataclass(frozen=True)
-class GreenData:
+class GreenData(_Value):
     """Equivalence class ids per element for the four relations, plus
     the ideal bitmasks the preorders are defined from."""
 
@@ -424,8 +421,7 @@ def generated_submonoid(m: FiniteMonoid, generators: dict[str, int]):
 # recognizers
 
 
-@dataclass(frozen=True)
-class Recognizer:
+class Recognizer(_Value):
     """A monoid morphism from width-`arity` generator words.
 
     ``gen_map`` must cover the whole generator alphabet, and name no
@@ -568,8 +564,7 @@ def parity_recognizer(k: int, odd_ids) -> Recognizer:
 # the decision procedure
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """Outcome of the aperiodicity-modulo-reachability decision.
 
     ``witness`` is None for a positive verdict; otherwise a shortest
@@ -649,8 +644,7 @@ def _violation_verdict(rec, word, pair: tuple[int, ReachType], explored) -> Verd
 # semantic certification
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Value):
     """Evidence that an oracle keeps alternating along the powers of an
     idempotent-type context: values[i] is the oracle at power i+1, and
     from power `threshold` on the values strictly alternate."""

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -45,6 +44,7 @@ from .graphs import (
     _numbering,
     _port_certificate,
     _unique_keys,
+    _Value,
     canonical_cert,
     canonical_rename,
     graph_from_json,
@@ -95,24 +95,21 @@ class ExprError(ValueError):
     """Raised for ill-formed expressions and membership queries."""
 
 
-@dataclass(frozen=True)
-class Expr:
-    """Base of the expression nodes, which are frozen dataclasses.
+class Expr(_Value):
+    """Base of the expression nodes, which are frozen values.
 
     A node derives its ``arity`` from its operands when it is built, so
     an ill-formed tree raises ExprError at construction and never
     exists.  ``memo`` maps the certificate of each graph already tested
-    against the node to the verdict.  Equality and hashing see neither:
-    a node's value is what it was built from.
+    against the node to the verdict.  Neither is a field, so equality,
+    hashing and the repr see neither: a node's value is what it was
+    built from.
     """
 
-    arity: int = field(init=False, repr=False, compare=False)
-    memo: dict[bytes, bool] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self):
+    def __init__(self, *fields):
+        super().__init__(*fields)
         object.__setattr__(self, "arity", self._arity())
+        object.__setattr__(self, "memo", {})
 
 
 def _operand_arity(e) -> int:
@@ -121,18 +118,18 @@ def _operand_arity(e) -> int:
     return e.arity
 
 
-@dataclass(frozen=True)
 class Finite(Expr):
     arity: int
     members: tuple[PortGraph, ...]  # canonical, deduplicated, sorted
-    certs: frozenset[bytes] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        certs = frozenset(canonical_cert(g) for g in self.members)
-        object.__setattr__(self, "certs", certs)
+    def __init__(self, arity: int, members: tuple[PortGraph, ...]):
+        super().__init__(arity, members)
+        object.__setattr__(self, "certs", frozenset(canonical_cert(g) for g in members))
+
+    def _arity(self) -> int:
+        return self.arity  # a field here
 
 
-@dataclass(frozen=True)
 class Not(Expr):
     sub: Expr
 
@@ -149,14 +146,11 @@ def _common_arity(node: Expr, operands) -> int:
     return ks[0]
 
 
-@dataclass(frozen=True, init=False)
 class _Junction(Expr):
     operands: tuple[Expr, ...]
 
     def __init__(self, *operands: Expr):
-        # what the generated __init__ of a frozen node would write
-        vars(self).update(operands=_flat(self, operands), memo={})
-        self.__post_init__()
+        super().__init__(_flat(self, operands))
 
     def _arity(self) -> int:
         return _common_arity(self, self.operands)
@@ -170,7 +164,6 @@ class Or(_Junction):
     pass
 
 
-@dataclass(frozen=True)
 class Fuse(Expr):
     lhs: Expr
     rhs: Expr
@@ -179,7 +172,6 @@ class Fuse(Expr):
         return _common_arity(self, (self.lhs, self.rhs))
 
 
-@dataclass(frozen=True)
 class Forget(Expr):
     sub: Expr
 
@@ -190,7 +182,6 @@ class Forget(Expr):
         return k - 1
 
 
-@dataclass(frozen=True)
 class Add(Expr):
     sub: Expr
 
@@ -198,7 +189,6 @@ class Add(Expr):
         return _operand_arity(self.sub) + 1
 
 
-@dataclass(frozen=True)
 class Permute(Expr):
     perm: tuple[int, ...]
     sub: Expr

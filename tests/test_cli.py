@@ -849,6 +849,32 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout == "true\n"
 
 
+HELP_COMMANDS = ["eval-formula", "eval-expr", "compile", "beta", "bridges", "pathwidth",
+                 "generators", "build-word", "decide", "certify", "dealternate", "two-bridge",
+                 "encode-word"]
+
+
+def test_every_subcommand_helps_and_the_bare_command_exits_2_in_fresh_interpreters():
+    # each in its own interpreter, as a user starts it; the bare command
+    # prints the usage and exits 2
+    import argparse
+
+    from sepstar import cli
+
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(HELP_COMMANDS) == sorted(sub.choices)
+    src = str(Path(main.__code__.co_filename).resolve().parents[1])
+    for argv in [[cmd, "--help"] for cmd in HELP_COMMANDS] + [[]]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepstar.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == (0 if argv else 2), (argv, proc.stderr)
+        assert proc.stdout.startswith("usage: sepstar"), argv
+
+
 def readme_transcript():
     """The ``$ sepstar ...`` lines of the README's shell block, each
     with the output printed under it."""
