@@ -29,7 +29,7 @@ onto the node of its class in `compose`.
 A context is a vertex/edge core plus two interface tuples, so it runs
 on the graph core of `sepstar.graphs`: the same validation, core class
 with its per-object neighbour sets, component labelling, canonical
-search with its certificate encoding and decoding, and JSON file
+search with its one certificate writer and reader, and JSON file
 reader.  Only the interface handling and the colour keys that encode
 it live here; a context's canonical rename is read back from its
 certificate.
@@ -45,15 +45,15 @@ from itertools import combinations
 from .graphs import (
     CONTEXT_SHAPE,
     _MAX_ARITY,
-    _certificate,
     _check_core,
     _components,
     _conform,
     _Core,
-    _decode_certificate,
     _flood,
+    _index_certificate,
     _keyed_certificates,
     _numbering,
+    _read_certificate,
     _read_json,
     _Value,
 )
@@ -197,8 +197,8 @@ class Context(_Core):
         numbered in sorted-name order by `graphs._numbering`, as each
         number's adjacency mask, then the left and the right interface
         as a number or None per index, and the edges as pairs of numbers
-        (smaller, larger).  `compose_all` and `beta` read it; a
-        composite from `compose_all` is born with it."""
+        (smaller, larger).  `compose_all`, `beta` and `context_cert`
+        read it; a composite from `compose_all` is born with it."""
         at, adj = _numbering(self)
         left, right = (tuple([None if v is None else at[v] for v in side])
                        for side in (self.left, self.right))
@@ -810,49 +810,52 @@ def linkage_compose(t1: LinkageType, t2: LinkageType) -> LinkageType:
 # canonical forms
 
 
-def _port_keys(vertices, left, right) -> dict:
-    """The colour key of each vertex: the left and the right port index
-    it holds in the interface tuples ``left`` and ``right``, 0 for none."""
-    lpos = {v: i + 1 for i, v in enumerate(left) if v is not None}
-    rpos = {v: i + 1 for i, v in enumerate(right) if v is not None}
-    return {v: f"L{lpos.get(v, 0):03d}R{rpos.get(v, 0):03d}" for v in vertices}
+def _port_keys(n: int, left, right) -> list[str]:
+    """The colour key of each vertex 0..n-1 of the interfaces ``left``
+    and ``right`` (a vertex number or None per index): the left and the
+    right port index it holds, 0 for none."""
+    held = [[0, 0] for _ in range(n)]
+    for side, interface in enumerate((left, right)):
+        for i, v in enumerate(interface, 1):
+            if v is not None:
+                held[v][side] = i
+    return [f"L{i:03d}R{j:03d}" for i, j in held]
 
 
 @lru_cache(maxsize=None)
 def context_cert(w: Context) -> bytes:
     """Equal for two contexts iff they are isomorphic (interfaces
-    preserved index by index)."""
-    return _certificate("c", w, _port_keys(w.vertices, w.left, w.right))
+    preserved index by index).  Written from the context's own
+    numbering, `Context._indexed`."""
+    adj, left, right, _ = w._indexed
+    return _index_certificate("c", len(left), adj, _port_keys(len(adj), left, right))
 
 
 def _context_from_cert(cert: bytes) -> Context:
     """The context a certificate describes, its vertices named v0, v1,
     ... in canonical order, each with the ports its colour key names."""
-    arity, keys, edges = _decode_certificate(cert)
+    arity, keys, edges = _read_certificate(cert)
     names = [f"v{i}" for i in range(len(keys))]
-    left, right = _key_ports(names, keys)
     # a certificate comes from a valid context or from the alphabet's
     # distinct port keys, so it describes a valid one
     return Context._make(
         frozenset(names),
         frozenset((x, y) if x < y else (y, x)
                   for x, y in ((names[a], names[b]) for a, b in edges)),
-        tuple(left.get(i) for i in range(1, arity + 1)),
-        tuple(right.get(i) for i in range(1, arity + 1)),
+        *_key_ports(arity, names, keys),
     )
 
 
-def _key_ports(names, keys) -> tuple[dict[int, str], dict[int, str]]:
-    """The left and the right interface, as index-to-name maps, that the
-    colour keys of the vertices ``names`` describe."""
-    left, right = {}, {}
+def _key_ports(arity: int, names, keys) -> tuple[tuple, tuple]:
+    """The left and the right interface, a name or None per index, that
+    the colour keys of the vertices ``names`` describe."""
+    sides = [None] * arity, [None] * arity
     for v, key in zip(names, keys):
-        i, j = map(int, key[1:].split("R"))  # as `_port_keys` wrote them
-        if i:
-            left[i] = v
-        if j:
-            right[j] = v
-    return left, right
+        # as `_port_keys` wrote them
+        for side, i in zip(sides, map(int, key[1:].split("R"))):
+            if i:
+                side[i - 1] = v
+    return tuple(sides[0]), tuple(sides[1])
 
 
 def canonical_rename_context(w: Context) -> Context:
@@ -939,11 +942,9 @@ class GeneratorAlphabet(_Value):
         return self.contexts[idx]
 
     def sizes(self) -> Iterator[tuple[int, int]]:
-        """Each letter's vertex and edge count, read off its certificate:
-        the count in its header and the ``1``s of its triangle."""
+        """Each letter's vertex and edge count, read off its certificate."""
         for cert in self.certs:
-            head, _, tri = cert.partition(b"#")
-            yield int(head.split(b";", 2)[1]), tri.count(b"1")
+            yield _read_certificate(cert, "sizes")
 
     def __len__(self) -> int:
         return len(self.certs)
@@ -952,14 +953,12 @@ class GeneratorAlphabet(_Value):
 def _cert_code(cert: bytes) -> int:
     """The type code of the context a certificate describes, read off
     its index data: no `Context` is built."""
-    k, keys, edges = _decode_certificate(cert)
+    k, keys, edges = _read_certificate(cert)
     adj = [0] * len(keys)
     for a, b in edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    left, right = _key_ports(range(len(keys)), keys)
-    return _type_code(adj, [left.get(i) for i in range(1, k + 1)],
-                      [right.get(i) for i in range(1, k + 1)])
+    return _type_code(adj, *_key_ports(k, range(len(keys)), keys))
 
 
 class _TypeGraph:
@@ -1028,9 +1027,10 @@ def _port_key_sets(k: int) -> list[list[str]]:
     one way a vertex can hold a left and a right index, so no two port
     vertices share a key."""
     sets: list[list[str]] = [[]]
-    for i in range(1, k + 1):
-        left, right, both = f"L{i:03d}R000", f"L000R{i:03d}", f"L{i:03d}R{i:03d}"
-        sets = [s + c for s in sets for c in ([], [left], [right], [left, right], [both])]
+    for i in range(k):
+        held = (None,) * i + (0,)  # index i + 1 on vertex 0
+        left, right, both = (_port_keys(1, *lr) for lr in ((held, ()), ((), held), (held, held)))
+        sets = [s + c for s in sets for c in ([], left, right, left + right, both)]
     return [sorted(s) for s in sets]
 
 
@@ -1069,7 +1069,7 @@ def enumerate_generators(k: int) -> GeneratorAlphabet:
     certs = []
     for ports in _port_key_sets(k):
         for n in range(max(len(ports), 1), k + 2):
-            keys = ["L000R000"] * (n - len(ports)) + ports
+            keys = _port_keys(n - len(ports), (), ()) + ports
             certs += _keyed_certificates("c", k, keys, triangles)
     certs.sort()  # by vertex count first: it is one digit, after "c;"
     return GeneratorAlphabet(k, tuple(certs))
@@ -1165,25 +1165,23 @@ def dump_alphabet(alphabet: GeneratorAlphabet) -> Iterator[str]:
     `Context` and no payload is held.  Letters share edge sets and lists
     of colour keys (the 471,228 letters of width 4 have 1,024 and
     1,263), so json's indented encoder, which is pure Python, lays out
-    each once.  The texts are keyed by the certificate's two parts: the
-    head before ``#``, which holds the arity and the colour keys, and the
-    triangle after it, which alone fixes the edges (its length C(n, 2)
-    fixes n once n >= 2, and below that it is empty).  So a certificate
-    is decoded only when one of its parts is new."""
+    each once.  The texts are keyed by the two parts that
+    `graphs._read_certificate` splits a certificate into, its head and
+    its triangle, so a certificate is decoded only when one is new."""
     edge_text: dict[bytes, str] = {}
     key_text: dict[bytes, tuple[int, str]] = {}
     sep = "[\n  "
     for gid, cert in zip(alphabet.ids, alphabet.certs):
-        head, _, tri = cert.partition(b"#")
+        head, tri = _read_certificate(cert, "split")
         if head not in key_text or tri not in edge_text:
-            arity, keys, edges = _decode_certificate(cert)
+            arity, keys, edges = _read_certificate(cert)
             if tri not in edge_text:
                 pairs = sorted(sorted((f"v{a}", f"v{b}")) for a, b in edges)
                 edge_text[tri] = _field_json(pairs)
             if head not in key_text:
                 names = [f"v{i}" for i in range(len(keys))]
-                left, right = (_field_json({str(i): v for i, v in side.items()})
-                               for side in _key_ports(names, keys))
+                left, right = (_field_json({str(i): v for i, v in enumerate(side, 1) if v})
+                               for side in _key_ports(arity, names, keys))
                 key_text[head] = arity, (
                     f'"left": {left},\n    "right": {right},\n'
                     f'    "vertices": {_field_json(sorted(names))}'

@@ -18,10 +18,10 @@ This module is also the graph core that contexts
 reuse: the `_Value` base of the library's frozen value classes,
 vertex/edge validation, the `_Core` base class that holds the
 vertices and edges and computes each object's neighbour sets once, the
-component labelling, the canonical search with its certificate
-encoding and decoding, and the JSON file reader all live here and take
-any object with ``vertices``, ``edges`` and ``arity``.  A canonical
-rename is read back from the certificate.
+component labelling, the JSON file reader and, on index data, the
+canonical search with the one certificate codec: `_write_certificates`
+writes every certificate and `_read_certificate` reads each back, a
+canonical rename included.
 """
 
 from __future__ import annotations
@@ -113,8 +113,24 @@ class _Value:
             object.__setattr__(self, name, value)
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        # written off a stack of the parts still to write, not by
+        # recursion, so that a nest of values thousands deep has a repr
+        out, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, str):
+                out.append(x)
+                continue
+            if type(x) is tuple:
+                parts, names, end = ["("], [""] * len(x), ",)" if len(x) == 1 else ")"
+            else:
+                parts, names, end = [f"{type(x).__qualname__}("], [f"{n}=" for n in x._fields], ")"
+                x = [getattr(x, n) for n in x._fields]
+            for i, (name, v) in enumerate(zip(names, x)):
+                nested = type(v) is tuple or type(v).__repr__ is _Value.__repr__
+                parts += [", " if i else "", name, v if nested else repr(v)]
+            todo += reversed(parts + [end])
+        return "".join(out)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen value")
@@ -400,28 +416,16 @@ def fuse(g: PortGraph, h: PortGraph) -> PortGraph:
     """
     if g.arity != h.arity:
         raise GraphError(f"fuse needs equal arities, got {g.arity} and {h.arity}")
-    k = g.arity
-    gmap = {}
-    for v in g.vertices:
-        gmap[v] = f"a.{v}"
-    hmap = {}
-    for v in h.vertices:
-        hmap[v] = f"b.{v}"
-    for i in range(k):
-        name = f"p{i + 1}"
-        gmap[g.ports[i]] = name
-        hmap[h.ports[i]] = name
+    ports = tuple(f"p{i + 1}" for i in range(g.arity))
+    gmap = {v: f"a.{v}" for v in g.vertices} | dict(zip(g.ports, ports))
+    hmap = {v: f"b.{v}" for v in h.vertices} | dict(zip(h.ports, ports))
     glab = {gmap[v]: c for v, c in g.labels}
     hlab = {hmap[v]: c for v, c in h.labels}
     for v, c in hlab.items():
         if v in glab and glab[v] != c:
             raise GraphError(f"label clash on fused port {v!r}")
-    glab.update(hlab)
-    verts = set(gmap.values()) | set(hmap.values())
-    edges = [(gmap[u], gmap[v]) for (u, v) in g.edges]
-    edges += [(hmap[u], hmap[v]) for (u, v) in h.edges]
-    ports = tuple(f"p{i + 1}" for i in range(k))
-    return PortGraph.build(verts, edges, ports, glab)
+    edges = [(gmap[u], gmap[v]) for (u, v) in g.edges] + [(hmap[u], hmap[v]) for (u, v) in h.edges]
+    return PortGraph.build(set(gmap.values()) | set(hmap.values()), edges, ports, glab | hlab)
 
 
 def forget(g: PortGraph) -> PortGraph:
@@ -503,11 +507,8 @@ def prime_factors(g: PortGraph) -> tuple[PortGraph, ...]:
 
 def _refine_colors(n: int, adj: list[int], colors: list[int]) -> list[int]:
     while True:
-        sigs = []
-        for v in range(n):
-            row = adj[v]
-            nbr = sorted(colors[u] for u in range(n) if row >> u & 1)
-            sigs.append((colors[v], tuple(nbr)))
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in range(n) if adj[v] >> u & 1)))
+                for v in range(n)]
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranking[s] for s in sigs]
         if new == colors:
@@ -515,22 +516,46 @@ def _refine_colors(n: int, adj: list[int], colors: list[int]) -> list[int]:
         colors = new
 
 
-def _encode(n: int, adj: list[int], keys: list[str], perm: list[int]) -> bytes:
-    bits = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bits.append("1" if adj[perm[i]] >> perm[j] & 1 else "0")
-    payload = "|".join(keys[v] for v in perm) + "#" + "".join(bits)
-    return payload.encode()
+def _write_certificates(tag: str, arity: int, keys: list[str], triangles) -> list[bytes]:
+    """The certificate ``tag;n;arity;keys#triangle`` of the coloured
+    graph with the colour keys ``keys``, in canonical order, for each of
+    the ``triangles``: ``g`` (port graph) or ``c`` (context), the vertex
+    count, the arity, the keys joined by ``|`` and the upper triangle of
+    the adjacency matrix in that order as ``0``/``1`` text.  Only this
+    function writes the format and only `_read_certificate` reads it."""
+    head = f"{tag};{len(keys)};{arity};{'|'.join(keys)}#".encode()
+    return [head + tri.encode() for tri in triangles]
 
 
-# Up to five vertices the encoding is the minimum over every
-# colour-respecting order.  Such an order lists the colour classes in
-# key order, so the text before ``#`` is the same for all of them, and
-# the minimum is that of the upper triangle read as one integer, the
-# first pair the most significant bit.  `_small_minimum` takes it over
-# all orders at once, through tables filled on first use, one per tuple
-# of colour-class sizes (a composition of n <= 5, 32 in all).
+def _read_certificate(cert: bytes, part: str = "all"):
+    """Undo `_write_certificates`: the arity, the colour keys in
+    canonical order, and the edges as pairs of positions.  Readers of a
+    whole alphabet take cheap parts: ``"sizes"``, the vertex and the
+    edge count, and ``"split"``, the head before ``#`` and the triangle
+    after it, as bytes, so that each distinct part is decoded once.  No
+    key holds ``|`` or ``#``: `_graph_keys` escapes them in labels, and
+    `sepstar.contexts._port_keys` writes numbers only."""
+    head, _, tri = cert.partition(b"#")
+    if part == "split":
+        return head, tri
+    if part == "sizes":
+        return int(head.split(b";", 2)[1]), tri.count(b"1")
+    _, n, arity, keys = head.decode().split(";", 3)
+    pairs = combinations(range(int(n)), 2)
+    return int(arity), keys.split("|"), [e for e, b in zip(pairs, tri.decode()) if b == "1"]
+
+
+def _triangle(adj: list[int], order, pairs) -> str:
+    """The adjacency at each pair of positions of ``order``, as ``0``/``1`` text."""
+    return "".join("1" if adj[order[a]] >> order[b] & 1 else "0" for a, b in pairs)
+
+
+# A colour-respecting order lists the colour classes in key order, so
+# its keys are the sorted keys, and a canonical form is the least
+# triangle, read as one integer with the first pair the most significant
+# bit.  Up to five vertices `_small_minimum` takes it over all orders at
+# once, through tables filled on first use, one per tuple of
+# colour-class sizes (a composition of n <= 5, 32 in all).
 _SMALL_PAIRS = [list(combinations(range(n), 2)) for n in range(6)]
 _SMALL_TABLES: dict[tuple[int, ...], tuple[list, list[list[int]]]] = {}
 
@@ -580,28 +605,24 @@ def _small_minimum(
         tri.append("0" if zero else "1")
         alive = zero or alive
     order = [pos[p] for p in orders[(alive & -alive).bit_length() - 1]]
-    tri += ("1" if adj[order[a]] >> order[b] & 1 else "0" for a, b in pairs[len(tri) :])
-    return "".join(tri), order
+    return "".join(tri) + _triangle(adj, order, pairs[len(tri) :]), order
 
 
-def _search_canonical(
-    n: int, adj: list[int], keys: list[str]
-) -> tuple[bytes, list[int]]:
-    """The canonical encoding and a vertex ordering that attains it:
-    the minimum over all colour-respecting orders up to five vertices
-    (the first such order to reach it), over the leaves of the
-    refinement search above that."""
+def _search_canonical(n: int, adj: list[int], keys: list[str]) -> tuple[str, list[int]]:
+    """The least triangle and the first order to reach it, over every
+    colour-respecting order up to five vertices, and above that over
+    the leaves of the refinement search, which keeps the key order of
+    the colours, so that each leaf is a colour-respecting order."""
     base = {k: i for i, k in enumerate(sorted(set(keys)))}
     init = [base[k] for k in keys]
 
     if n <= 5:
         # the colour classes in key order, each in index order
         pos = sorted(range(n), key=init.__getitem__)
-        sizes = tuple(init.count(c) for c in range(len(base)))
-        tri, order = _small_minimum(adj, pos, sizes)
-        return ("|".join(keys[v] for v in pos) + "#" + tri).encode(), order
+        return _small_minimum(adj, pos, tuple(init.count(c) for c in range(len(base))))
 
-    best: tuple[bytes, list[int]] | None = None
+    pairs = list(combinations(range(n), 2))
+    best: tuple[str, list[int]] | None = None
 
     def rec(colors: list[int]) -> None:
         nonlocal best
@@ -609,26 +630,17 @@ def _search_canonical(
         groups: dict[int, list[int]] = {}
         for v in range(n):
             groups.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(groups):
-            if len(groups[c]) > 1:
-                target = groups[c]
-                break
+        target = next((groups[c] for c in sorted(groups) if len(groups[c]) > 1), None)
         if target is None:
             perm = sorted(range(n), key=lambda v: colors[v])
-            enc = _encode(n, adj, keys, perm)
-            if best is None or enc < best[0]:
-                best = (enc, perm)
+            tri = _triangle(adj, perm, pairs)
+            if best is None or tri < best[0]:
+                best = (tri, perm)
             return
         # candidates up to swap automorphisms visible right now
         chosen: list[int] = []
         for u in target:
-            dup = False
-            for w in chosen:
-                if adj[u] & ~(1 << w) == adj[w] & ~(1 << u):
-                    dup = True
-                    break
-            if not dup:
+            if all(adj[u] & ~(1 << w) != adj[w] & ~(1 << u) for w in chosen):
                 chosen.append(u)
         for u in chosen:
             child = [c * 2 for c in colors]
@@ -641,30 +653,11 @@ def _search_canonical(
 
 def _index_certificate(tag: str, arity: int, adj: list[int], keys: list[str]) -> bytes:
     """Certificate of the coloured graph on vertices 0..n-1 with
-    adjacency bitmasks ``adj`` and colour keys ``keys``: ``tag;n;arity;``
-    then the canonical encoding: the keys in canonical order joined by
-    ``|``, ``#``, then the upper triangle of the adjacency matrix in that
-    order.  `_search_canonical` makes it isomorphism-invariant, so two
+    adjacency bitmasks ``adj`` and colour keys ``keys``, written from its
+    sorted keys and the least triangle of `_search_canonical`: two
     coloured graphs get equal certificates iff they are isomorphic."""
-    enc, _ = _search_canonical(len(keys), adj, keys)
-    return f"{tag};{len(keys)};{arity};".encode() + enc
-
-
-def _certificate(tag: str, g, keys: dict[str, str]) -> bytes:
-    """Certificate of a port graph or context coloured by ``keys``."""
-    at, adj = _numbering(g)
-    return _index_certificate(tag, g.arity, adj, [keys[v] for v in at])
-
-
-def _decode_certificate(cert: bytes) -> tuple[int, list[str], list[tuple[int, int]]]:
-    """Undo `_index_certificate`: the arity, the colour keys in canonical
-    order, and the edges as pairs of positions in that order.  No key
-    holds ``|`` or ``#``: `_graph_keys` escapes them in labels, and
-    `sepstar.contexts` writes port indices only."""
-    _, n, arity, encoding = cert.decode().split(";", 3)
-    keys, bits = encoding.split("#")
-    pairs = combinations(range(int(n)), 2)
-    return int(arity), keys.split("|"), [e for e, b in zip(pairs, bits) if b == "1"]
+    tri, _ = _search_canonical(len(keys), adj, keys)
+    return _write_certificates(tag, arity, sorted(keys), [tri])[0]
 
 
 # A label goes into its colour key with ``\``, ``|`` and ``#`` escaped,
@@ -674,38 +667,43 @@ _LABEL_ESCAPES = str.maketrans({"\\": "\\\\", "|": "\\p", "#": "\\h"})
 _LABEL_UNESCAPES = {"\\": "\\", "p": "|", "h": "#", "e": ""}
 
 
-def _graph_keys(vertices, ports, labels: dict) -> dict:
-    """The colour key of each vertex of a port graph, in the order of
-    ``vertices``: its port position, if any, and its escaped label."""
-    text = {v: c.translate(_LABEL_ESCAPES) if c else "\\e" for v, c in labels.items()}
-    keys = {v: f"v:{text.get(v, '')}" for v in vertices}
+def _graph_keys(n: int, ports, labels: dict) -> list[str]:
+    """The colour key of each vertex 0..n-1 of a port graph with the
+    port numbers ``ports`` and the labels keyed by number in ``labels``:
+    its port position, if any, and its escaped label."""
+    text = [""] * n
+    for v, c in labels.items():
+        text[v] = c.translate(_LABEL_ESCAPES) if c else "\\e"
+    keys = [f"v:{t}" for t in text]
     for i, p in enumerate(ports):
-        keys[p] = f"P{i:03d}:{text.get(p, '')}"
+        keys[p] = f"P{i:03d}:{text[p]}"
     return keys
+
+
+# the sorted colour keys of each unlabelled graph on n <= 5 vertices with k ports
+_PORT_KEYS = {(n, k): _graph_keys(n, range(k), {}) for n in range(6) for k in range(n + 1)}
 
 
 def _port_certificate(adj, ports) -> bytes:
     """The certificate of the unlabelled port graph on vertices 0..n-1
     with adjacency bitmasks ``adj`` and the given port indices, as
-    `canonical_cert` gives it.  Up to five vertices it is written
+    `canonical_cert` gives it.  Up to five vertices its triangle comes
     straight from the colour classes of `_graph_keys`, in key order:
     each port alone, in port order, then every other vertex."""
     n, k = len(adj), len(ports)
     if n > 5:
-        keys = _graph_keys(range(n), ports, {})
-        return _index_certificate("g", k, adj, list(keys.values()))
+        return _index_certificate("g", k, adj, _graph_keys(n, ports, {}))
     pos = ports + tuple(v for v in range(n) if v not in ports)
     tri, _ = _small_minimum(adj, pos, (1,) * k + ((n - k,) if n > k else ()))
-    keys = "|".join([f"P{i:03d}:" for i in range(k)] + ["v:"] * (n - k))
-    return f"g;{n};{k};{keys}#{tri}".encode()
+    return _write_certificates("g", k, _PORT_KEYS[n, k], [tri])[0]
 
 
 def _keyed_certificates(tag: str, arity: int, keys: list[str], triangles: dict) -> list[bytes]:
     """The certificate of each coloured graph, up to isomorphism, on the
-    n <= 5 vertices whose colour keys, sorted, are ``keys``: the keys,
-    ``#``, and each triangle that `_small_minimum` keeps, least among
-    its images under the orders that permute each colour class.  The
-    triangles depend only on the class sizes; ``triangles`` keeps them."""
+    n <= 5 vertices whose colour keys, sorted, are ``keys``: each
+    triangle that `_small_minimum` keeps, least among its images under
+    the orders that permute each colour class.  The triangles depend
+    only on the class sizes; ``triangles`` keeps them."""
     n = len(keys)
     sizes = tuple(len(list(run)) for _, run in groupby(keys))
     if sizes not in triangles:
@@ -721,21 +719,22 @@ def _keyed_certificates(tag: str, arity: int, keys: list[str], triangles: dict) 
                 if _small_minimum(adj, range(n), sizes)[0] == tri:
                     kept.append(tri)
             tris = kept
-        triangles[sizes] = [tri.encode() for tri in tris]
-    head = f"{tag};{n};{arity};{'|'.join(keys)}#".encode()
-    return [head + tri for tri in triangles[sizes]]
+        triangles[sizes] = tris
+    return _write_certificates(tag, arity, keys, triangles[sizes])
 
 
 @lru_cache(maxsize=None)
 def canonical_cert(g: PortGraph) -> bytes:
     """A bytestring equal for two graphs iff they are isomorphic."""
-    return _certificate("g", g, _graph_keys(g.vertices, g.ports, g.label_map))
+    at, adj = _numbering(g)
+    keys = _graph_keys(len(at), [at[p] for p in g.ports], {at[v]: c for v, c in g.labels})
+    return _index_certificate("g", g.arity, adj, keys)
 
 
 def canonical_rename(g: PortGraph) -> PortGraph:
     """Isomorphic copy with vertices named v0..v{n-1} in canonical order,
     read back from its certificate."""
-    arity, keys, edges = _decode_certificate(canonical_cert(g))
+    arity, keys, edges = _read_certificate(canonical_cert(g))
     names = [f"v{i}" for i in range(len(keys))]
     ports = [""] * arity
     labels = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, combinations, islice, product
-from typing import NamedTuple
+from operator import itemgetter
 
 from .contexts import (
     Context,
@@ -231,24 +231,27 @@ class _Levels(Sequence):
                 yield byte << 3 | low.bit_length() - 1
 
 
-class _Table(NamedTuple):
-    verts: tuple[str, ...]  # free vertices (right ports first), then left ports
-    index: dict[str, int]
-    adj: tuple[int, ...]  # adjacency row per vertex
-    lmask: int
-    rmask: int
-    free: tuple[str, ...]  # the vertices outside `first`, verts[:len(free)]
-    limit: int  # smallest largest bag over all orders: the width plus one
-    cost: _Levels  # per free subset: cost[m] of the comment above, capped at limit + 1
-    lo: tuple[int, ...]  # neighbourhood of each subset of the low free half
-    hi: tuple[int, ...]  # neighbourhood of each subset of the high free half
+class _Table(tuple):
+    """The exact-pathwidth table of one graph, a tuple of these fields."""
+
+    __slots__ = ()
+    verts = property(itemgetter(0))  # free vertices (right ports first), then left ports
+    index = property(itemgetter(1))  # the position of each vertex in verts
+    adj = property(itemgetter(2))  # adjacency row per vertex
+    lmask = property(itemgetter(3))
+    rmask = property(itemgetter(4))
+    free = property(itemgetter(5))  # the vertices outside `first`, verts[:len(free)]
+    limit = property(itemgetter(6))  # smallest largest bag over all orders: the width plus one
+    cost = property(itemgetter(7))  # per free subset: cost[m] above, a _Levels capped at limit + 1
+    lo = property(itemgetter(8))  # neighbourhood of each subset of the low free half
+    hi = property(itemgetter(9))  # neighbourhood of each subset of the high free half
 
     def active(self, m):
         """active(m) of the comment above, as a vertex mask."""
-        h = len(self.free) // 2
-        out = (len(self.cost) - 1) ^ m
-        nb = self.lo[out & ((1 << h) - 1)] | self.hi[out >> h]
-        return (m | self.lmask) & (self.rmask | nb)
+        _, _, _, lmask, rmask, free, _, cost, lo, hi = self
+        h = len(free) // 2
+        out = (len(cost) - 1) ^ m
+        return (m | lmask) & (rmask | lo[out & ((1 << h) - 1)] | hi[out >> h])
 
 
 def _pathwidth_table(vertices, edges, first, last) -> _Table:
@@ -356,7 +359,7 @@ def _build_table(vertices, edges, first, last) -> _Table:
     h = f // 2
     lo = _neighbourhoods(adj[:h])
     hi = _neighbourhoods(adj[h:f])
-    return _Table(verts, index, tuple(adj), lmask, rmask, free, limit, cost, lo, hi)
+    return _Table((verts, index, tuple(adj), lmask, rmask, free, limit, cost, lo, hi))
 
 
 def _best_removal(key, m):

@@ -291,7 +291,7 @@ def reference_generators(k: int):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
             for (lt, rt), _ in _orbits(interfaces, automorphisms, _interface_image):
-                keys = list(_port_keys(range(n), lt, rt).values())
+                keys = _port_keys(n, lt, rt)
                 certs.append((n, _index_certificate("c", k, adj, keys)))
     certs.sort()
     return GeneratorAlphabet(k, tuple(c for _, c in certs))
@@ -912,11 +912,11 @@ def reference_canonical_names(g, keys: dict[str, str]) -> dict[str, str]:
 
 
 def reference_small_canonical(n: int, adj: list[int], keys: list[str]):
-    """The canonical encoding of a coloured graph on at most five
-    vertices, as text: every colour-respecting order is encoded as the
-    keys in that order, ``#`` and the upper triangle as ``0``/``1``
-    characters, and the first minimal encoding is kept with its order.
-    The reference for `graphs._search_canonical` up to five vertices."""
+    """The canonical triangle of a coloured graph on at most five
+    vertices: every colour-respecting order is encoded as the keys in
+    that order and the upper triangle as ``0``/``1`` characters, and the
+    triangle of the first minimal encoding is kept with its order.  The
+    reference for `graphs._search_canonical` up to five vertices."""
     base = {k: i for i, k in enumerate(sorted(set(keys)))}
     groups: dict[int, list[int]] = {}
     for v in range(n):
@@ -930,10 +930,14 @@ def reference_small_canonical(n: int, adj: list[int], keys: list[str]):
             "1" if adj[perm[i]] >> perm[j] & 1 else "0"
             for i, j in combinations(range(n), 2)
         )
-        enc = ("|".join(keys[v] for v in perm) + "#" + bits).encode()
+        enc = ("|".join(keys[v] for v in perm), bits)
         if best is None or enc < best[0]:
             best = (enc, perm)
-    return best
+    (head, tri), perm = best
+    # every colour-respecting order lists the keys sorted, so the
+    # triangle alone decides
+    assert head == "|".join(sorted(keys))
+    return tri, perm
 
 
 def reference_fusion_splits(g: PortGraph):

@@ -78,7 +78,9 @@ def test_canonical_rename_reads_the_certificate():
     rng = random.Random(5)
     for _ in range(200):
         w = random_context(rng, 3, 7)
-        ren = reference_canonical_names(w, contexts._port_keys(w.vertices, w.left, w.right))
+        adj, left, right, _ = w._indexed
+        keys = dict(zip(sorted(w.vertices), contexts._port_keys(len(adj), left, right)))
+        ren = reference_canonical_names(w, keys)
         expected = Context.build(
             ren.values(),
             [(ren[x], ren[y]) for x, y in w.edges],
@@ -116,7 +118,7 @@ def test_width_three_writes_canonical_triangles_once_per_class_sizes(monkeypatch
     assert len(alphabet) == 6939 and searches == []
     shapes = set()
     for cert in alphabet.certs:
-        _, keys, _ = graphs._decode_certificate(cert)
+        _, keys, _ = graphs._read_certificate(cert)
         shapes.add((len(keys), keys.count("L000R000")))
     expected = {(n, m): 2 ** (n * (n - 1) // 2) for n, m in shapes if m >= 2}
     assert len(minima) == sum(expected.values()) == 210

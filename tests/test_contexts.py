@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from sepstar import contexts
+from sepstar import contexts, graphs
 from sepstar.contexts import (
     Context,
     ContextError,
@@ -181,6 +181,23 @@ def test_a_context_is_numbered_once_however_often_it_is_used(monkeypatch):
     for w in (u, v, uv):
         assert not any(x is w for x in numbered)
     assert len(numbered) == 2
+
+
+def test_context_cert_numbers_no_context(monkeypatch):
+    # a certificate is written from the context's own numbering,
+    # `Context._indexed`, so context_cert calls `_numbering` on nothing
+    # and certifies a composite without writing its names
+    cross, hub = (_ctx(w.vertices, w.edges, 2, w.left_map(), w.right_map())
+                  for w in (crossing_context(), hub_context()))
+    named = functools.reduce(reference_compose, [hub, cross] * 3)
+    expected = [context_cert.__wrapped__(w) for w in (crossing_context(), hub_context(), named)]
+    u = compose_all([hub, cross] * 3)  # numbers both operands
+    numbered = []
+    for module in (contexts, graphs):
+        fresh = module._numbering
+        monkeypatch.setattr(module, "_numbering", lambda g, f=fresh: numbered.append(g) or f(g))
+    assert [context_cert.__wrapped__(w) for w in (cross, hub, u)] == expected
+    assert numbered == [] and not set(_NAME_FIELDS) & set(vars(u))
 
 
 _NAME_FIELDS = ("vertices", "edges", "left", "right")

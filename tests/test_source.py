@@ -1,6 +1,7 @@
 """Checks over the library's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 import sepstar
@@ -252,3 +253,75 @@ def test_unchecked_contexts_come_from_named_producers():
         ("contexts.py", "_context_from_cert"),
     }
     assert numbered == {("contexts.py", "compose_all")}
+
+
+def _literals(tree):
+    """The enclosing function or method of each string or bytes literal
+    and f-string, with the node; docstrings are left out."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.JoinedStr) or (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, (str, bytes))
+            and id(node) not in docstrings
+        ):
+            found.append((where, node))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_function_writes_certificates_and_one_reads_them():
+    # the certificate layout is one decision: no code but the codec's
+    # writer and reader in graphs holds a bytes literal or encodes or
+    # decodes text, so none other can build, split or parse a certificate
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        places = [
+            where
+            for where, node in _literals(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, bytes) and node.value
+        ]
+        places += _callers(tree, "encode") + _callers(tree, "decode")
+        found |= {(path.name, where) for where in places}
+    assert found == {("graphs.py", "_write_certificates"), ("graphs.py", "_read_certificate")}
+
+
+# the two colour-key formats, in literal text or f-strings: a port
+# graph's keys "P000:label" and "v:label", and a context's "L001R000"
+KEY_FORMATS = {
+    "port graph": re.compile(r"^f?['\"](v|P(\d{3}|\{[^}]*\})):"),
+    "context": re.compile(r"L(\d{3}|\{[^}]*\})R(\d{3}|\{[^}]*\})"),
+}
+
+
+def test_each_colour_key_format_is_spelled_in_one_function():
+    # a key format is one decision: `graphs._graph_keys` and
+    # `contexts._port_keys` write the keys, and every other writer
+    # calls them
+    spelled = {name: set() for name in KEY_FORMATS}
+    for path in SOURCES:
+        for where, node in _literals(ast.parse(path.read_text(), str(path))):
+            text = ast.unparse(node)
+            for name, pattern in KEY_FORMATS.items():
+                if pattern.search(text):
+                    spelled[name].add((path.name, where))
+    assert spelled == {
+        "port graph": {("graphs.py", "_graph_keys")},
+        "context": {("contexts.py", "_port_keys")},
+    }

@@ -78,14 +78,15 @@ def test_derived_values_are_no_fields():
 # two alternating Or/And nests 320 deep, Eq(x1,x2) the other operand
 # at each level and Edge(x1,x2) at the bottom, and two of star-free
 # expressions; each pair is compared and hashed, and each formula nest
-# compiled, the second against the cache entry of the first
+# compiled, the second against the cache entry of the first.  The repr
+# of each nest, and of nests 5,000 deep, is written whole
 NEST = """
 import sys
 from sepstar import logic, starfree
 
-def nest(junctions, bottom, operand):
+def nest(junctions, bottom, operand, depth=320):
     f = bottom
-    for i in range(320):
+    for i in range(depth):
         f = junctions[i % 2](f, operand)
     return f
 
@@ -95,6 +96,11 @@ compiled = [starfree.compile_formula(f, 2) for f in fs]
 for a, b in (fs, es, compiled):
     if not (a == b and hash(a) == hash(b)):
         sys.exit("two equal nests compare unequal")
+for depth in (320, 5000):
+    f = nest((logic.Or, logic.And), logic.Edge("x1", "x2"), logic.Eq("x1", "x2"), depth)
+    e = nest((starfree.Or, starfree.And), starfree.no_graphs(2), starfree.all_graphs(2), depth)
+    if repr(f).count("Eq(x='x1', y='x2')") != depth or repr(e).count("Not(") != depth:
+        sys.exit(f"the repr of a nest {depth} deep is not whole")
 print("ok")
 """
 
@@ -114,12 +120,13 @@ import sepstar
 for path in sorted(Path(sepstar.__file__).parent.glob("*.py")):
     if path.stem != "__init__":
         __import__(f"sepstar.{path.stem}")
-print(" ".join(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+print(" ".join(sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))))
 """
 
 
 def test_importing_the_library_generates_no_code():
     # `dataclasses` writes each class's methods as source text and
     # compiles it at every import, and pulls in `inspect`, `ast`, `dis`
-    # and `tokenize`; -S keeps site-packages from loading either first
+    # and `tokenize`; `typing` takes milliseconds to import for what a
+    # tuple subclass does; -S keeps site-packages from loading any first
     assert run_child(["-S"], IMPORTS) == "\n"
