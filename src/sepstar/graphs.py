@@ -10,8 +10,12 @@ port graphs with two interfaces.  The conventions that matter:
 
 Isomorphism respects ports positionally and labels exactly.  The
 canonical form is computed by colour refinement plus an
-individualisation search, which is exact (not just a heuristic) and
-fast at the sizes this library works with.
+individualisation search, which is exact (not just a heuristic).  The
+search prunes by the automorphisms it finds, after McKay and Piperno:
+a leaf equal to the first leaf sends it back to their common ancestor,
+and on the first path a child in the orbit of a searched child is
+skipped.  So a graph of many interchangeable parts, such as 12 disjoint
+edges, takes a dozen leaves, not 12!.
 
 This module is also the graph core that contexts
 (`sepstar.contexts`) and path decompositions (`sepstar.pathdecomp`)
@@ -505,15 +509,31 @@ def prime_factors(g: PortGraph) -> tuple[PortGraph, ...]:
 # isomorphism on the original graph.
 
 
-def _refine_colors(n: int, adj: list[int], colors: list[int]) -> list[int]:
-    while True:
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in range(n) if adj[v] >> u & 1)))
-                for v in range(n)]
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+def _refine_colors(nbrs: list[list[int]], colors: list[int], cells: list, near) -> None:
+    """Refine the colouring ``colors`` in place to the stable one: each
+    round splits every colour class by the sorted colours of its
+    vertices' neighbours ``nbrs``, the parts in the order of those.  A
+    colour is the position of its class in the order of the classes,
+    and ``cells`` holds each class, in index order, at its colour, so a
+    split moves no other class.  Only a class that holds a neighbour of
+    a vertex whose class split can split in the next round; ``near``
+    holds the colours of the classes that can split in the first."""
+    while near:
+        splits = []
+        for c in near:
+            if len(cells[c]) > 1:
+                parts: dict[tuple[int, ...], list[int]] = {}
+                for v in cells[c]:
+                    parts.setdefault(tuple(sorted([colors[u] for u in nbrs[v]])), []).append(v)
+                if len(parts) > 1:
+                    splits.append((c, [parts[sig] for sig in sorted(parts)]))
+        for c, parts in splits:
+            for part in parts:
+                cells[c] = part
+                for v in part:
+                    colors[v] = c
+                c += len(part)
+        near = {colors[u] for _, parts in splits for part in parts for v in part for u in nbrs[v]}
 
 
 def _write_certificates(tag: str, arity: int, keys: list[str], triangles) -> list[bytes]:
@@ -545,9 +565,24 @@ def _read_certificate(cert: bytes, part: str = "all"):
     return int(arity), keys.split("|"), [e for e, b in zip(pairs, tri.decode()) if b == "1"]
 
 
-def _triangle(adj: list[int], order, pairs) -> str:
-    """The adjacency at each pair of positions of ``order``, as ``0``/``1`` text."""
-    return "".join("1" if adj[order[a]] >> order[b] & 1 else "0" for a, b in pairs)
+def _triangle(adj: list[int], order) -> str:
+    """The upper triangle of the adjacency matrix with the vertices in
+    ``order``, row by row, as ``0``/``1`` text."""
+    n = len(order)
+    # each vertex's bit in a row that is read most significant bit first
+    bit = [0] * len(adj)
+    for p, v in enumerate(order):
+        bit[v] = 1 << n - 1 - p
+    tri = 1  # a leading 1 keeps the leading zeros
+    for a in range(n - 1):
+        row, bits = adj[order[a]], 0
+        while row:
+            low = row & -row
+            bits |= bit[low.bit_length() - 1]
+            row ^= low
+        width = n - 1 - a
+        tri = tri << width | bits & (1 << width) - 1
+    return bin(tri)[3:]
 
 
 # A colour-respecting order lists the colour classes in key order, so
@@ -605,49 +640,109 @@ def _small_minimum(
         tri.append("0" if zero else "1")
         alive = zero or alive
     order = [pos[p] for p in orders[(alive & -alive).bit_length() - 1]]
-    return "".join(tri) + _triangle(adj, order, pairs[len(tri) :]), order
+    rest = "".join("1" if adj[order[a]] >> order[b] & 1 else "0" for a, b in pairs[len(tri) :])
+    return "".join(tri) + rest, order
 
 
 def _search_canonical(n: int, adj: list[int], keys: list[str]) -> tuple[str, list[int]]:
     """The least triangle and the first order to reach it, over every
     colour-respecting order up to five vertices, and above that over
     the leaves of the refinement search, which keeps the key order of
-    the colours, so that each leaf is a colour-respecting order."""
+    the colours, so that each leaf is a colour-respecting order.
+
+    The search is pruned by the automorphisms it finds (McKay 1981;
+    McKay & Piperno 2014).  A leaf with the first leaf's triangle maps
+    the first leaf's order onto its own, an automorphism that fixes the
+    vertices the two paths share: the search returns to their common
+    ancestor, and at a node of the first path it skips a child in the
+    orbit of a child already searched.  Every leaf pruned has the
+    triangle of a leaf searched before it, so the least triangle and
+    the first order to reach it are those of the unpruned search.  A
+    node whose every colour class of two or more is a class of twins
+    (vertices with equal neighbourhoods up to each other) is taken as
+    its one leaf: below it, each class is individualised in index order
+    and nothing else splits."""
     base = {k: i for i, k in enumerate(sorted(set(keys)))}
     init = [base[k] for k in keys]
+    # the colour classes in key order, each in index order
+    pos = sorted(range(n), key=init.__getitem__)
 
     if n <= 5:
-        # the colour classes in key order, each in index order
-        pos = sorted(range(n), key=init.__getitem__)
         return _small_minimum(adj, pos, tuple(init.count(c) for c in range(len(base))))
 
-    pairs = list(combinations(range(n), 2))
+    nbrs = [[u for u, bit in enumerate(bin(row)[:1:-1]) if bit == "1"] for row in adj]
+    # the least vertex of each vertex's twin class: twins that are not
+    # adjacent have equal rows, and adjacent ones equal rows with
+    # themselves added; no vertex has twins of both kinds
+    opened, closed = {}, {}
+    for v in range(n):
+        opened.setdefault(adj[v], v)
+        closed.setdefault(adj[v] | 1 << v, v)
+    twin = [min(opened[adj[v]], closed[adj[v] | 1 << v]) for v in range(n)]
     best: tuple[str, list[int]] | None = None
+    first: tuple[str, list[int], list[int]] | None = None
+    orbit = list(range(n))  # a union-find of the orbits of the automorphisms found
 
-    def rec(colors: list[int]) -> None:
-        nonlocal best
-        colors = _refine_colors(n, adj, colors)
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(colors[v], []).append(v)
-        target = next((groups[c] for c in sorted(groups) if len(groups[c]) > 1), None)
-        if target is None:
-            perm = sorted(range(n), key=lambda v: colors[v])
-            tri = _triangle(adj, perm, pairs)
-            if best is None or tri < best[0]:
+    def root(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = v = orbit[orbit[v]]
+        return v
+
+    def rec(colors: list[int], cells: list, path: list[int], near) -> int:
+        """Search below the node that individualised the vertices
+        ``path``; return the depth of the node to go on at."""
+        nonlocal best, first
+        _refine_colors(nbrs, colors, cells, near)
+        # the first class of two or more, and whether every such class
+        # is a class of twins
+        target, c, depth = None, 0, len(path)
+        while c < n:
+            cell = cells[c]
+            c += len(cell)
+            if len(cell) > 1:
+                target = target or cell
+                if any(twin[w] != twin[cell[0]] for w in cell):
+                    break
+        else:
+            perm = sorted(range(n), key=colors.__getitem__)
+            tri = _triangle(adj, perm)
+            if first is None:
+                first, best = (tri, perm, path), (tri, perm)
+            elif tri == first[0]:
+                for a, b in zip(first[1], perm):
+                    orbit[root(a)] = root(b)
+                return next(d for d, (a, b) in enumerate(zip(path, first[2])) if a != b)
+            elif tri < best[0]:
                 best = (tri, perm)
-            return
+            return depth
         # candidates up to swap automorphisms visible right now
-        chosen: list[int] = []
+        chosen = {}
         for u in target:
-            if all(adj[u] & ~(1 << w) != adj[w] & ~(1 << u) for w in chosen):
-                chosen.append(u)
-        for u in chosen:
-            child = [c * 2 for c in colors]
-            child[u] -= 1
-            rec(child)
+            chosen.setdefault(twin[u], u)
+        searched: list[int] = []
+        for u in chosen.values():
+            # every automorphism found so far fixes the first path's
+            # vertices above the node it was found below
+            if searched and first[2][:depth] == path and root(u) in map(root, searched):
+                continue
+            searched.append(u)
+            # u first in its class, the rest after it
+            c, child, kids = colors[u], colors[:], cells[:]
+            kids[c], kids[c + 1] = [u], [w for w in target if w != u]
+            for w in kids[c + 1]:
+                child[w] = c + 1
+            back = rec(child, kids, path + [u], {child[w] for w in nbrs[u]})
+            if back < depth:
+                return back
+        return depth
 
-    rec(init)
+    colors, cells, c = [0] * n, [None] * n, 0
+    for _, run in groupby(pos, key=init.__getitem__):
+        cells[c] = cell = list(run)
+        for v in cell:
+            colors[v] = c
+        c += len(cell)
+    rec(colors, cells, [], set(colors))
     return best  # type: ignore[return-value]
 
 

@@ -13,7 +13,10 @@ arity satisfy the same sentences of quantifier rank r (over this
 vocabulary, with ports named by fixed constants) iff the duplicator
 survives r rounds.  The atomic position type includes every separator
 atom over the pinned vertices, which is what makes the game match the
-separator vocabulary rather than plain first-order logic.
+separator vocabulary rather than plain first-order logic.  From rank 2
+up, two graphs with equal certificates (`sepstar.graphs`) are
+equivalent without a move played: an isomorphism is a winning strategy
+for the duplicator at every rank.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import re
 from functools import wraps
 
-from .graphs import PortGraph, _flood, _numbering, _Value
+from .graphs import PortGraph, _flood, _graph_keys, _index_certificate, _numbering, _Value
 
 __all__ = [
     "Formula",
@@ -562,13 +565,11 @@ def language_member(g: PortGraph, f: Formula) -> bool:
 def ef_equivalent(g1: PortGraph, g2: PortGraph, rank: int) -> bool:
     """Duplicator wins the rank-`rank` game from the port position.
 
-    Both graphs play on index data, and the atomic type of each tuple
-    of pinned vertices is read from one component labelling per cut
-    and kept for the rest of the call.  Positions are memoised by the
-    pinned correspondence as a *set* of vertex pairs, which is sound:
-    everything the rest of the game can observe depends only on which
-    vertices are pinned to which, not on the order or multiplicity of
-    the pinning moves.
+    From rank 2 up, the graphs' certificates, written from the index
+    data of the game's models, are compared first: equal ones settle
+    the game, since an isomorphism is a winning strategy for Duplicator
+    at every rank.  Otherwise, and at ranks 0 and 1, where the game
+    costs no more than the certificates, the game is played (`_game`).
     """
     if g1.arity != g2.arity:
         raise FormulaError("graphs must have equal arity")
@@ -577,6 +578,29 @@ def ef_equivalent(g1: PortGraph, g2: PortGraph, rank: int) -> bool:
     if rank < 0:
         raise FormulaError("rank must be nonnegative")
     m1, m2 = _Model(g1), _Model(g2)
+    if rank > 1 and _certificate(g1, m1) == _certificate(g2, m2):
+        return True
+    return _game(g1, m1, g2, m2, rank)
+
+
+def _certificate(g: PortGraph, m: _Model) -> bytes:
+    """The certificate `canonical_cert` gives g, written from its model."""
+    labels = {v: c for v, c in enumerate(m.labels) if c is not None}
+    keys = _graph_keys(len(m.adj), [m.at[p] for p in g.ports], labels)
+    return _index_certificate("g", g.arity, m.adj, keys)
+
+
+def _game(g1: PortGraph, m1: _Model, g2: PortGraph, m2: _Model, rank: int) -> bool:
+    """The rank-`rank` game of `ef_equivalent`, played out on the models
+    ``m1`` and ``m2`` of the graphs.
+
+    The atomic type of each tuple of pinned vertices is read from one
+    component labelling per cut and kept for the rest of the call.
+    Positions are memoised by the pinned correspondence as a *set* of
+    vertex pairs, which is sound: everything the rest of the game can
+    observe depends only on which vertices are pinned to which, not on
+    the order or multiplicity of the pinning moves.
+    """
     v1, v2 = range(len(m1.adj)), range(len(m2.adj))
     memo: dict[tuple, bool] = {}
 

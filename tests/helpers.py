@@ -911,6 +911,55 @@ def reference_canonical_names(g, keys: dict[str, str]) -> dict[str, str]:
     return {vertices[i]: f"v{n}" for n, i in enumerate(order)}
 
 
+def reference_search_canonical(n: int, adj: list[int], keys: list[str]):
+    """The least triangle and the first order to reach it over every
+    leaf of the refinement search, pruned only by twins (vertices with
+    equal neighbourhoods): the reference for `graphs._search_canonical`
+    above five vertices, which also prunes by the automorphisms it
+    finds.  Each round of refinement ranks every vertex by its colour
+    and the sorted colours of all its neighbours, read off its row."""
+    base = {k: i for i, k in enumerate(sorted(set(keys)))}
+    pairs = list(combinations(range(n), 2))
+    best = None
+
+    def refine(colors):
+        while True:
+            sigs = [
+                (colors[v], tuple(sorted(colors[u] for u in range(n) if adj[v] >> u & 1)))
+                for v in range(n)
+            ]
+            ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            new = [ranking[s] for s in sigs]
+            if new == colors:
+                return colors
+            colors = new
+
+    def rec(colors):
+        nonlocal best
+        colors = refine(colors)
+        groups: dict[int, list[int]] = {}
+        for v in range(n):
+            groups.setdefault(colors[v], []).append(v)
+        target = next((groups[c] for c in sorted(groups) if len(groups[c]) > 1), None)
+        if target is None:
+            perm = sorted(range(n), key=lambda v: colors[v])
+            tri = "".join("1" if adj[perm[a]] >> perm[b] & 1 else "0" for a, b in pairs)
+            if best is None or tri < best[0]:
+                best = (tri, perm)
+            return
+        chosen: list[int] = []
+        for u in target:
+            if all(adj[u] & ~(1 << w) != adj[w] & ~(1 << u) for w in chosen):
+                chosen.append(u)
+        for u in chosen:
+            child = [c * 2 for c in colors]
+            child[u] -= 1
+            rec(child)
+
+    rec([base[k] for k in keys])
+    return best
+
+
 def reference_small_canonical(n: int, adj: list[int], keys: list[str]):
     """The canonical triangle of a coloured graph on at most five
     vertices: every colour-respecting order is encoded as the keys in

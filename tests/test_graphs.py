@@ -8,9 +8,11 @@ from itertools import combinations, product
 
 import pytest
 
+from sepstar import graphs
 from sepstar.graphs import (
     GraphError,
     PortGraph,
+    _graph_keys,
     _search_canonical,
     add_port,
     canonical_cert,
@@ -38,6 +40,7 @@ from helpers import (
     graph_pool,
     graphs_on,
     path_graph,
+    reference_search_canonical,
     reference_small_canonical,
     star_graph,
     with_port,
@@ -398,3 +401,69 @@ def test_small_canonical_encoding_matches_the_string_search_on_every_five_vertex
             assert _search_canonical(5, adj, keys) == reference_small_canonical(
                 5, adj, keys
             ), (adj, keys)
+
+
+def _families(rng, n: int) -> dict[str, list[tuple[int, int]]]:
+    """Edges on the vertices 0..n-1 of symmetric graphs, each with what
+    is left over isolated: disjoint edges, a spider with legs of two
+    edges, disjoint cycles, and a random graph."""
+    legs = (n - 1) // 2
+    cycles, v = [], 0
+    while n - v >= 3:
+        size = rng.randint(3, min(5, n - v))
+        cycles += [(v + i, v + (i + 1) % size) for i in range(size)]
+        v += size
+    return {
+        "edges": [(2 * i, 2 * i + 1) for i in range(n // 2)],
+        "spider": [(0, 2 * i + 1) for i in range(legs)] + [(2 * i + 1, 2 * i + 2) for i in range(legs)],
+        "cycles": cycles,
+        "random": [e for e in combinations(range(n), 2) if rng.random() < 0.3],
+    }
+
+
+def _renumbered(rng, n: int, edges) -> list[int]:
+    """The adjacency masks of the graph on 0..n-1 with these edges, its
+    vertices renumbered at random."""
+    perm = rng.sample(range(n), n)
+    adj = [0] * n
+    for a, b in edges:
+        adj[perm[a]] |= 1 << perm[b]
+        adj[perm[b]] |= 1 << perm[a]
+    return adj
+
+
+def test_pruned_search_matches_the_reference_search():
+    # the least triangle and the first order to reach it, with ports and
+    # labels in the colour keys as canonical_cert writes them
+    rng = random.Random(61)
+    for n in range(6, 15):
+        for _ in range(5):
+            for family, edges in _families(rng, n).items():
+                adj = _renumbered(rng, n, edges)
+                ports = rng.sample(range(n), rng.randint(0, 2))
+                labels = {v: rng.choice("ab") for v in rng.sample(range(n), rng.randint(0, 3))}
+                keys = _graph_keys(n, ports, labels)
+                assert _search_canonical(n, adj, keys) == reference_search_canonical(
+                    n, adj, keys
+                ), (family, adj, keys)
+
+
+@pytest.mark.parametrize("centre", [False, True], ids=["disjoint-edges", "spider"])
+def test_twelve_symmetric_pieces_take_twelve_leaves(monkeypatch, centre):
+    # 12 disjoint edges, or 12 legs of two edges joined at a centre; the
+    # search pruned by twins alone takes 12! leaves for each
+    leaves = []
+    triangle = graphs._triangle
+
+    def counting(adj, order):
+        leaves.append(order)
+        return triangle(adj, order)
+
+    monkeypatch.setattr(graphs, "_triangle", counting)
+    legs = [(f"a{i}", f"b{i}") for i in range(12)]
+    edges = legs + [("c", a) for a, _ in legs] if centre else legs
+    g = PortGraph.build({v for e in edges for v in e}, edges)
+    cert = canonical_cert.__wrapped__(g)
+    assert len(leaves) == 12
+    copy = PortGraph.build({f"x{v}" for v in g.vertices}, [(f"x{u}", f"x{v}") for u, v in edges])
+    assert canonical_cert.__wrapped__(copy) == cert

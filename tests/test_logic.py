@@ -13,6 +13,7 @@ import weakref
 
 import pytest
 
+from sepstar import logic
 from sepstar.graphs import PortGraph, separator_holds
 from sepstar.logic import (
     And,
@@ -443,6 +444,61 @@ def test_game_matches_the_reference_on_five_vertex_pairs():
             assert ef_equivalent(h, g, rank) == want, (h, g, rank)
             outcomes.add((rank, want))
     assert {(r, w) for r in (1, 2) for w in (True, False)} <= outcomes
+
+
+def _relabelled(rng, g):
+    """A copy of g on fresh names in random order, with its ports and
+    labels carried over."""
+    names = sorted(g.vertices)
+    image = [f"r{i}" for i in range(len(names))]
+    rng.shuffle(image)
+    m = dict(zip(names, image))
+    return PortGraph.build(
+        image,
+        [(m[u], m[v]) for u, v in g.edges],
+        [m[p] for p in g.ports],
+        {m[v]: c for v, c in g.labels},
+    )
+
+
+def test_game_matches_the_reference_on_relabelled_copies():
+    # ef_equivalent settles such a pair by certificates from rank 2 up,
+    # so the game is played here on its own
+    rng = random.Random(53)
+    for trial in range(12):
+        arity, edges, labelled = trial % 3, rng.randrange(3, 8), trial % 2 == 1
+        g = _random_five(rng, arity, edges, labelled)
+        h = _relabelled(rng, g)
+        for rank in range(4):
+            assert reference_ef_equivalent(g, h, rank), (g, h, rank)
+            assert logic._game(g, logic._Model(g), h, logic._Model(h), rank), (g, h, rank)
+
+
+def test_certificates_settle_isomorphic_pairs_from_rank_2_and_the_game_runs_otherwise(
+    monkeypatch,
+):
+    played = []
+    game = logic._game
+
+    def counting(g1, m1, g2, m2, rank):
+        played.append(rank)
+        return game(g1, m1, g2, m2, rank)
+
+    monkeypatch.setattr(logic, "_game", counting)
+    c6 = cycle_graph(6)
+    copy = _relabelled(random.Random(3), c6)
+    for rank in range(4):
+        assert ef_equivalent(c6, copy, rank)
+    assert played == [0, 1]
+    # six vertices and six edges each, all of degree 2, so the game
+    # runs; S0 tells them apart at rank 2
+    triangles = PortGraph.build(
+        "abcdef", [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f")]
+    )
+    played.clear()
+    assert not ef_equivalent(c6, triangles, 2)
+    assert not reference_ef_equivalent(c6, triangles, 2)
+    assert played == [2]
 
 
 @pytest.mark.parametrize("rank", [1.5, 2.0, True, False, "2", None])
